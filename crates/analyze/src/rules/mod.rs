@@ -6,14 +6,12 @@
 //! | `atomic-ordering-justified` | every atomic `Ordering::` use in concurrency-bearing modules carries `// ordering:` |
 //! | `relaxed-rmw` | `Ordering::Relaxed` as the success ordering of a read-modify-write — flagged unconditionally (baseline-only) |
 //! | `truncating-cast` | `as u64`/`as u32`/`as usize` in score/objective/lower-bound paths needs `// cast:` |
-//! | `registry-sync` | `SolverKind` variants ⇆ `ALL` ⇆ `name()` ⇆ `from_str` ⇆ README solver map |
 //! | `metric-sync` | metric name strings in code ⇆ README metric catalog |
 //! | `no-thread-spawn` | no `std::thread::spawn` / `thread::Builder` outside `vendor/rayon` |
 
 pub mod casts;
 pub mod metric_sync;
 pub mod ordering;
-pub mod registry_sync;
 pub mod safety;
 pub mod thread_spawn;
 
@@ -29,7 +27,6 @@ pub fn run_all(ws: &Workspace) -> (Vec<&'static str>, Vec<Finding>) {
         ordering::RULE_JUSTIFIED,
         ordering::RULE_RELAXED_RMW,
         casts::RULE,
-        registry_sync::RULE,
         metric_sync::RULE,
         thread_spawn::RULE,
     ];
@@ -37,7 +34,6 @@ pub fn run_all(ws: &Workspace) -> (Vec<&'static str>, Vec<Finding>) {
     findings.extend(safety::check(ws));
     findings.extend(ordering::check(ws));
     findings.extend(casts::check(ws));
-    findings.extend(registry_sync::check(ws));
     findings.extend(metric_sync::check(ws));
     findings.extend(thread_spawn::check(ws));
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));

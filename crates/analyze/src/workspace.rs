@@ -11,7 +11,7 @@ pub struct Workspace {
     pub root: PathBuf,
     /// Every lexed `.rs` file, sorted by relative path.
     pub files: Vec<SourceFile>,
-    /// `README.md` contents when present (the sync rules read it).
+    /// `README.md` contents when present (the `metric-sync` rule reads it).
     pub readme: Option<String>,
 }
 

@@ -15,9 +15,9 @@
 //! * `mcf` — one min-cost max-flow with convex unit-arc bundles; no
 //!   probe loop at all (`mcf_in`).
 //!
-//! Everything runs under a **1-worker local pool**, which keeps the
-//! multi-way parallel probes off: the cold/warm contrast isolates the
-//! effect of warm-starting alone. Per backend the run records best-of-3
+//! Everything runs under a **1-worker local pool**, so no backend can
+//! run in parallel: the cold/warm contrast isolates the effect of
+//! warm-starting alone. Per backend the run records best-of-3
 //! wall-clock seconds, the probe count (`oracle_calls`: capacity probes
 //! for the search kinds, shortest-path augmentations for `mcf`) and the
 //! flow-augmentation count metered off the resident workspace. The run
@@ -122,8 +122,8 @@ fn main() {
     let (n, p) = ((8192 / scale).max(64), 32);
     let count = opts.instances.max(2);
     let tall = tall_sweep(count, n, p);
-    // One worker: in-solver parallel probes stay off, so the cold/warm
-    // contrast measures warm-starting alone.
+    // One worker: nothing runs in parallel, so the cold/warm contrast
+    // measures warm-starting alone.
     let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().expect("local pool");
 
     let rows = [
@@ -166,7 +166,7 @@ fn main() {
         "# Fast exact: warm-started probes and the min-cost-flow backend\n\n\
          Tall unit sweep (the `fast-exact-tall` instances): {count} instances, \
          n = {n}, p = {p}, seed = {}, best of {REPEATS} runs under a 1-worker \
-         pool (in-solver parallel probes off — the contrast isolates \
+         pool (nothing runs in parallel — the contrast isolates \
          warm-starting), host cores = {host_cores}.\n\n\
          \"probes\" counts capacity probes for the load-range kinds and \
          shortest-path augmentations for `mcf`; \"augmentations\" meters the \

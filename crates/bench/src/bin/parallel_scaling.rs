@@ -1,10 +1,9 @@
-//! Parallel scaling: the two workloads the work-stealing pool was built
-//! to accelerate, replayed under local pools of 1, 2, 4, … workers.
+//! Parallel scaling: the two in-run parallel paths, replayed under local
+//! pools of 1, 2, 4, … workers.
 //!
 //! * **fast-exact-tall** — the tall (n ≫ p) unit sweep from the
-//!   `repeat_solve` bench, solved by the two exact backends with in-solver
-//!   parallel paths: `hk-semi` (work-stealing phase extraction) and
-//!   `cost-scaling` (multi-way capacity probes).
+//!   `repeat_solve` bench, solved by `hk-semi`, whose phases extract
+//!   augmenting paths on the work-stealing pool.
 //! * **streaming** — a sharded `Engine::replay` of a generated
 //!   hypergraph trace, where the repair pass sweeps shards concurrently.
 //!
@@ -118,25 +117,22 @@ fn main() {
     let mut cells: Vec<Cell> = Vec::new();
     let mut checksums: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
     for &t in &counts {
-        for kind in [SolverKind::HopcroftKarpSemi, SolverKind::CostScaling] {
-            let (secs, sum) = time_under(t, || {
-                solve_many(&tall_problems, &[kind], Objective::Makespan)
-                    .iter()
-                    .zip(&tall_problems)
-                    .map(|(r, p)| r[0].as_ref().unwrap().makespan(p).unwrap())
-                    .sum()
-            });
-            let workload = format!("fast-exact-tall/{}", kind.name());
-            match checksums.get(&workload) {
-                None => {
-                    checksums.insert(workload.clone(), sum);
-                }
-                Some(&expect) => {
-                    assert_eq!(sum, expect, "{workload}: result changed at {t} threads")
-                }
+        let kind = SolverKind::HopcroftKarpSemi;
+        let (secs, sum) = time_under(t, || {
+            solve_many(&tall_problems, &[kind], Objective::Makespan)
+                .iter()
+                .zip(&tall_problems)
+                .map(|(r, p)| r[0].as_ref().unwrap().makespan(p).unwrap())
+                .sum()
+        });
+        let workload = format!("fast-exact-tall/{}", kind.name());
+        match checksums.get(&workload) {
+            None => {
+                checksums.insert(workload.clone(), sum);
             }
-            cells.push(Cell { workload, threads: t, seconds: secs });
+            Some(&expect) => assert_eq!(sum, expect, "{workload}: result changed at {t} threads"),
         }
+        cells.push(Cell { workload, threads: t, seconds: secs });
         let (secs, sum) = time_under(t, || {
             Engine::replay(serve_cfg, &trace).expect("coverable trace").bottleneck()
         });

@@ -34,15 +34,14 @@
 //!   processors.
 //!
 //! All recursion bookkeeping (active views, committed assignments, BFS
-//! marks) is allocated once per call; the flow scratch lives in the
-//! [`SearchWorkspace`] arena (or in resident per-worker probe slots on the
-//! parallel path), so no per-level allocation appears.
+//! marks) is allocated once per call and the flow scratch lives in the
+//! [`SearchWorkspace`] arena, so no per-level allocation appears. Like
+//! FLN's own load-range search, the probes run one after another.
 //!
 //! Under sum objectives the registry appends the Harvey cost-reducing
 //! descent to the profile-search witness, the composition FLN's total-cost
 //! objective (`Objective::FlowTime`) shares with the other exact kinds.
 
-use rayon::prelude::*;
 use semimatch_graph::Bipartite;
 use semimatch_matching::capacitated::{
     extract_probe_in, max_assignment_in, probe_checkpoint, probe_rollback, warm_probe_in,
@@ -54,26 +53,6 @@ use semimatch_obs as obs;
 use crate::error::Result;
 use crate::exact::unit::{check_instance, ExactResult};
 use crate::problem::SemiMatching;
-
-/// Minimum instance size before probes fan out across the pool: each
-/// parallel probe keeps its own resident flow arena, which only pays for
-/// itself once a single probe clearly dominates the workspace allocation.
-const PAR_PROBE_MIN_TASKS: u32 = 512;
-
-/// A resident parallel-probe slot: its warm network state, workspace and
-/// extraction buffer move through the work-stealing pool by value and come
-/// back with the probe result, so repeated rounds allocate nothing.
-#[derive(Default)]
-struct ProbeSlot {
-    st: ProbeState,
-    ws: SearchWorkspace,
-    out: Vec<u32>,
-    /// Whether this slot has already served a probe in the current solve —
-    /// a reused slot is a warm session for the telemetry tally (its arena
-    /// and adjacency are resident, even if a partition forces the arcs to
-    /// be retargeted over the shrunk view).
-    used: bool,
-}
 
 /// Exact optimum via divide-and-conquer on the load range, throwaway
 /// scratch.
@@ -153,191 +132,80 @@ pub fn cost_scaling_seeded_in(
     let mut seq_state = ProbeState::default();
     let mut seq_used = false;
     let mut seq_out: Vec<u32> = vec![NONE; n as usize];
-    let mut slots: Vec<ProbeSlot> = Vec::new();
 
-    let threads = rayon::current_num_threads();
-    let par_probes = threads > 1 && n >= PAR_PROBE_MIN_TASKS;
     while lo < hi {
         let range = hi - lo;
-        // The round's best (largest-capacity) infeasible probe drives the
-        // partition; (capacity, uncovered, slot index or sequential).
-        let mut part: Option<(u32, u64, Option<usize>)> = None;
-        if par_probes && range >= 3 {
-            // Multi-way step: probe `k` evenly spaced interior capacities
-            // at once, one per pool worker. Feasibility is monotone in the
-            // capacity, so every infeasible probe tightens `lo` by its own
-            // deficiency bound and the smallest feasible probe becomes the
-            // new `hi` — the bracket converges to the same optimum as the
-            // binary search, it just eats the range in parallel bites.
-            let k = (threads as u32).min(range - 1).max(2);
-            let mut caps: Vec<u32> =
-                (1..=k).map(|i| lo + ((range as u64 * i as u64) / (k as u64 + 1)) as u32).collect();
-            caps.retain(|&c| c > lo && c < hi);
-            caps.dedup();
-            if caps.is_empty() {
-                caps.push(lo + range / 2);
-            }
-            calls += caps.len() as u32;
-            while slots.len() < caps.len() {
-                slots.push(ProbeSlot::default());
-            }
-            let spare = slots.split_off(caps.len());
-            let jobs: Vec<(u32, ProbeSlot)> = caps.into_iter().zip(slots.drain(..)).collect();
-            // Checkpoint/rollback eligibility is decided by pre-dispatch
-            // slot state; recompute it here (same predicate as inside the
-            // closure) so the accumulators stay off the parallel path. The
-            // session-temperature tally is a separate axis: a slot that has
-            // served any earlier probe this solve is a warm session (its
-            // arena is resident), whether or not a partition invalidated
-            // the epoch in between.
-            let warm_flags: Vec<bool> = jobs
-                .iter()
-                .map(|(cap, slot)| slot.st.is_warm(epoch) && *cap >= slot.st.capacity())
-                .collect();
-            let used_flags: Vec<bool> = jobs.iter().map(|(_, slot)| slot.used).collect();
-            let (at, ap, pp) = (&active_tasks, &active_procs, &proc_pos);
-            let done: Vec<(u32, u64, ProbeSlot)> = jobs
-                .into_par_iter()
-                .map(|(cap, mut slot)| {
-                    // Same monotone-session policy as the sequential path,
-                    // per slot: checkpoint a warm raise and roll back on a
-                    // feasible answer, so each resident network stays
-                    // anchored at its highest infeasible capacity.
-                    let warm = slot.st.is_warm(epoch) && cap >= slot.st.capacity();
-                    if warm {
-                        probe_checkpoint(&mut slot.st, &slot.ws);
-                    }
-                    let card = warm_probe_in(g, at, ap, pp, epoch, cap, &mut slot.st, &mut slot.ws);
-                    slot.out.resize(g.n_left() as usize, NONE);
-                    extract_probe_in(g, at, pp, &mut slot.out, &slot.ws);
-                    if warm && card == at.len() as u64 {
-                        probe_rollback(&mut slot.st, &mut slot.ws);
-                    }
-                    slot.used = true;
-                    (cap, card, slot)
-                })
-                .collect();
-            let active_n = active_tasks.len() as u64;
-            for (i, (cap, card, slot)) in done.iter().enumerate() {
-                if used_flags[i] {
-                    warm_sessions += 1;
-                } else {
-                    cold_sessions += 1;
-                }
-                if *card == active_n {
-                    if warm_flags[i] {
-                        rollbacks += 1;
-                    }
-                    if *cap < hi {
-                        hi = *cap;
-                        snapshot_witness(&mut witness, &committed, &active_tasks, &slot.out);
-                        have_witness = true;
-                    }
-                } else {
-                    let uncovered = active_n - card;
-                    let bound = (uncovered.div_ceil(active_procs.len() as u64) as u32).max(1);
-                    if bound > 1 {
-                        deficiency_skips += 1;
-                    }
-                    lo = lo.max(cap + bound);
-                    if part.is_none_or(|(c, _, _)| c < *cap) {
-                        part = Some((*cap, uncovered, Some(i)));
-                    }
-                }
-            }
-            if let Some((cap, uncovered, Some(i))) = part {
-                let shrunk = partition_active(
-                    g,
-                    &done[i].2.out,
-                    &mut committed,
-                    &mut active_tasks,
-                    &mut active_procs,
-                    &mut proc_pos,
-                    &mut task_mark,
-                    &mut proc_mark,
-                    &mut bfs_queue,
-                );
-                lo = lo.max(cap + (uncovered.div_ceil(active_procs.len() as u64) as u32).max(1));
-                if shrunk {
-                    epoch += 1;
-                    partitions += 1;
-                }
-            }
-            slots.extend(done.into_iter().map(|(_, _, slot)| slot));
-            slots.extend(spare);
+        // Anchored probe. A fresh session (first probe, or a
+        // partition just shrunk the view) builds the resident network at
+        // `lo` — the cheap end: an infeasible build routes short paths
+        // and immediately sharpens `lo`, a feasible one closes the
+        // bracket outright. A warm session answers the bisection
+        // midpoint by a checkpointed *raise* from its anchor (the
+        // highest infeasible capacity seen) and rolls back on a
+        // feasible answer, so the resident flow only ever moves in the
+        // monotone raising direction — the direction whose augmenting
+        // paths stay short.
+        let fresh = !seq_state.is_warm(epoch);
+        let cap = if fresh { lo } else { lo + range / 2 };
+        calls += 1;
+        // Temperature tally: the first probe of the solve builds the
+        // resident arena from nothing (cold); every later probe reuses
+        // it (warm) — even an epoch-invalidated rebuild retargets arcs
+        // inside the already-sized arena.
+        if seq_used {
+            warm_sessions += 1;
         } else {
-            // Anchored sequential probe. A fresh session (first probe, or a
-            // partition just shrunk the view) builds the resident network at
-            // `lo` — the cheap end: an infeasible build routes short paths
-            // and immediately sharpens `lo`, a feasible one closes the
-            // bracket outright. A warm session answers the bisection
-            // midpoint by a checkpointed *raise* from its anchor (the
-            // highest infeasible capacity seen) and rolls back on a
-            // feasible answer, so the resident flow only ever moves in the
-            // monotone raising direction — the direction whose augmenting
-            // paths stay short.
-            let fresh = !seq_state.is_warm(epoch);
-            let cap = if fresh { lo } else { lo + range / 2 };
-            calls += 1;
-            // Temperature tally: the first probe of the solve builds the
-            // resident arena from nothing (cold); every later probe reuses
-            // it (warm) — even an epoch-invalidated rebuild retargets arcs
-            // inside the already-sized arena.
-            if seq_used {
-                warm_sessions += 1;
-            } else {
-                cold_sessions += 1;
-                seq_used = true;
-            }
+            cold_sessions += 1;
+            seq_used = true;
+        }
+        if !fresh {
+            probe_checkpoint(&mut seq_state, ws);
+        }
+        let card = warm_probe_in(
+            g,
+            &active_tasks,
+            &active_procs,
+            &proc_pos,
+            epoch,
+            cap,
+            &mut seq_state,
+            ws,
+        );
+        extract_probe_in(g, &active_tasks, &proc_pos, &mut seq_out, ws);
+        let active_n = active_tasks.len() as u64;
+        if card == active_n {
+            hi = cap;
+            snapshot_witness(&mut witness, &committed, &active_tasks, &seq_out);
+            have_witness = true;
             if !fresh {
-                probe_checkpoint(&mut seq_state, ws);
+                probe_rollback(&mut seq_state, ws);
+                rollbacks += 1;
             }
-            let card = warm_probe_in(
+        } else {
+            // FLN deficiency bound: the shortfall dictates how much
+            // extra capacity the whole surviving pool needs before the
+            // probe can close.
+            let uncovered = active_n - card;
+            let bound = (uncovered.div_ceil(active_procs.len() as u64) as u32).max(1);
+            if bound > 1 {
+                deficiency_skips += 1;
+            }
+            lo = cap + bound;
+            let shrunk = partition_active(
                 g,
-                &active_tasks,
-                &active_procs,
-                &proc_pos,
-                epoch,
-                cap,
-                &mut seq_state,
-                ws,
+                &seq_out,
+                &mut committed,
+                &mut active_tasks,
+                &mut active_procs,
+                &mut proc_pos,
+                &mut task_mark,
+                &mut proc_mark,
+                &mut bfs_queue,
             );
-            extract_probe_in(g, &active_tasks, &proc_pos, &mut seq_out, ws);
-            let active_n = active_tasks.len() as u64;
-            if card == active_n {
-                hi = cap;
-                snapshot_witness(&mut witness, &committed, &active_tasks, &seq_out);
-                have_witness = true;
-                if !fresh {
-                    probe_rollback(&mut seq_state, ws);
-                    rollbacks += 1;
-                }
-            } else {
-                // FLN deficiency bound: the shortfall dictates how much
-                // extra capacity the whole surviving pool needs before the
-                // probe can close.
-                let uncovered = active_n - card;
-                let bound = (uncovered.div_ceil(active_procs.len() as u64) as u32).max(1);
-                if bound > 1 {
-                    deficiency_skips += 1;
-                }
-                lo = cap + bound;
-                let shrunk = partition_active(
-                    g,
-                    &seq_out,
-                    &mut committed,
-                    &mut active_tasks,
-                    &mut active_procs,
-                    &mut proc_pos,
-                    &mut task_mark,
-                    &mut proc_mark,
-                    &mut bfs_queue,
-                );
-                lo = lo.max(cap + (uncovered.div_ceil(active_procs.len() as u64) as u32).max(1));
-                if shrunk {
-                    epoch += 1;
-                    partitions += 1;
-                }
+            lo = lo.max(cap + (uncovered.div_ceil(active_procs.len() as u64) as u32).max(1));
+            if shrunk {
+                epoch += 1;
+                partitions += 1;
             }
         }
     }

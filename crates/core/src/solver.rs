@@ -70,7 +70,7 @@ use crate::problem::{HyperMatching, SemiMatching};
 use crate::refine::{iterated_refine_with, refine_with};
 use crate::streaming::{
     streaming_greedy_bipartite_two_pass_with, streaming_greedy_bipartite_with,
-    streaming_greedy_hyper_two_pass_with, streaming_greedy_hyper_with, two_pass_enabled,
+    streaming_greedy_hyper_two_pass_with, streaming_greedy_hyper_with,
 };
 use crate::BiHeuristic;
 
@@ -257,251 +257,311 @@ impl SolverClass {
     }
 }
 
-/// Every semi-matching solver in the workspace, unified.
-///
-/// This is the registry the CLI, bench harness, scheduling policies and the
-/// agreement tests all dispatch through; the per-crate selector enums
-/// ([`BiHeuristic`], [`HyperHeuristic`], [`SearchStrategy`]) survive only as
-/// internal implementation details behind [`SolverKind::solve`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum SolverKind {
-    // --- SINGLEPROC heuristics (§IV-B) ---
-    /// basic-greedy (Algorithm 1).
-    Basic,
-    /// sorted-greedy.
-    Sorted,
-    /// double-sorted (Algorithm 2).
-    DoubleSorted,
-    /// expected-greedy (Algorithm 3).
-    Expected,
-    // --- SINGLEPROC-UNIT exact (§IV-A) ---
-    /// Exact via capacitated matchings, incremental deadline search.
-    ExactIncremental,
-    /// Exact via capacitated matchings, bisection deadline search.
-    ExactBisection,
-    /// Exact via literal `G_D` replication (push-relabel engine).
-    ExactReplicated,
-    /// Exact via cost-reducing paths (Harvey, Ladner, Lovász, Tamir).
-    Harvey,
-    /// Exact via generalized Hopcroft–Karp phases (Katrenič–Semanišin):
-    /// all shortest load-reducing paths augmented at once.
-    HopcroftKarpSemi,
-    /// Exact via divide-and-conquer on the load range with capacitated
-    /// feasibility probes (Fakcharoenphol–Laekhanukit–Nanongkai style).
-    CostScaling,
-    /// Exact via one min-cost max-flow over convex unit-arc bundles
-    /// (Johnson potentials, integer arithmetic). Balanced — hence
-    /// simultaneously optimal for every reported objective — on unit
-    /// instances; the first fast exact kind for weighted total load.
-    MinCostFlow,
-    // --- MULTIPROC heuristics (§IV-D) ---
-    /// sorted-greedy-hyp (Algorithm 4).
-    Sgh,
-    /// vector-greedy-hyp.
-    Vgh,
-    /// expected-greedy-hyp (Algorithm 5).
-    Egh,
-    /// expected-vector-greedy-hyp.
-    Evg,
-    // --- extensions beyond the paper ---
-    /// EVG followed by local-search refinement.
-    EvgRefined,
-    /// SGH followed by local-search refinement.
-    SghRefined,
-    /// SGH followed by iterated local search with bottleneck kicks.
-    SghIls,
-    /// Online min-bottleneck dispatcher (no sorting, no look-ahead).
-    Online,
-    /// One-pass streaming greedy over the edge/hyperedge stream
-    /// (Konrad–Rosén style; both classes, `O(n + p)` state).
-    StreamingGreedy,
-    /// Branch-and-bound exhaustive search (both classes, small instances).
-    BruteForce,
+/// Everything the registry records about one kind apart from how it runs
+/// (that is [`SolverKind::solve_in`]): one row of the registry table.
+struct KindSpec {
+    /// Canonical registry name.
+    name: &'static str,
+    /// Historical names that parse to this kind too.
+    aliases: &'static [&'static str],
+    /// Display label (the paper's column name where it has one).
+    label: &'static str,
+    /// Paper section implementing the kind; `None` for extensions.
+    paper: Option<&'static str>,
+    class: SolverClass,
+    exact: bool,
+    description: &'static str,
+}
+
+/// Declares [`SolverKind`] together with the registry table `SPECS`, one
+/// row per variant in declaration order, so a kind cannot exist without
+/// its row and `SPECS[kind as usize]` is always that kind's row.
+macro_rules! registry {
+    (
+        $(#[$enum_attr:meta])*
+        pub enum SolverKind { $($(#[$attr:meta])* $kind:ident => $spec:expr,)* }
+    ) => {
+        $(#[$enum_attr])*
+        pub enum SolverKind { $($(#[$attr])* $kind,)* }
+
+        const SPECS: [(SolverKind, KindSpec); [$(SolverKind::$kind),*].len()] =
+            [$((SolverKind::$kind, $spec)),*];
+    };
+}
+
+registry! {
+    /// Every semi-matching solver in the workspace, unified.
+    ///
+    /// This is the registry the CLI, bench harness, scheduling policies and
+    /// the agreement tests all dispatch through; the per-crate selector
+    /// enums ([`BiHeuristic`], [`HyperHeuristic`], [`SearchStrategy`])
+    /// survive only as internal implementation details behind
+    /// [`SolverKind::solve`]. `semimatch solvers` prints the table below as
+    /// the README solver map.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+    pub enum SolverKind {
+        // --- SINGLEPROC heuristics (§IV-B) ---
+        /// basic-greedy (Algorithm 1).
+        Basic => KindSpec {
+            name: "basic", aliases: &[], label: "basic", paper: Some("§IV-B"),
+            class: SolverClass::SingleProc, exact: false,
+            description: "basic-greedy, tasks by degree (Alg. 1)",
+        },
+        /// sorted-greedy.
+        Sorted => KindSpec {
+            name: "sorted", aliases: &[], label: "sorted", paper: Some("§IV-B"),
+            class: SolverClass::SingleProc, exact: false,
+            description: "sorted-greedy, processors by load",
+        },
+        /// double-sorted (Algorithm 2).
+        DoubleSorted => KindSpec {
+            name: "double-sorted", aliases: &[], label: "double-sorted", paper: Some("§IV-B"),
+            class: SolverClass::SingleProc, exact: false,
+            description: "double-sorted greedy (Alg. 2)",
+        },
+        /// expected-greedy (Algorithm 3).
+        Expected => KindSpec {
+            name: "expected", aliases: &[], label: "expected", paper: Some("§IV-B"),
+            class: SolverClass::SingleProc, exact: false,
+            description: "expected-load greedy (Alg. 3)",
+        },
+        // --- SINGLEPROC-UNIT exact (§IV-A and extensions) ---
+        /// Exact via capacitated matchings, incremental deadline search.
+        ExactIncremental => KindSpec {
+            name: "exact-incremental", aliases: &["incremental"], label: "exact-incremental",
+            paper: Some("§IV-A"), class: SolverClass::SingleProc, exact: true,
+            description: "exact, incremental deadline search",
+        },
+        /// Exact via capacitated matchings, bisection deadline search.
+        ExactBisection => KindSpec {
+            name: "exact-bisection", aliases: &["bisection"], label: "exact-bisection",
+            paper: Some("§IV-A"), class: SolverClass::SingleProc, exact: true,
+            description: "exact, bisection deadline search",
+        },
+        /// Exact via literal `G_D` replication (push-relabel engine).
+        ExactReplicated => KindSpec {
+            name: "exact-replicated", aliases: &["replicated"], label: "exact-replicated",
+            paper: Some("§IV-A"), class: SolverClass::SingleProc, exact: true,
+            description: "exact, literal G_D replication",
+        },
+        /// Exact via cost-reducing paths (Harvey, Ladner, Lovász, Tamir).
+        Harvey => KindSpec {
+            name: "harvey", aliases: &[], label: "harvey", paper: Some("§IV-A"),
+            class: SolverClass::SingleProc, exact: true,
+            description: "exact, cost-reducing paths (Harvey et al.)",
+        },
+        /// Exact via generalized Hopcroft–Karp phases (Katrenič–Semanišin):
+        /// all shortest load-reducing paths augmented at once.
+        HopcroftKarpSemi => KindSpec {
+            name: "hk-semi", aliases: &["hopcroft-karp-semi", "katrenic"], label: "HK-semi",
+            paper: None, class: SolverClass::SingleProc, exact: true,
+            description: "exact, generalized Hopcroft-Karp phases (Katrenic-Semanisin)",
+        },
+        /// Exact via divide-and-conquer on the load range with capacitated
+        /// feasibility probes (Fakcharoenphol–Laekhanukit–Nanongkai style).
+        CostScaling => KindSpec {
+            name: "cost-scaling", aliases: &["fln", "load-range"], label: "cost-scaling",
+            paper: None, class: SolverClass::SingleProc, exact: true,
+            description: "exact, load-range divide-and-conquer (Fakcharoenphol et al.)",
+        },
+        /// Exact via one min-cost max-flow over convex unit-arc bundles
+        /// (Johnson potentials, integer arithmetic). Balanced — hence
+        /// simultaneously optimal for every reported objective — on unit
+        /// instances; the first fast exact kind for weighted total load.
+        MinCostFlow => KindSpec {
+            name: "mcf", aliases: &["min-cost-flow", "mincostflow"], label: "mcf", paper: None,
+            class: SolverClass::SingleProc, exact: true,
+            description: "exact, one min-cost flow (weighted total load too)",
+        },
+        // --- MULTIPROC heuristics (§IV-D) ---
+        /// sorted-greedy-hyp (Algorithm 4).
+        Sgh => KindSpec {
+            name: "sgh", aliases: &[], label: "SGH", paper: Some("§IV-D"),
+            class: SolverClass::MultiProc, exact: false,
+            description: "sorted-greedy-hyp (Alg. 4)",
+        },
+        /// vector-greedy-hyp.
+        Vgh => KindSpec {
+            name: "vgh", aliases: &[], label: "VGH", paper: Some("§IV-D"),
+            class: SolverClass::MultiProc, exact: false,
+            description: "vector-greedy-hyp",
+        },
+        /// expected-greedy-hyp (Algorithm 5).
+        Egh => KindSpec {
+            name: "egh", aliases: &[], label: "EGH", paper: Some("§IV-D"),
+            class: SolverClass::MultiProc, exact: false,
+            description: "expected-greedy-hyp (Alg. 5)",
+        },
+        /// expected-vector-greedy-hyp.
+        Evg => KindSpec {
+            name: "evg", aliases: &[], label: "EVG", paper: Some("§IV-D"),
+            class: SolverClass::MultiProc, exact: false,
+            description: "expected-vector-greedy-hyp",
+        },
+        // --- extensions beyond the paper ---
+        /// EVG followed by local-search refinement.
+        EvgRefined => KindSpec {
+            name: "evg-refined", aliases: &["evg+refine"], label: "EVG+refine", paper: None,
+            class: SolverClass::MultiProc, exact: false,
+            description: "EVG + local-search refinement",
+        },
+        /// SGH followed by local-search refinement.
+        SghRefined => KindSpec {
+            name: "sgh-refined", aliases: &["sgh+refine"], label: "SGH+refine", paper: None,
+            class: SolverClass::MultiProc, exact: false,
+            description: "SGH + local-search refinement",
+        },
+        /// SGH followed by iterated local search with bottleneck kicks.
+        SghIls => KindSpec {
+            name: "sgh-ils", aliases: &["sgh+ils"], label: "SGH+ILS", paper: None,
+            class: SolverClass::MultiProc, exact: false,
+            description: "SGH + iterated local search",
+        },
+        /// Online min-bottleneck dispatcher (no sorting, no look-ahead).
+        Online => KindSpec {
+            name: "online", aliases: &[], label: "online", paper: None,
+            class: SolverClass::MultiProc, exact: false,
+            description: "online min-bottleneck dispatch",
+        },
+        /// One-pass streaming greedy over the edge/hyperedge stream
+        /// (Konrad–Rosén style; both classes, `O(n + p)` state).
+        StreamingGreedy => KindSpec {
+            name: "streaming-greedy", aliases: &["streaming"], label: "streaming", paper: None,
+            class: SolverClass::Either, exact: false,
+            description: "one-pass streaming greedy (Konrad-Rosen)",
+        },
+        /// [`SolverKind::StreamingGreedy`] plus Konrad–Rosén's second pass,
+        /// which re-places only tasks on processors above the balanced
+        /// ceiling; never scores worse than one pass.
+        StreamingTwoPass => KindSpec {
+            name: "streaming-two-pass", aliases: &[], label: "streaming-2p", paper: None,
+            class: SolverClass::Either, exact: false,
+            description: "two-pass streaming greedy (Konrad-Rosen refinement)",
+        },
+        /// Branch-and-bound exhaustive search (both classes, small instances).
+        BruteForce => KindSpec {
+            name: "brute-force", aliases: &["bruteforce"], label: "brute-force", paper: None,
+            class: SolverClass::Either, exact: true,
+            description: "branch-and-bound exhaustive search",
+        },
+    }
+}
+
+/// The registry's kind lists, each a filter over `SPECS` in row order.
+#[derive(Clone, Copy)]
+enum Subset {
+    All,
+    SingleProc,
+    MultiProc,
+    Policies,
+    BiHeuristics,
+    HyperHeuristics,
+    ExactSingleProc,
+}
+
+impl Subset {
+    const fn keeps(self, spec: &KindSpec) -> bool {
+        let single = matches!(spec.class, SolverClass::SingleProc | SolverClass::Either);
+        let multi = matches!(spec.class, SolverClass::MultiProc | SolverClass::Either);
+        match self {
+            Subset::All => true,
+            Subset::SingleProc => single,
+            Subset::MultiProc => multi,
+            // MULTIPROC is NP-complete even with unit weights (Theorem 1),
+            // so the exact kinds accepting it are the exponential ones.
+            Subset::Policies => multi && !spec.exact,
+            Subset::BiHeuristics => single && !multi && !spec.exact,
+            Subset::HyperHeuristics => multi && !single && spec.paper.is_some(),
+            Subset::ExactSingleProc => single && !multi && spec.exact,
+        }
+    }
+
+    const fn len(self) -> usize {
+        let mut n = 0;
+        let mut i = 0;
+        while i < SPECS.len() {
+            if self.keeps(&SPECS[i].1) {
+                n += 1;
+            }
+            i += 1;
+        }
+        n
+    }
+
+    /// The kept kinds in row order; `N` must be [`Subset::len`].
+    const fn kinds<const N: usize>(self) -> [SolverKind; N] {
+        let mut out = [SolverKind::Basic; N];
+        let mut n = 0;
+        let mut i = 0;
+        while i < SPECS.len() {
+            if self.keeps(&SPECS[i].1) {
+                out[n] = SPECS[i].0;
+                n += 1;
+            }
+            i += 1;
+        }
+        assert!(n == N, "subset length mismatch");
+        out
+    }
 }
 
 impl SolverKind {
     /// Every registered solver.
-    pub const ALL: [SolverKind; 21] = [
-        SolverKind::Basic,
-        SolverKind::Sorted,
-        SolverKind::DoubleSorted,
-        SolverKind::Expected,
-        SolverKind::ExactIncremental,
-        SolverKind::ExactBisection,
-        SolverKind::ExactReplicated,
-        SolverKind::Harvey,
-        SolverKind::HopcroftKarpSemi,
-        SolverKind::CostScaling,
-        SolverKind::MinCostFlow,
-        SolverKind::Sgh,
-        SolverKind::Vgh,
-        SolverKind::Egh,
-        SolverKind::Evg,
-        SolverKind::EvgRefined,
-        SolverKind::SghRefined,
-        SolverKind::SghIls,
-        SolverKind::Online,
-        SolverKind::StreamingGreedy,
-        SolverKind::BruteForce,
-    ];
+    pub const ALL: [SolverKind; Subset::All.len()] = Subset::All.kinds();
 
     /// Solvers accepting bipartite (`SINGLEPROC`) problems.
-    pub const SINGLEPROC: [SolverKind; 13] = [
-        SolverKind::Basic,
-        SolverKind::Sorted,
-        SolverKind::DoubleSorted,
-        SolverKind::Expected,
-        SolverKind::ExactIncremental,
-        SolverKind::ExactBisection,
-        SolverKind::ExactReplicated,
-        SolverKind::Harvey,
-        SolverKind::HopcroftKarpSemi,
-        SolverKind::CostScaling,
-        SolverKind::MinCostFlow,
-        SolverKind::StreamingGreedy,
-        SolverKind::BruteForce,
-    ];
+    pub const SINGLEPROC: [SolverKind; Subset::SingleProc.len()] = Subset::SingleProc.kinds();
 
     /// Solvers accepting hypergraph (`MULTIPROC`) problems.
-    pub const MULTIPROC: [SolverKind; 10] = [
-        SolverKind::Sgh,
-        SolverKind::Vgh,
-        SolverKind::Egh,
-        SolverKind::Evg,
-        SolverKind::EvgRefined,
-        SolverKind::SghRefined,
-        SolverKind::SghIls,
-        SolverKind::Online,
-        SolverKind::StreamingGreedy,
-        SolverKind::BruteForce,
-    ];
+    pub const MULTIPROC: [SolverKind; Subset::MultiProc.len()] = Subset::MultiProc.kinds();
 
     /// Polynomial-time `MULTIPROC` solvers: safe as scheduling policies on
     /// arbitrary-size instances (everything in [`Self::MULTIPROC`] except
     /// the exhaustive search).
-    pub const POLICIES: [SolverKind; 9] = [
-        SolverKind::Sgh,
-        SolverKind::Vgh,
-        SolverKind::Egh,
-        SolverKind::Evg,
-        SolverKind::EvgRefined,
-        SolverKind::SghRefined,
-        SolverKind::SghIls,
-        SolverKind::Online,
-        SolverKind::StreamingGreedy,
-    ];
+    pub const POLICIES: [SolverKind; Subset::Policies.len()] = Subset::Policies.kinds();
 
     /// The four `SINGLEPROC` heuristics, in the paper's order.
-    pub const BI_HEURISTICS: [SolverKind; 4] =
-        [SolverKind::Basic, SolverKind::Sorted, SolverKind::DoubleSorted, SolverKind::Expected];
+    pub const BI_HEURISTICS: [SolverKind; Subset::BiHeuristics.len()] =
+        Subset::BiHeuristics.kinds();
 
     /// The four `MULTIPROC` heuristics, in the paper's table-column order.
-    pub const HYPER_HEURISTICS: [SolverKind; 4] =
-        [SolverKind::Sgh, SolverKind::Vgh, SolverKind::Egh, SolverKind::Evg];
+    pub const HYPER_HEURISTICS: [SolverKind; Subset::HyperHeuristics.len()] =
+        Subset::HyperHeuristics.kinds();
 
     /// The exact `SINGLEPROC-UNIT` algorithms.
-    pub const EXACT_SINGLEPROC: [SolverKind; 7] = [
-        SolverKind::ExactIncremental,
-        SolverKind::ExactBisection,
-        SolverKind::ExactReplicated,
-        SolverKind::Harvey,
-        SolverKind::HopcroftKarpSemi,
-        SolverKind::CostScaling,
-        SolverKind::MinCostFlow,
-    ];
+    pub const EXACT_SINGLEPROC: [SolverKind; Subset::ExactSingleProc.len()] =
+        Subset::ExactSingleProc.kinds();
+
+    fn spec(self) -> &'static KindSpec {
+        &SPECS[self as usize].1
+    }
 
     /// Canonical registry name (stable; used by `from_str`, the CLI and
     /// reports).
     pub fn name(self) -> &'static str {
-        match self {
-            SolverKind::Basic => "basic",
-            SolverKind::Sorted => "sorted",
-            SolverKind::DoubleSorted => "double-sorted",
-            SolverKind::Expected => "expected",
-            SolverKind::ExactIncremental => "exact-incremental",
-            SolverKind::ExactBisection => "exact-bisection",
-            SolverKind::ExactReplicated => "exact-replicated",
-            SolverKind::Harvey => "harvey",
-            SolverKind::HopcroftKarpSemi => "hk-semi",
-            SolverKind::CostScaling => "cost-scaling",
-            SolverKind::MinCostFlow => "mcf",
-            SolverKind::Sgh => "sgh",
-            SolverKind::Vgh => "vgh",
-            SolverKind::Egh => "egh",
-            SolverKind::Evg => "evg",
-            SolverKind::EvgRefined => "evg-refined",
-            SolverKind::SghRefined => "sgh-refined",
-            SolverKind::SghIls => "sgh-ils",
-            SolverKind::Online => "online",
-            SolverKind::StreamingGreedy => "streaming-greedy",
-            SolverKind::BruteForce => "brute-force",
-        }
+        self.spec().name
+    }
+
+    /// Historical names that [`from_str`](SolverKind::from_str) also
+    /// resolves to this kind.
+    pub fn aliases(self) -> &'static [&'static str] {
+        self.spec().aliases
     }
 
     /// Display label used in tables (matches the paper's column names).
     pub fn label(self) -> &'static str {
-        match self {
-            SolverKind::Sgh => "SGH",
-            SolverKind::Vgh => "VGH",
-            SolverKind::Egh => "EGH",
-            SolverKind::Evg => "EVG",
-            SolverKind::EvgRefined => "EVG+refine",
-            SolverKind::SghRefined => "SGH+refine",
-            SolverKind::SghIls => "SGH+ILS",
-            SolverKind::StreamingGreedy => "streaming",
-            SolverKind::HopcroftKarpSemi => "HK-semi",
-            other => other.name(),
-        }
+        self.spec().label
     }
 
-    /// Paper section implementing this solver (empty for extensions).
+    /// Paper section implementing this solver (`"extension"` for the
+    /// kinds beyond the paper).
     pub fn paper_ref(self) -> &'static str {
-        match self {
-            SolverKind::Basic
-            | SolverKind::Sorted
-            | SolverKind::DoubleSorted
-            | SolverKind::Expected => "§IV-B",
-            SolverKind::ExactIncremental
-            | SolverKind::ExactBisection
-            | SolverKind::ExactReplicated
-            | SolverKind::Harvey => "§IV-A",
-            SolverKind::Sgh | SolverKind::Vgh | SolverKind::Egh | SolverKind::Evg => "§IV-D",
-            SolverKind::EvgRefined
-            | SolverKind::SghRefined
-            | SolverKind::SghIls
-            | SolverKind::Online
-            | SolverKind::StreamingGreedy
-            | SolverKind::HopcroftKarpSemi
-            | SolverKind::CostScaling
-            | SolverKind::MinCostFlow
-            | SolverKind::BruteForce => "extension",
-        }
+        self.spec().paper.unwrap_or("extension")
     }
 
     /// Which problem class this solver accepts.
     pub fn class(self) -> SolverClass {
-        match self {
-            SolverKind::Basic
-            | SolverKind::Sorted
-            | SolverKind::DoubleSorted
-            | SolverKind::Expected
-            | SolverKind::ExactIncremental
-            | SolverKind::ExactBisection
-            | SolverKind::ExactReplicated
-            | SolverKind::Harvey
-            | SolverKind::HopcroftKarpSemi
-            | SolverKind::CostScaling
-            | SolverKind::MinCostFlow => SolverClass::SingleProc,
-            SolverKind::Sgh
-            | SolverKind::Vgh
-            | SolverKind::Egh
-            | SolverKind::Evg
-            | SolverKind::EvgRefined
-            | SolverKind::SghRefined
-            | SolverKind::SghIls
-            | SolverKind::Online => SolverClass::MultiProc,
-            SolverKind::StreamingGreedy | SolverKind::BruteForce => SolverClass::Either,
-        }
+        self.spec().class
     }
 
     /// Whether this solver is guaranteed optimal (on the instances it
@@ -510,44 +570,12 @@ impl SolverKind {
     /// cost-reducing-path descent under sum objectives (simultaneous
     /// optimality) and the exhaustive search bounds on the exact score.
     pub fn is_exact(self) -> bool {
-        matches!(
-            self,
-            SolverKind::ExactIncremental
-                | SolverKind::ExactBisection
-                | SolverKind::ExactReplicated
-                | SolverKind::Harvey
-                | SolverKind::HopcroftKarpSemi
-                | SolverKind::CostScaling
-                | SolverKind::MinCostFlow
-                | SolverKind::BruteForce
-        )
+        self.spec().exact
     }
 
-    /// One-line description (CLI help, README tables).
+    /// One-line description (CLI listing, README solver map).
     pub fn description(self) -> &'static str {
-        match self {
-            SolverKind::Basic => "basic-greedy, tasks by degree (Alg. 1)",
-            SolverKind::Sorted => "sorted-greedy, processors by load",
-            SolverKind::DoubleSorted => "double-sorted greedy (Alg. 2)",
-            SolverKind::Expected => "expected-load greedy (Alg. 3)",
-            SolverKind::ExactIncremental => "exact, incremental deadline search",
-            SolverKind::ExactBisection => "exact, bisection deadline search",
-            SolverKind::ExactReplicated => "exact, literal G_D replication",
-            SolverKind::Harvey => "exact, cost-reducing paths",
-            SolverKind::HopcroftKarpSemi => "exact, generalized Hopcroft-Karp phases",
-            SolverKind::CostScaling => "exact, load-range divide-and-conquer",
-            SolverKind::MinCostFlow => "exact, one min-cost flow (weighted total load too)",
-            SolverKind::Sgh => "sorted-greedy-hyp (Alg. 4)",
-            SolverKind::Vgh => "vector-greedy-hyp",
-            SolverKind::Egh => "expected-greedy-hyp (Alg. 5)",
-            SolverKind::Evg => "expected-vector-greedy-hyp",
-            SolverKind::EvgRefined => "EVG + local-search refinement",
-            SolverKind::SghRefined => "SGH + local-search refinement",
-            SolverKind::SghIls => "SGH + iterated local search",
-            SolverKind::Online => "online min-bottleneck dispatch",
-            SolverKind::StreamingGreedy => "one-pass streaming greedy (Konrad-Rosen)",
-            SolverKind::BruteForce => "branch-and-bound exhaustive search",
-        }
+        self.spec().description
     }
 
     /// Runs this solver on `problem` under [`Objective::Makespan`] with
@@ -578,7 +606,7 @@ impl SolverKind {
     /// algorithm. Under a sum-type objective:
     ///
     /// * the greedy families (bipartite and hypergraph, including
-    ///   [`SolverKind::Online`] and [`SolverKind::StreamingGreedy`])
+    ///   [`SolverKind::Online`] and the two streaming kinds)
     ///   select by **marginal objective cost** along their usual visit
     ///   order and tie-breaks (the current-load pair SGH/VGH and the
     ///   expected-load pair EGH/EVG each collapse to one marginal rule);
@@ -681,16 +709,20 @@ impl SolverKind {
                 OnlineRule::MinBottleneck,
             )?)),
             SolverKind::StreamingGreedy => match problem {
-                Problem::SingleProc(g) => Ok(Solution::SingleProc(if two_pass_enabled() {
-                    streaming_greedy_bipartite_two_pass_with(g, Objective::Makespan)?
-                } else {
-                    streaming_greedy_bipartite_with(g, Objective::Makespan)?
-                })),
-                Problem::MultiProc(h) => Ok(Solution::MultiProc(if two_pass_enabled() {
-                    streaming_greedy_hyper_two_pass_with(h, Objective::Makespan)?
-                } else {
-                    streaming_greedy_hyper_with(h, Objective::Makespan)?
-                })),
+                Problem::SingleProc(g) => Ok(Solution::SingleProc(
+                    streaming_greedy_bipartite_with(g, Objective::Makespan)?,
+                )),
+                Problem::MultiProc(h) => {
+                    Ok(Solution::MultiProc(streaming_greedy_hyper_with(h, Objective::Makespan)?))
+                }
+            },
+            SolverKind::StreamingTwoPass => match problem {
+                Problem::SingleProc(g) => Ok(Solution::SingleProc(
+                    streaming_greedy_bipartite_two_pass_with(g, Objective::Makespan)?,
+                )),
+                Problem::MultiProc(h) => Ok(Solution::MultiProc(
+                    streaming_greedy_hyper_two_pass_with(h, Objective::Makespan)?,
+                )),
             },
             SolverKind::BruteForce => match problem {
                 Problem::SingleProc(g) => {
@@ -789,16 +821,20 @@ impl SolverKind {
                 false,
             )?)),
             SolverKind::StreamingGreedy => match problem {
-                Problem::SingleProc(g) => Ok(Solution::SingleProc(if two_pass_enabled() {
-                    streaming_greedy_bipartite_two_pass_with(g, objective)?
-                } else {
-                    streaming_greedy_bipartite_with(g, objective)?
-                })),
-                Problem::MultiProc(h) => Ok(Solution::MultiProc(if two_pass_enabled() {
-                    streaming_greedy_hyper_two_pass_with(h, objective)?
-                } else {
-                    streaming_greedy_hyper_with(h, objective)?
-                })),
+                Problem::SingleProc(g) => {
+                    Ok(Solution::SingleProc(streaming_greedy_bipartite_with(g, objective)?))
+                }
+                Problem::MultiProc(h) => {
+                    Ok(Solution::MultiProc(streaming_greedy_hyper_with(h, objective)?))
+                }
+            },
+            SolverKind::StreamingTwoPass => match problem {
+                Problem::SingleProc(g) => Ok(Solution::SingleProc(
+                    streaming_greedy_bipartite_two_pass_with(g, objective)?,
+                )),
+                Problem::MultiProc(h) => {
+                    Ok(Solution::MultiProc(streaming_greedy_hyper_two_pass_with(h, objective)?))
+                }
             },
             SolverKind::BruteForce => match problem {
                 Problem::SingleProc(g) => {
@@ -839,30 +875,16 @@ impl SolverKind {
 impl FromStr for SolverKind {
     type Err = CoreError;
 
-    /// Looks a solver up by its registry [`name`](SolverKind::name); a few
-    /// historical aliases (`incremental`, `bisection`, `evg+refine`, …)
-    /// resolve too.
+    /// Looks a solver up by its registry [`name`](SolverKind::name) or one
+    /// of its historical [`aliases`](SolverKind::aliases) (`incremental`,
+    /// `bisection`, `evg+refine`, …), case-insensitively.
     fn from_str(s: &str) -> Result<SolverKind> {
         let lower = s.to_ascii_lowercase();
-        for kind in SolverKind::ALL {
-            if kind.name() == lower {
-                return Ok(kind);
-            }
-        }
-        match lower.as_str() {
-            "incremental" => Ok(SolverKind::ExactIncremental),
-            "bisection" => Ok(SolverKind::ExactBisection),
-            "replicated" => Ok(SolverKind::ExactReplicated),
-            "hopcroft-karp-semi" | "katrenic" => Ok(SolverKind::HopcroftKarpSemi),
-            "fln" | "load-range" => Ok(SolverKind::CostScaling),
-            "min-cost-flow" | "mincostflow" => Ok(SolverKind::MinCostFlow),
-            "evg+refine" => Ok(SolverKind::EvgRefined),
-            "sgh+refine" => Ok(SolverKind::SghRefined),
-            "sgh+ils" => Ok(SolverKind::SghIls),
-            "streaming" => Ok(SolverKind::StreamingGreedy),
-            "bruteforce" => Ok(SolverKind::BruteForce),
-            _ => Err(CoreError::UnknownSolver(s.to_string())),
-        }
+        SPECS
+            .iter()
+            .find(|(_, spec)| spec.name == lower || spec.aliases.contains(&lower.as_str()))
+            .map(|&(kind, _)| kind)
+            .ok_or_else(|| CoreError::UnknownSolver(s.to_string()))
     }
 }
 
@@ -1077,52 +1099,14 @@ mod tests {
     #[test]
     fn registry_has_at_least_ten_kinds_with_distinct_names() {
         assert!(SolverKind::ALL.len() >= 10);
-        let mut names: Vec<_> = SolverKind::ALL.iter().map(|k| k.name()).collect();
+        let mut names: Vec<_> = SolverKind::ALL
+            .iter()
+            .flat_map(|k| [k.name()].into_iter().chain(k.aliases().to_vec()))
+            .collect();
+        let total = names.len();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), SolverKind::ALL.len());
-    }
-
-    #[test]
-    fn registry_arrays_are_exhaustive_over_the_enum() {
-        for kind in SolverKind::ALL {
-            // No wildcard arm: adding a SolverKind variant breaks this match
-            // at compile time, forcing ALL and the class subsets above to be
-            // revisited in the same change.
-            match kind {
-                SolverKind::Basic
-                | SolverKind::Sorted
-                | SolverKind::DoubleSorted
-                | SolverKind::Expected
-                | SolverKind::ExactIncremental
-                | SolverKind::ExactBisection
-                | SolverKind::ExactReplicated
-                | SolverKind::Harvey
-                | SolverKind::HopcroftKarpSemi
-                | SolverKind::CostScaling
-                | SolverKind::MinCostFlow
-                | SolverKind::Sgh
-                | SolverKind::Vgh
-                | SolverKind::Egh
-                | SolverKind::Evg
-                | SolverKind::EvgRefined
-                | SolverKind::SghRefined
-                | SolverKind::SghIls
-                | SolverKind::Online
-                | SolverKind::StreamingGreedy
-                | SolverKind::BruteForce => {}
-            }
-            // Every kind appears in exactly the subset arrays its class says.
-            let in_single = SolverKind::SINGLEPROC.contains(&kind);
-            let in_multi = SolverKind::MULTIPROC.contains(&kind);
-            match kind.class() {
-                SolverClass::SingleProc => assert!(in_single && !in_multi, "{kind}"),
-                SolverClass::MultiProc => assert!(in_multi && !in_single, "{kind}"),
-                SolverClass::Either => assert!(in_single && in_multi, "{kind}"),
-            }
-            let in_policies = SolverKind::POLICIES.contains(&kind);
-            assert_eq!(in_policies, in_multi && kind != SolverKind::BruteForce, "{kind}");
-        }
+        assert_eq!(names.len(), total, "a name or alias is claimed twice");
     }
 
     #[test]
@@ -1131,20 +1115,6 @@ mod tests {
             assert_eq!(kind.name().parse::<SolverKind>().unwrap(), kind);
         }
         assert!(matches!("nonsense".parse::<SolverKind>(), Err(CoreError::UnknownSolver(_))));
-    }
-
-    #[test]
-    fn subsets_match_classes() {
-        for kind in SolverKind::SINGLEPROC {
-            assert!(kind.class().accepts(&Problem::SingleProc(&bipartite())), "{kind}");
-        }
-        for kind in SolverKind::MULTIPROC {
-            assert!(kind.class().accepts(&Problem::MultiProc(&hypergraph())), "{kind}");
-        }
-        assert_eq!(
-            SolverKind::ALL.len() + 2, // StreamingGreedy and BruteForce are in both subsets
-            SolverKind::SINGLEPROC.len() + SolverKind::MULTIPROC.len(),
-        );
     }
 
     #[test]
@@ -1236,9 +1206,25 @@ mod tests {
 
     #[test]
     fn aliases_resolve() {
-        assert_eq!("bisection".parse::<SolverKind>().unwrap(), SolverKind::ExactBisection);
-        assert_eq!("EVG+refine".parse::<SolverKind>().unwrap(), SolverKind::EvgRefined);
-        assert_eq!("min-cost-flow".parse::<SolverKind>().unwrap(), SolverKind::MinCostFlow);
+        // Every historical alias keeps its kind; lookup is case-insensitive.
+        for (alias, kind) in [
+            ("incremental", SolverKind::ExactIncremental),
+            ("bisection", SolverKind::ExactBisection),
+            ("replicated", SolverKind::ExactReplicated),
+            ("hopcroft-karp-semi", SolverKind::HopcroftKarpSemi),
+            ("katrenic", SolverKind::HopcroftKarpSemi),
+            ("fln", SolverKind::CostScaling),
+            ("load-range", SolverKind::CostScaling),
+            ("min-cost-flow", SolverKind::MinCostFlow),
+            ("mincostflow", SolverKind::MinCostFlow),
+            ("EVG+refine", SolverKind::EvgRefined),
+            ("sgh+refine", SolverKind::SghRefined),
+            ("sgh+ils", SolverKind::SghIls),
+            ("streaming", SolverKind::StreamingGreedy),
+            ("bruteforce", SolverKind::BruteForce),
+        ] {
+            assert_eq!(alias.parse::<SolverKind>().unwrap(), kind, "{alias}");
+        }
     }
 
     #[test]

@@ -17,34 +17,11 @@
 //! `O(|h ∩ V2|)`; the whole pass is `O(Σ|h ∩ V2|)` time and `O(n + p)`
 //! memory.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use semimatch_graph::{Bipartite, Hypergraph};
 
 use crate::error::{CoreError, Result};
 use crate::objective::Objective;
 use crate::problem::{HyperMatching, SemiMatching};
-
-/// Process-wide opt-in for the two-pass refinement on
-/// `SolverKind::StreamingGreedy` (see [`set_two_pass`]). Off by default:
-/// the registry kind stays the historical one-pass algorithm.
-static TWO_PASS: AtomicBool = AtomicBool::new(false);
-
-/// Turns the two-pass `StreamingGreedy` refinement on or off for the
-/// whole process. When on, the solver registry dispatches
-/// `SolverKind::StreamingGreedy` to the `*_two_pass*` variants below; the
-/// one-pass entry points themselves are unaffected. The CLI exposes this
-/// as `solve --two-pass`.
-pub fn set_two_pass(enabled: bool) {
-    // ordering: Relaxed — a process-wide boolean toggle set before solves
-    // are dispatched; no data is published through it.
-    TWO_PASS.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether the two-pass `StreamingGreedy` refinement is enabled.
-pub fn two_pass_enabled() -> bool {
-    TWO_PASS.load(Ordering::Relaxed) // ordering: see set_two_pass
-}
 
 /// One-pass streaming greedy over a bipartite (`SINGLEPROC`) edge stream.
 ///
@@ -208,7 +185,8 @@ pub fn streaming_greedy_hyper_with(h: &Hypergraph, objective: Objective) -> Resu
 /// same strict-improvement switch rule. Every accepted switch strictly
 /// lowers the affected pair's resulting load (bottleneck) or the total
 /// cost (sum objectives), so the refined score is **never worse** than
-/// one pass — the agreement property the tests pin.
+/// one pass — the agreement property the tests pin. The registry exposes
+/// both two-pass variants as `SolverKind::StreamingTwoPass`.
 pub fn streaming_greedy_bipartite_two_pass_with(
     g: &Bipartite,
     objective: Objective,
@@ -376,15 +354,6 @@ mod tests {
         two.validate(&h).unwrap();
         assert_eq!(one.makespan(&h), 4);
         assert_eq!(two.makespan(&h), 2);
-    }
-
-    #[test]
-    fn two_pass_flag_defaults_off_and_round_trips() {
-        assert!(!two_pass_enabled(), "registry default is the one-pass algorithm");
-        set_two_pass(true);
-        assert!(two_pass_enabled());
-        set_two_pass(false);
-        assert!(!two_pass_enabled());
     }
 
     #[test]

@@ -162,8 +162,7 @@ fn solve_flow(
 /// [checkpoint](probe_checkpoint) before a speculative raise and
 /// [roll back](probe_rollback) to keep the session anchored at the highest
 /// *infeasible* capacity, and a probe that still lands below the anchor
-/// rebuilds. The state is a plain value so parallel probe slots can move
-/// it through a work-stealing pool together with their workspace.
+/// rebuilds.
 #[derive(Clone, Debug, Default)]
 pub struct ProbeState {
     /// Subinstance epoch the resident network was built for; `None` until
@@ -187,11 +186,6 @@ impl ProbeState {
     /// will edit it in place rather than rebuild).
     pub fn is_warm(&self, epoch: u64) -> bool {
         self.epoch == Some(epoch)
-    }
-
-    /// The uniform sink capacity the resident network currently carries.
-    pub fn capacity(&self) -> u32 {
-        self.cap
     }
 }
 

@@ -67,6 +67,10 @@ fn min_config_weight(configs: &[ConfigState]) -> u128 {
     configs.iter().map(|c| c.weight).min().unwrap_or(0) as u128
 }
 
+fn max_config_weight(configs: &[ConfigState]) -> u128 {
+    configs.iter().map(|c| c.weight).max().unwrap_or(0) as u128
+}
+
 #[derive(Clone, Copy, Debug, Default)]
 struct ProcSlot {
     live: bool,
@@ -191,6 +195,11 @@ pub struct Engine {
     /// any assignment must place somewhere, maintained incrementally for
     /// the O(1) per-event lower-bound gauge.
     min_weight_sum: u128,
+    /// Σ over live tasks of their heaviest configuration weight. No task
+    /// adds more than its heaviest weight to a processor, so every load is
+    /// at most this sum; arrivals and reweights that would push it past
+    /// `u64::MAX` are rejected, so no load arithmetic can wrap.
+    max_weight_sum: u128,
     events_since_resolve: u32,
     /// Objective score right after the last repair/resolve (lazy
     /// threshold, in the configured objective's units).
@@ -225,6 +234,7 @@ impl Engine {
             nonunit_configs: 0,
             counters: Counters::default(),
             min_weight_sum: 0,
+            max_weight_sum: 0,
             events_since_resolve: 0,
             baseline: Score(0),
             resolver: cfg.resolve_kind.solver(),
@@ -428,6 +438,10 @@ impl Engine {
             }
             states.push(ConfigState { pins, weight: *weight });
         }
+        let max_weight_sum = self.max_weight_sum + max_config_weight(&states);
+        if max_weight_sum > u64::MAX as u128 {
+            return Err(ServeError::LoadOverflow { task });
+        }
         let chosen =
             self.choose(&states, None).expect("all arriving configurations are live by validation");
         self.wide_configs += states.iter().filter(|c| c.pins.len() > 1).count();
@@ -435,6 +449,7 @@ impl Engine {
         let state = TaskState { configs: states, chosen };
         self.add_contribution(&state);
         self.min_weight_sum += min_config_weight(&state.configs);
+        self.max_weight_sum = max_weight_sum;
         self.tasks[slot] = Some(state);
         self.n_live_tasks += 1;
         self.counters.placements += 1;
@@ -449,6 +464,7 @@ impl Engine {
             .ok_or(ServeError::UnknownTask(task))?;
         self.remove_contribution(&state);
         self.min_weight_sum = self.min_weight_sum.saturating_sub(min_config_weight(&state.configs));
+        self.max_weight_sum -= max_config_weight(&state.configs);
         self.wide_configs -= state.configs.iter().filter(|c| c.pins.len() > 1).count();
         self.nonunit_configs -= state.configs.iter().filter(|c| c.weight != 1).count();
         self.n_live_tasks -= 1;
@@ -471,6 +487,11 @@ impl Engine {
         if weights.contains(&0) {
             return Err(ServeError::ZeroWeight { task });
         }
+        let heaviest = weights.iter().copied().max().unwrap_or(0) as u128;
+        let max_weight_sum = self.max_weight_sum - max_config_weight(&state.configs) + heaviest;
+        if max_weight_sum > u64::MAX as u128 {
+            return Err(ServeError::LoadOverflow { task });
+        }
         // Re-borrow mutably only after validation.
         let mut state = self.tasks[task as usize].take().expect("checked live above");
         self.remove_contribution(&state);
@@ -484,6 +505,7 @@ impl Engine {
             cfg.weight = w;
         }
         self.min_weight_sum += min_config_weight(&state.configs);
+        self.max_weight_sum = max_weight_sum;
         self.add_contribution(&state);
         self.tasks[task as usize] = Some(state);
         Ok(())
@@ -807,7 +829,7 @@ impl Engine {
                     max_b = max_b.max(b);
                 }
             }
-            if min_b != u64::MAX && max_b > SKEW_FACTOR * min_b.max(1) {
+            if min_b != u64::MAX && max_b > SKEW_FACTOR.saturating_mul(min_b.max(1)) {
                 self.local_sweeps(None);
                 self.rebalance_shards();
                 self.counters.rebalances += 1;
@@ -906,13 +928,15 @@ impl Engine {
             .map(|(i, p)| (i as u32, p.load))
             .collect();
         procs.sort_by_key(|&(i, load)| (std::cmp::Reverse(load), i));
-        let mut shard_loads = vec![0u64; self.cfg.shards as usize];
+        // A wide configuration loads each of its processors, so a shard's
+        // total can pass `u64::MAX` even though no single load does.
+        let mut shard_loads = vec![0u128; self.cfg.shards as usize];
         for (i, load) in procs {
             let s = (0..self.cfg.shards)
                 .min_by_key(|&s| (shard_loads[s as usize], s))
                 .expect("at least one shard");
             self.procs[i as usize].shard = s;
-            shard_loads[s as usize] += load;
+            shard_loads[s as usize] += load as u128;
         }
     }
 
@@ -1330,6 +1354,34 @@ mod tests {
         e.apply(&Event::Depart { task: 0 }).unwrap();
         e.apply(&Event::DropProc { proc: 0 }).unwrap();
         assert_eq!(e.apply(&Event::DropProc { proc: 1 }), Err(ServeError::LastProc(1)));
+    }
+
+    #[test]
+    fn load_overflowing_events_are_rejected_before_any_state_changes() {
+        // Two 2^63 arrivals on one processor would load it 2^64: the second
+        // is refused, and the engine still reports the first one exactly.
+        let half = 1u64 << 63;
+        let mut e = Engine::new(eager(), 1).unwrap();
+        e.apply(&arrive(0, &[(&[0], half)])).unwrap();
+        let before = (e.bottleneck(), e.scores(), e.lower_bound_estimate(), e.n_live_tasks());
+        assert_eq!(e.apply(&arrive(1, &[(&[0], half)])), Err(ServeError::LoadOverflow { task: 1 }));
+        assert_eq!(
+            (e.bottleneck(), e.scores(), e.lower_bound_estimate(), e.n_live_tasks()),
+            before
+        );
+        assert_eq!(e.bottleneck(), half);
+        // A reweight counts the task's heaviest configuration, not its
+        // chosen one, and is refused the same way.
+        e.apply(&arrive(1, &[(&[0], half - 1)])).unwrap();
+        assert_eq!(
+            e.apply(&Event::Reweight { task: 1, weights: vec![half] }),
+            Err(ServeError::LoadOverflow { task: 1 })
+        );
+        assert_eq!(e.bottleneck(), u64::MAX);
+        // Departures release the headroom.
+        e.apply(&Event::Depart { task: 0 }).unwrap();
+        e.apply(&Event::Reweight { task: 1, weights: vec![u64::MAX] }).unwrap();
+        assert_eq!(e.bottleneck(), u64::MAX);
     }
 
     #[test]

@@ -51,6 +51,13 @@ pub enum ServeError {
         /// Weights supplied.
         got: usize,
     },
+    /// Admitting the arrival or reweight would let the live tasks'
+    /// heaviest configuration weights sum past `u64::MAX`, so some
+    /// processor load could overflow. The engine is left unchanged.
+    LoadOverflow {
+        /// The arriving or reweighted task.
+        task: u32,
+    },
     /// The engine configuration is unusable for the instance (zero
     /// shards, zero resolve period, or a bipartite-only resolve kind on a
     /// live instance with non-singleton configurations).
@@ -88,6 +95,11 @@ impl fmt::Display for ServeError {
             ServeError::WeightCountMismatch { task, expected, got } => {
                 write!(f, "reweight of task {task}: got {got} weights for {expected} configs")
             }
+            ServeError::LoadOverflow { task } => write!(
+                f,
+                "task {task} would push the live tasks' total weight past u64::MAX \
+                 (processor loads could overflow)"
+            ),
             ServeError::Config { msg } => write!(f, "engine configuration: {msg}"),
             ServeError::Core(e) => write!(f, "resolve failed: {e}"),
         }

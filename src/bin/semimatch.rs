@@ -64,7 +64,8 @@ usage:
   semimatch verify              FILE.hg FILE.sol
   semimatch exact               FILE.bg [--strategy KIND]  (any exact SINGLEPROC
                                 KIND; incremental|bisection|harvey still work)
-  semimatch solvers             (list every registered KIND)
+  semimatch solvers             (the registry as a markdown table: every KIND
+                                with its aliases, paper section and class)
   semimatch generate-trace      --procs P --arrivals N [--churn PCT]
                                 [--max-configs C] [--max-pins K] [--max-weight W]
                                 [--proc-events E] [--burst-every B] [--burst-len L]
@@ -87,8 +88,8 @@ usage:
   semimatch analyze             [--root DIR] [--baseline FILE | --no-baseline]
                                 [--format text|json]
                                 (workspace-native static analysis: unsafe/
-                                ordering/cast audits plus registry and metric
-                                doc-sync; exits 0 clean, 1 on findings)
+                                ordering/cast audits plus metric doc-sync;
+                                exits 0 clean, 1 on findings)
   semimatch dot                 FILE.{hg,bg} [--out FILE.dot]
 
 KIND is any solver registry name (see `semimatch solvers`).
@@ -107,10 +108,7 @@ Telemetry (any command, most useful on solve/replay):
                           JSON (open in chrome://tracing or Perfetto).
 replay --policy also accepts a comma-separated list; each policy replays
 the trace through its own engine and the report shows per-policy final
-gaps (score - lower bound) plus counter deltas against the first policy.
-solve --two-pass turns on the two-pass StreamingGreedy refinement
-(second pass re-places tasks on overloaded processors); other kinds
-ignore it.";
+gaps (score - lower bound) plus counter deltas against the first policy.";
 
 /// Splits `args` into positional arguments and flag pairs. Flags come as
 /// `--flag value` or `--flag=value`; `--metrics` alone is also accepted
@@ -124,9 +122,6 @@ fn parse(args: &[String]) -> Result<(Vec<&str>, HashMap<&str, &str>), String> {
         if let Some(name) = args[i].strip_prefix("--") {
             if let Some((name, value)) = name.split_once('=') {
                 flags.insert(name, value);
-                i += 1;
-            } else if name == "two-pass" {
-                flags.insert(name, "on");
                 i += 1;
             } else if name == "metrics" {
                 match args.get(i + 1).map(String::as_str) {
@@ -458,9 +453,6 @@ fn objective_flag(flags: &HashMap<&str, &str>) -> Result<Objective, String> {
 fn solve(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<(), String> {
     let path = *positional.get(1).ok_or("solve needs a file argument")?;
     let objective = objective_flag(flags)?;
-    // Opt into the two-pass StreamingGreedy refinement for this process;
-    // every other kind ignores the flag.
-    semimatch::core::streaming::set_two_pass(flags.contains_key("two-pass"));
     if let Some(kinds) = flags.get("kinds") {
         return solve_batch(path, kinds, objective, flags);
     }
@@ -988,15 +980,29 @@ fn serve_cmd(flags: &HashMap<&str, &str>) -> Result<(), String> {
     Ok(())
 }
 
+/// Prints the registry as the markdown table the README carries between
+/// its `solver-map` markers (a test keeps the two byte-identical).
 fn solvers() -> Result<(), String> {
-    let header = format!("{:<18} {:<10} {:<10} description", "name", "class", "paper");
-    emit_lines(std::iter::once(header).chain(SolverKind::ALL.into_iter().map(|kind| {
+    let header = [
+        "| name | aliases | paper | class | exact | description |".to_string(),
+        "|---|---|---|---|---|---|".to_string(),
+    ];
+    emit_lines(header.into_iter().chain(SolverKind::ALL.into_iter().map(|kind| {
+        let aliases: Vec<String> = kind.aliases().iter().map(|a| format!("`{a}`")).collect();
         let class = match kind.class() {
             SolverClass::SingleProc => "bipartite",
-            SolverClass::MultiProc => "hyper",
+            SolverClass::MultiProc => "hypergraph",
             SolverClass::Either => "both",
         };
-        format!("{:<18} {:<10} {:<10} {}", kind.name(), class, kind.paper_ref(), kind.description())
+        format!(
+            "| `{}` | {} | {} | {} | {} | {} |",
+            kind.name(),
+            aliases.join(", "),
+            kind.paper_ref(),
+            class,
+            if kind.is_exact() { "yes" } else { "no" },
+            kind.description()
+        )
     })));
     Ok(())
 }

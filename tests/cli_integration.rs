@@ -148,6 +148,8 @@ fn solve_accepts_every_registry_kind() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `semimatch solvers` lists every kind, and its output is the README
+/// solver map byte for byte: the map is generated, never hand-edited.
 #[test]
 fn solvers_subcommand_lists_the_whole_registry() {
     let out = semimatch(&["solvers"]);
@@ -156,6 +158,15 @@ fn solvers_subcommand_lists_the_whole_registry() {
     for kind in SolverKind::ALL {
         assert!(text.contains(kind.name()), "missing {} in:\n{text}", kind.name());
     }
+    let readme =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md")).unwrap();
+    let (_, rest) = readme.split_once("<!-- solver-map:begin -->\n").expect("begin marker");
+    let (block, _) = rest.split_once("<!-- solver-map:end -->").expect("end marker");
+    assert!(
+        block == text,
+        "README solver map is stale; paste the output of `semimatch solvers` between the \
+         solver-map markers.\n--- README ---\n{block}--- semimatch solvers ---\n{text}"
+    );
 }
 
 #[test]
@@ -174,6 +185,23 @@ fn bad_usage_exits_2() {
     let out = semimatch(&["solve", hg.to_str().unwrap(), "--algo", "nonsense"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown solver"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Regression: two 2^63-weight arrivals on one processor used to wrap the
+/// load and replay reported `bottleneck 0` against a lower bound of 2^64.
+/// The overflowing event is now an error, not a score.
+#[test]
+fn replay_rejects_load_overflow_instead_of_wrapping() {
+    let dir = tmp_dir("overflow");
+    let tr = dir.join("overflow.tr");
+    let half = 1u64 << 63;
+    std::fs::write(&tr, format!("procs 1\narrive 0 {half}:0\narrive 1 {half}:0\n")).unwrap();
+    let out = semimatch(&["replay", tr.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("event 2 (arrive) failed") && err.contains("u64::MAX"), "{err}");
+    assert!(!stdout(&out).contains("gap:"), "{}", stdout(&out));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -420,7 +448,7 @@ fn solve_and_replay_emit_metrics_json() {
 /// The serving-daemon subcommand (the ISSUE's smoke contract): a
 /// per-tenant status table on stdout, a schema-conformant metrics dump
 /// with a finite gap gauge per tenant, and zero shed at low load —
-/// plus the `--two-pass` solve flag and the per-policy gap column of
+/// plus the `streaming-two-pass` kind and the per-policy gap column of
 /// `replay --policy a,b,c`.
 #[test]
 fn serve_subcommand_reports_tenant_gaps_and_sheds_nothing() {
@@ -454,11 +482,10 @@ fn serve_subcommand_reports_tenant_gaps_and_sheds_nothing() {
     assert_eq!(metric_value(json, "daemon.shed_apply_error"), 0, "generated traces apply cleanly");
     assert!(json.contains("\"daemon.tenant.gap\""), "gap histogram missing: {json}");
 
-    // `solve --two-pass` routes streaming-greedy through the refinement.
+    // The two-pass streaming refinement is a kind of its own.
     let dir = tmp_dir("serve-cli");
     let (bg, _hg) = write_tiny_instances(&dir);
-    let out =
-        semimatch(&["solve", bg.to_str().unwrap(), "--algo", "streaming-greedy", "--two-pass"]);
+    let out = semimatch(&["solve", bg.to_str().unwrap(), "--algo", "streaming-two-pass"]);
     assert!(out.status.success(), "{out:?}");
     assert!(stdout(&out).contains("makespan"), "{}", stdout(&out));
 

@@ -136,9 +136,7 @@ proptest! {
 
     /// The two-pass streaming refinement agrees with one pass on
     /// validity and never scores worse, under every reported objective —
-    /// the contract behind `solve --two-pass`. The two-pass entry points
-    /// are called directly (not through the process-global flag) so this
-    /// test cannot race other test threads.
+    /// the contract behind the `streaming-two-pass` kind.
     #[test]
     fn two_pass_streaming_never_scores_worse(
         g in weighted_bipartite(),
