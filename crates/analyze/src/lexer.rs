@@ -4,23 +4,21 @@
 //! is a statement about *lines* — "this line uses an atomic ordering", "this
 //! line opens an `unsafe` block", "the adjacent comment carries a
 //! justification". What it does need, and what a naive `grep` cannot deliver,
-//! is a reliable separation of the three channels a source line interleaves:
+//! is a reliable separation of the two channels a source line interleaves:
 //!
 //! * **code** — the line with comments removed and string/char literal
-//!   *contents* blanked (the quotes stay, so call shapes like `observe("")`
+//!   *contents* blanked (the quotes stay, so call shapes like `spawn("")`
 //!   remain visible). Rules match tokens here, so `Ordering::Relaxed` inside
 //!   a doc comment or a format string can never trip a lint.
 //! * **comment** — the concatenated text of `//` and `/* */` comments that
 //!   touch the line. Justification markers (`SAFETY:`, `ordering:`, `cast:`)
 //!   are looked up here.
-//! * **strings** — the literal contents stripped out of `code`, keyed by the
-//!   column of their opening quote. The metric-name sync rule reads these.
 //!
 //! The lexer also tracks `#[cfg(test)] mod` regions by brace depth so rules
 //! can skip test-only code (test modules may spawn threads, hammer orderings,
 //! and cast freely without polluting the production audit).
 
-/// One source line, split into the three channels described at module level.
+/// One source line, split into the two channels described at module level.
 #[derive(Debug, Clone, Default)]
 pub struct Line {
     /// The raw line as it appears in the file (without the trailing newline).
@@ -29,10 +27,6 @@ pub struct Line {
     pub code: String,
     /// Concatenated text of every comment overlapping this line.
     pub comment: String,
-    /// String-literal contents removed from `code`: (column of the opening
-    /// quote within `code`, contents). Multi-line literals contribute the
-    /// portion seen on each line.
-    pub strings: Vec<(usize, String)>,
     /// True when the line sits inside a `#[cfg(test)] mod` region.
     pub in_test: bool,
 }
@@ -90,14 +84,7 @@ fn lex_one(raw: &str, start: Mode) -> (Line, Mode) {
     let n = b.len();
     let mut code = String::new();
     let mut comment = String::new();
-    let mut strings: Vec<(usize, String)> = Vec::new();
-    let mut cur_string = String::new();
-    let mut cur_col = 0usize;
     let mut mode = start;
-    // A string continued from the previous line contributes from column 0.
-    if matches!(mode, Mode::Str | Mode::RawStr(_)) {
-        cur_col = 0;
-    }
     let mut i = 0usize;
     while i < n {
         match mode {
@@ -114,19 +101,11 @@ fn lex_one(raw: &str, start: Mode) -> (Line, Mode) {
                 }
             }
             Mode::Str => {
-                if b[i] == '\\' && i + 1 < n {
-                    cur_string.push(b[i]);
-                    cur_string.push(b[i + 1]);
-                    i += 2;
-                } else if b[i] == '"' {
+                if b[i] == '"' {
                     code.push('"');
-                    strings.push((cur_col, std::mem::take(&mut cur_string)));
                     mode = Mode::Code;
-                    i += 1;
-                } else {
-                    cur_string.push(b[i]);
-                    i += 1;
                 }
+                i += if b[i] == '\\' { 2 } else { 1 };
             }
             Mode::RawStr(hashes) => {
                 if b[i] == '"' && closes_raw(&b, i, hashes) {
@@ -134,11 +113,9 @@ fn lex_one(raw: &str, start: Mode) -> (Line, Mode) {
                     for _ in 0..hashes {
                         code.push('#');
                     }
-                    strings.push((cur_col, std::mem::take(&mut cur_string)));
                     mode = Mode::Code;
                     i += 1 + hashes as usize;
                 } else {
-                    cur_string.push(b[i]);
                     i += 1;
                 }
             }
@@ -152,20 +129,17 @@ fn lex_one(raw: &str, start: Mode) -> (Line, Mode) {
                     mode = Mode::Block(1);
                     i += 2;
                 } else if c == '"' {
-                    cur_col = code.chars().count();
                     code.push('"');
                     mode = Mode::Str;
                     i += 1;
                 } else if (c == 'r' || c == 'b') && is_raw_string_start(&b, i) {
                     let (hashes, skip) = raw_string_open(&b, i);
-                    cur_col = code.chars().count() + skip - 1;
                     for k in 0..skip {
                         code.push(b[i + k]);
                     }
                     mode = Mode::RawStr(hashes);
                     i += skip;
                 } else if c == 'b' && i + 1 < n && b[i + 1] == '"' {
-                    cur_col = code.chars().count() + 1;
                     code.push('b');
                     code.push('"');
                     mode = Mode::Str;
@@ -197,11 +171,7 @@ fn lex_one(raw: &str, start: Mode) -> (Line, Mode) {
             }
         }
     }
-    // A string still open at end-of-line flushes its chunk for this line.
-    if matches!(mode, Mode::Str | Mode::RawStr(_)) && !cur_string.is_empty() {
-        strings.push((cur_col, std::mem::take(&mut cur_string)));
-    }
-    (Line { raw: raw.to_string(), code, comment, strings, in_test: false }, mode)
+    (Line { raw: raw.to_string(), code, comment, in_test: false }, mode)
 }
 
 /// Does the `"` at `i` close a raw string with `hashes` trailing `#` marks?
@@ -356,10 +326,8 @@ mod tests {
     fn splits_code_comment_string() {
         let f = SourceFile::lex("x.rs", "let a = \"Ordering::Relaxed\"; // ordering: note\n");
         let l = &f.lines[0];
-        assert!(!l.code.contains("Relaxed"));
+        assert_eq!(l.code.trim_end(), "let a = \"\";");
         assert!(l.comment.contains("ordering: note"));
-        assert_eq!(l.strings.len(), 1);
-        assert_eq!(l.strings[0].1, "Ordering::Relaxed");
     }
 
     #[test]
@@ -376,15 +344,14 @@ mod tests {
         let l = &f.lines[0];
         assert!(l.code.contains("<'a>"));
         // Char-literal contents are blanked, so the quote char cannot open a
-        // string.
-        assert!(l.strings.is_empty());
+        // string that would swallow the rest of the line.
+        assert!(l.code.contains("let c = '';") && l.code.contains("let d = '';"), "{}", l.code);
     }
 
     #[test]
     fn raw_strings() {
-        let f = SourceFile::lex("x.rs", "let s = r#\"he \"quoted\" re\"#;\n");
-        assert_eq!(f.lines[0].strings.len(), 1);
-        assert_eq!(f.lines[0].strings[0].1, "he \"quoted\" re");
+        let f = SourceFile::lex("x.rs", "let s = r#\"he \"quoted\" re\"#; x\n");
+        assert_eq!(f.lines[0].code, "let s = r#\"\"#; x");
     }
 
     #[test]

@@ -3,11 +3,10 @@
 //! A zero-dependency lint engine purpose-built for the invariants this
 //! codebase actually depends on: `unsafe` sites must argue their safety,
 //! atomic orderings must argue their strength (with relaxed read-modify-write
-//! flagged unconditionally), score-path casts must argue their range, metric
-//! names must stay in sync with the README, and no code outside the vendored
-//! pool may spawn raw threads.
+//! flagged unconditionally), score-path casts must argue their range, and no
+//! code outside the vendored pool may spawn raw threads.
 //!
-//! The engine is a lightweight line/token lexer ([`lexer`]) feeding six rules
+//! The engine is a lightweight line/token lexer ([`lexer`]) feeding five rules
 //! ([`rules`]), with a counted, justification-carrying allowlist
 //! ([`baseline`]) and `file:line` diagnostics ([`report`]). The
 //! `semimatch-analyze` binary (and `semimatch analyze` subcommand) exit

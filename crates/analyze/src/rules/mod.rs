@@ -1,4 +1,4 @@
-//! The rule engine: six lints grounded in this repository's history.
+//! The rule engine: five lints grounded in this repository's history.
 //!
 //! | id | checks |
 //! |----|--------|
@@ -6,11 +6,9 @@
 //! | `atomic-ordering-justified` | every atomic `Ordering::` use in concurrency-bearing modules carries `// ordering:` |
 //! | `relaxed-rmw` | `Ordering::Relaxed` as the success ordering of a read-modify-write — flagged unconditionally (baseline-only) |
 //! | `truncating-cast` | `as u64`/`as u32`/`as usize` in score/objective/lower-bound paths needs `// cast:` |
-//! | `metric-sync` | metric name strings in code ⇆ README metric catalog |
 //! | `no-thread-spawn` | no `std::thread::spawn` / `thread::Builder` outside `vendor/rayon` |
 
 pub mod casts;
-pub mod metric_sync;
 pub mod ordering;
 pub mod safety;
 pub mod thread_spawn;
@@ -27,14 +25,12 @@ pub fn run_all(ws: &Workspace) -> (Vec<&'static str>, Vec<Finding>) {
         ordering::RULE_JUSTIFIED,
         ordering::RULE_RELAXED_RMW,
         casts::RULE,
-        metric_sync::RULE,
         thread_spawn::RULE,
     ];
     let mut findings = Vec::new();
     findings.extend(safety::check(ws));
     findings.extend(ordering::check(ws));
     findings.extend(casts::check(ws));
-    findings.extend(metric_sync::check(ws));
     findings.extend(thread_spawn::check(ws));
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     (rules, findings)

@@ -11,8 +11,6 @@ pub struct Workspace {
     pub root: PathBuf,
     /// Every lexed `.rs` file, sorted by relative path.
     pub files: Vec<SourceFile>,
-    /// `README.md` contents when present (the `metric-sync` rule reads it).
-    pub readme: Option<String>,
 }
 
 /// Top-level directories scanned for Rust sources. `tests/`, `benches/` and
@@ -38,13 +36,7 @@ impl Workspace {
             }
         }
         files.sort_by(|a, b| a.rel.cmp(&b.rel));
-        let readme = fs::read_to_string(root.join("README.md")).ok();
-        Ok(Workspace { root: root.to_path_buf(), files, readme })
-    }
-
-    /// Look up a file by exact relative path.
-    pub fn file(&self, rel: &str) -> Option<&SourceFile> {
-        self.files.iter().find(|f| f.rel == rel)
+        Ok(Workspace { root: root.to_path_buf(), files })
     }
 }
 

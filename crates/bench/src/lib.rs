@@ -190,12 +190,13 @@ pub fn record_pool_stats(stats: &rayon::PoolStats) {
     if !semimatch_obs::enabled() {
         return;
     }
-    semimatch_obs::gauge_set("pool.threads", stats.threads() as i64);
-    semimatch_obs::counter_add("pool.tasks_executed", stats.tasks_executed());
-    semimatch_obs::counter_add("pool.steals", stats.steals());
-    semimatch_obs::counter_add("pool.injector_pops", stats.injector_pops());
-    semimatch_obs::counter_add("pool.sleeps", stats.sleeps());
-    semimatch_obs::counter_add("pool.wakes", stats.wakes);
+    use semimatch_obs::{catalog as metric, counter_add, gauge_set};
+    gauge_set(&metric::POOL_THREADS, stats.threads() as i64);
+    counter_add(&metric::POOL_TASKS_EXECUTED, stats.tasks_executed());
+    counter_add(&metric::POOL_STEALS, stats.steals());
+    counter_add(&metric::POOL_INJECTOR_POPS, stats.injector_pops());
+    counter_add(&metric::POOL_SLEEPS, stats.sleeps());
+    counter_add(&metric::POOL_WAKES, stats.wakes);
 }
 
 /// Scales a configuration down by `Options::scale`, preserving the n/p

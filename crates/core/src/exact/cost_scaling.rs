@@ -48,7 +48,7 @@ use semimatch_matching::capacitated::{
     ProbeState,
 };
 use semimatch_matching::{SearchWorkspace, NONE};
-use semimatch_obs as obs;
+use semimatch_obs::{self as obs, catalog as metric};
 
 use crate::error::Result;
 use crate::exact::unit::{check_instance, ExactResult};
@@ -210,13 +210,13 @@ pub fn cost_scaling_seeded_in(
         }
     }
     if obs::enabled() {
-        obs::counter_add("cost_scaling.solves", 1);
-        obs::counter_add("cost_scaling.probes", calls as u64);
-        obs::counter_add("cost_scaling.warm_sessions", warm_sessions);
-        obs::counter_add("cost_scaling.cold_sessions", cold_sessions);
-        obs::counter_add("cost_scaling.rollbacks", rollbacks);
-        obs::counter_add("cost_scaling.partitions", partitions);
-        obs::counter_add("cost_scaling.deficiency_skips", deficiency_skips);
+        obs::counter_add(&metric::COST_SCALING_SOLVES, 1);
+        obs::counter_add(&metric::COST_SCALING_PROBES, calls as u64);
+        obs::counter_add(&metric::COST_SCALING_WARM_SESSIONS, warm_sessions);
+        obs::counter_add(&metric::COST_SCALING_COLD_SESSIONS, cold_sessions);
+        obs::counter_add(&metric::COST_SCALING_ROLLBACKS, rollbacks);
+        obs::counter_add(&metric::COST_SCALING_PARTITIONS, partitions);
+        obs::counter_add(&metric::COST_SCALING_DEFICIENCY_SKIPS, deficiency_skips);
     }
     let solution = if have_witness {
         SemiMatching::from_procs(g, &witness)?
@@ -261,8 +261,8 @@ pub fn cost_scaling_cold_in(g: &Bipartite, ws: &mut SearchWorkspace) -> Result<E
         }
     }
     if obs::enabled() {
-        obs::counter_add("cost_scaling.cold_ablation.solves", 1);
-        obs::counter_add("cost_scaling.cold_ablation.probes", calls as u64);
+        obs::counter_add(&metric::COST_SCALING_COLD_ABLATION_SOLVES, 1);
+        obs::counter_add(&metric::COST_SCALING_COLD_ABLATION_PROBES, calls as u64);
     }
     let solution = match witness {
         Some(assign) => SemiMatching::from_procs(g, &assign)?,

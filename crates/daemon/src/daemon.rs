@@ -7,7 +7,7 @@ use std::time::Instant;
 use rayon::prelude::*;
 use semimatch_core::objective::Score;
 use semimatch_gen::trace::MultiplexedTrace;
-use semimatch_obs as obs;
+use semimatch_obs::{self as obs, catalog as metric};
 use semimatch_serve::{Engine, Event, RepairPolicy, Snapshot};
 
 use crate::config::DaemonConfig;
@@ -73,7 +73,7 @@ impl Shard {
                     // work (not further events) for the rest of this pump.
                     let old = tenant
                         .engine
-                        .set_policy(RepairPolicy::Lazy { slack: u64::MAX })
+                        .set_policy(RepairPolicy::PlacementOnly)
                         .expect("placement-only policy is always valid");
                     demoted_from = Some(old);
                     tenant.budget_exhaustions += 1;
@@ -86,7 +86,7 @@ impl Shard {
         }
         if obs::enabled() {
             let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            obs::observe(&format!("daemon.shard.{}.pump_ns", self.id), ns);
+            obs::observe(&metric::DAEMON_SHARD_ID_PUMP_NS.at(self.id), ns);
         }
         report
     }
@@ -227,10 +227,8 @@ pub struct PumpReport {
 /// * **Admission control** — at most [`DaemonConfig::max_tenants`] live
 ///   tenants; excess admissions are rejected and counted.
 /// * **SLOs** — every tenant continuously reports score, lower bound and
-///   gap ([`TenantStatus`]); [`Daemon::publish_metrics`] pushes the whole
-///   catalog (`daemon.tenant.<id>.gap` gauges, the `daemon.tenant.gap`
-///   histogram, queue-depth gauges, shed counters, per-shard
-///   `daemon.shard.<id>.pump_ns` histograms) through `semimatch-obs`.
+///   gap ([`TenantStatus`]); [`Daemon::publish_metrics`] pushes them
+///   through `semimatch-obs`.
 ///
 /// **Determinism contract:** per-tenant engines are independent and each
 /// tenant's events are applied in submission order, so every tenant's
@@ -385,7 +383,8 @@ impl Daemon {
         self.counters.pumps += 1;
         out.seconds = start.elapsed().as_secs_f64();
         if obs::enabled() {
-            obs::observe("daemon.pump_ns", start.elapsed().as_nanos().min(u64::MAX as u128) as u64);
+            let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+            obs::observe(&metric::DAEMON_PUMP_NS, ns);
         }
         out
     }
@@ -461,18 +460,10 @@ impl Daemon {
         Ok(())
     }
 
-    /// Publishes the full metric catalog to the installed obs recorder
-    /// (no-op when telemetry is off):
-    ///
-    /// * per-tenant gauges `daemon.tenant.<id>.{gap, score, lower_bound,
-    ///   queue_depth}`;
-    /// * the fleet-wide gap histogram `daemon.tenant.gap` (one observation
-    ///   per tenant per publish);
-    /// * aggregate gauges `daemon.tenants`, `daemon.queue_depth`,
-    ///   `daemon.slo_violations`;
-    /// * monotonic counters `daemon.<field>` for every
-    ///   [`DaemonCounters`] field, published as deltas since the previous
-    ///   publish (so repeated publishes never double-count).
+    /// Publishes the per-tenant, fleet and [`DaemonCounters`] rows of the
+    /// `daemon.*` metric catalog to the installed obs recorder (no-op when
+    /// telemetry is off). Counters are published as deltas since the
+    /// previous publish, so repeated publishes never double-count.
     pub fn publish_metrics(&mut self) {
         if !obs::enabled() {
             return;
@@ -482,20 +473,20 @@ impl Daemon {
         let mut violations = 0i64;
         for st in self.statuses() {
             let t = st.tenant;
-            obs::gauge_set(&format!("daemon.tenant.{t}.gap"), clamp(st.gap.0));
-            obs::gauge_set(&format!("daemon.tenant.{t}.score"), clamp(st.score.0));
-            obs::gauge_set(&format!("daemon.tenant.{t}.lower_bound"), clamp(st.lower_bound.0));
-            obs::gauge_set(&format!("daemon.tenant.{t}.queue_depth"), st.queue_depth as i64);
-            obs::observe("daemon.tenant.gap", st.gap.0.min(u64::MAX as u128) as u64);
+            obs::gauge_set(&metric::DAEMON_TENANT_ID_GAP.at(t), clamp(st.gap.0));
+            obs::gauge_set(&metric::DAEMON_TENANT_ID_SCORE.at(t), clamp(st.score.0));
+            obs::gauge_set(&metric::DAEMON_TENANT_ID_LOWER_BOUND.at(t), clamp(st.lower_bound.0));
+            obs::gauge_set(&metric::DAEMON_TENANT_ID_QUEUE_DEPTH.at(t), st.queue_depth as i64);
+            obs::observe(&metric::DAEMON_TENANT_GAP, st.gap.0.min(u64::MAX as u128) as u64);
             queue_depth += st.queue_depth;
             violations += i64::from(!st.slo_ok);
         }
-        obs::gauge_set("daemon.tenants", self.index.len() as i64);
-        obs::gauge_set("daemon.queue_depth", queue_depth as i64);
-        obs::gauge_set("daemon.slo_violations", violations);
+        obs::gauge_set(&metric::DAEMON_TENANTS, self.index.len() as i64);
+        obs::gauge_set(&metric::DAEMON_QUEUE_DEPTH, queue_depth as i64);
+        obs::gauge_set(&metric::DAEMON_SLO_VIOLATIONS, violations);
         let delta = self.counters.delta(&self.published);
         for (name, v) in delta.fields() {
-            obs::counter_add(&format!("daemon.{name}"), v);
+            obs::counter_add(&metric::DAEMON_COUNTER.at(name), v);
         }
         self.published = self.counters;
     }

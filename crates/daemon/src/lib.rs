@@ -14,13 +14,12 @@
 //! * **backpressure** — a full tenant queue sheds submits with
 //!   accounting; a per-pump *migration budget* caps how much repair work
 //!   (shifts, moves, rebalances, resolves) one tenant may consume before
-//!   being demoted to placement-only for the rest of the batch;
+//!   being demoted to `RepairPolicy::PlacementOnly` for the rest of the
+//!   batch;
 //! * **live SLOs** — every tenant continuously reports score, lower
 //!   bound and optimality gap ([`TenantStatus`]), checked against a
-//!   configurable gap SLO and published through `semimatch-obs`
-//!   (`daemon.tenant.<id>.gap` gauges, the `daemon.tenant.gap` histogram,
-//!   queue-depth gauges, shed counters, per-shard pump-latency
-//!   histograms);
+//!   configurable gap SLO and published through `semimatch-obs` (the
+//!   `daemon.*` rows of its metric catalog);
 //! * **determinism** — tenant engines are independent and per-tenant
 //!   event order is preserved, so every tenant's final score is invariant
 //!   under the shard count.

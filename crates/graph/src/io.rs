@@ -43,10 +43,10 @@ pub fn read_bipartite<R: Read>(r: R) -> Result<Bipartite> {
     let (line_no, header) = lines
         .next_content()?
         .ok_or_else(|| GraphError::Parse { line: 0, msg: "missing header line".into() })?;
-    let dims = parse_numbers(&header, line_no, 3)?;
-    let (n_left, n_right, m) = (dims[0] as u32, dims[1] as u32, dims[2] as usize);
-    let mut edges = Vec::with_capacity(m);
-    let mut weights = Vec::with_capacity(m);
+    let [n_left, n_right, m] = dims(&header, line_no)?;
+    // Counts read from the file bound nothing until the lines are there:
+    // the vectors grow with the input, never with the header.
+    let (mut edges, mut weights) = (Vec::new(), Vec::new());
     for _ in 0..m {
         let (line_no, line) = lines.next_content()?.ok_or_else(|| GraphError::Parse {
             line: 0,
@@ -81,21 +81,20 @@ pub fn read_hypergraph<R: Read>(r: R) -> Result<Hypergraph> {
     let (line_no, header) = lines
         .next_content()?
         .ok_or_else(|| GraphError::Parse { line: 0, msg: "missing header line".into() })?;
-    let dims = parse_numbers(&header, line_no, 3)?;
-    let (n_tasks, n_procs, n_hedges) = (dims[0] as u32, dims[1] as u32, dims[2] as usize);
-    let mut hedges = Vec::with_capacity(n_hedges);
+    let [n_tasks, n_procs, n_hedges] = dims(&header, line_no)?;
+    let mut hedges = Vec::new();
     for _ in 0..n_hedges {
         let (line_no, line) = lines.next_content()?.ok_or_else(|| GraphError::Parse {
             line: 0,
             msg: format!("expected {n_hedges} hyperedge lines, file ended early"),
         })?;
         let mut it = line.split_whitespace();
-        let task = parse_token(&mut it, line_no)? as u32;
+        let task = as_u32(parse_token(&mut it, line_no)?, line_no)?;
         let weight = parse_token(&mut it, line_no)?;
-        let k = parse_token(&mut it, line_no)? as usize;
-        let mut procs = Vec::with_capacity(k);
+        let k = as_u32(parse_token(&mut it, line_no)?, line_no)?;
+        let mut procs = Vec::new();
         for _ in 0..k {
-            procs.push(parse_token(&mut it, line_no)? as u32);
+            procs.push(as_u32(parse_token(&mut it, line_no)?, line_no)?);
         }
         if it.next().is_some() {
             return Err(GraphError::Parse {
@@ -148,6 +147,12 @@ fn parse_numbers(line: &str, line_no: usize, expect: usize) -> Result<Vec<u64>> 
         });
     }
     Ok(nums)
+}
+
+/// The three `u32` counts of a header line.
+fn dims(header: &str, line_no: usize) -> Result<[u32; 3]> {
+    let nums = parse_numbers(header, line_no, 3)?;
+    Ok([as_u32(nums[0], line_no)?, as_u32(nums[1], line_no)?, as_u32(nums[2], line_no)?])
 }
 
 fn parse_token<'a>(it: &mut impl Iterator<Item = &'a str>, line_no: usize) -> Result<u64> {
@@ -220,6 +225,22 @@ mod tests {
     fn hyperedge_trailing_tokens_rejected() {
         let text = "1 2 1\n0 1 1 0 99\n";
         assert!(read_hypergraph(text.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn oversized_counts_and_ids_are_parse_errors() {
+        let parse_err = |r: Result<()>| matches!(r, Err(GraphError::Parse { .. }));
+        for bg in ["1 1 1000000000000\n", "4294967297 1 1\n0 0 1\n"] {
+            assert!(parse_err(read_bipartite(bg.as_bytes()).map(drop)), "{bg:?}");
+        }
+        for hg in [
+            "1 1 1000000000000\n",
+            "1 1 1\n0 1 1000000000000 0\n",
+            "1 1 1\n4294967296 1 1 0\n",
+            "1 1 1\n0 1 1 4294967296\n",
+        ] {
+            assert!(parse_err(read_hypergraph(hg.as_bytes()).map(drop)), "{hg:?}");
+        }
     }
 
     #[test]

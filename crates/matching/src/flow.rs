@@ -31,7 +31,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use semimatch_obs as obs;
+use semimatch_obs::{self as obs, catalog as metric};
 
 /// CSR flow network with residual arcs and resident Dinic scratch.
 #[derive(Clone, Debug, Default)]
@@ -215,8 +215,8 @@ impl FlowNetwork {
         // both endpoints.
         let excess = routed - new_cap;
         if obs::enabled() {
-            obs::counter_add("flow.cancellation_batches", 1);
-            obs::observe("flow.cancel_batch_units", excess);
+            obs::counter_add(&metric::FLOW_CANCELLATION_BATCHES, 1);
+            obs::observe(&metric::FLOW_CANCEL_BATCH_UNITS, excess);
         }
         self.cap[a ^ 1] -= excess;
         self.cancel_units_upstream(self.head[a ^ 1], excess);
@@ -317,7 +317,7 @@ impl FlowNetwork {
     /// `O(V + E)`, allocation-free once the index arrays have grown.
     fn build_csr(&mut self) {
         if obs::enabled() {
-            obs::counter_add("flow.csr_rebuilds", 1);
+            obs::counter_add(&metric::FLOW_CSR_REBUILDS, 1);
         }
         let m = self.head.len();
         self.arc_start.clear();
@@ -387,8 +387,8 @@ impl FlowNetwork {
             }
             if self.level[sink as usize] == u32::MAX {
                 if obs::enabled() {
-                    obs::counter_add("flow.augmentations", self.augmentations - augs_before);
-                    obs::counter_add("flow.dinic_phases", phases);
+                    obs::counter_add(&metric::FLOW_AUGMENTATIONS, self.augmentations - augs_before);
+                    obs::counter_add(&metric::FLOW_DINIC_PHASES, phases);
                 }
                 return total;
             }
@@ -511,9 +511,9 @@ impl FlowNetwork {
             let d_sink = self.dist[sink as usize];
             if d_sink == u128::MAX {
                 if obs::enabled() {
-                    obs::counter_add("mcf.dijkstra_rounds", dijkstra_rounds);
-                    obs::counter_add("mcf.potentials_resets", 1);
-                    obs::counter_add("flow.augmentations", self.augmentations - augs_before);
+                    obs::counter_add(&metric::MCF_DIJKSTRA_ROUNDS, dijkstra_rounds);
+                    obs::counter_add(&metric::MCF_POTENTIALS_RESETS, 1);
+                    obs::counter_add(&metric::FLOW_AUGMENTATIONS, self.augmentations - augs_before);
                 }
                 return (total_flow, total_cost);
             }

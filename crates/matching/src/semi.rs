@@ -27,7 +27,7 @@
 //! returned assignment.
 
 use semimatch_graph::Bipartite;
-use semimatch_obs as obs;
+use semimatch_obs::{self as obs, catalog as metric};
 
 use crate::matching::NONE;
 use crate::workspace::SearchWorkspace;
@@ -164,10 +164,10 @@ pub fn optimal_semi_assignment_in(g: &Bipartite, ws: &mut SearchWorkspace) -> Se
     if obs::enabled() {
         // Flushed once per solve: the phase loop itself touches no
         // telemetry, so instrumentation cost stays off the descent.
-        obs::counter_add("hk_semi.solves", 1);
-        obs::counter_add("hk_semi.phases", phases as u64);
-        obs::counter_add("hk_semi.paths_extracted", flips);
-        obs::counter_add("hk_semi.bfs_levels", bfs_levels);
+        obs::counter_add(&metric::HK_SEMI_SOLVES, 1);
+        obs::counter_add(&metric::HK_SEMI_PHASES, phases as u64);
+        obs::counter_add(&metric::HK_SEMI_PATHS_EXTRACTED, flips);
+        obs::counter_add(&metric::HK_SEMI_BFS_LEVELS, bfs_levels);
     }
     let loads = ws.labels[..n2].to_vec();
     SemiAssignment { task_to_proc, loads, phases, flips }

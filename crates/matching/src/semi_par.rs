@@ -48,7 +48,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use rayon::prelude::*;
 use semimatch_graph::Bipartite;
-use semimatch_obs as obs;
+use semimatch_obs::{self as obs, catalog as metric};
 
 use crate::matching::NONE;
 use crate::semi::SemiAssignment;
@@ -255,13 +255,14 @@ pub fn optimal_semi_assignment_par(g: &Bipartite) -> SemiAssignment {
     }
 
     if obs::enabled() {
-        obs::counter_add("hk_semi.solves", 1);
-        obs::counter_add("hk_semi.phases", phases as u64);
-        obs::counter_add("hk_semi.paths_extracted", flips);
-        obs::counter_add("hk_semi.bfs_levels", bfs_levels);
+        obs::counter_add(&metric::HK_SEMI_SOLVES, 1);
+        obs::counter_add(&metric::HK_SEMI_PHASES, phases as u64);
+        obs::counter_add(&metric::HK_SEMI_PATHS_EXTRACTED, flips);
+        obs::counter_add(&metric::HK_SEMI_BFS_LEVELS, bfs_levels);
         // ordering: Relaxed — read after every phase joined; counts final.
-        obs::counter_add("hk_semi.par.cas_failures", state.cas_failures.load(Ordering::Relaxed));
-        obs::counter_add("hk_semi.par.fallback_rounds", fallback_rounds);
+        let cas_failures = state.cas_failures.load(Ordering::Relaxed);
+        obs::counter_add(&metric::HK_SEMI_PAR_CAS_FAILURES, cas_failures);
+        obs::counter_add(&metric::HK_SEMI_PAR_FALLBACK_ROUNDS, fallback_rounds);
     }
     SemiAssignment {
         // ordering: Relaxed — single-threaded unload after the final join.

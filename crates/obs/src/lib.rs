@@ -1,27 +1,47 @@
 //! Zero-dependency telemetry for the semimatch workspace.
 //!
-//! Three pieces, none of which pull in external crates (the workspace
+//! Four pieces, none of which pull in external crates (the workspace
 //! vendor policy applies to observability too — no `tracing`, no
 //! `metrics`):
 //!
+//! * [`catalog`] — every metric the workspace emits, declared once with
+//!   its name, kind and help text. The writers below take a declaration
+//!   of their own kind, never a string.
 //! * [`Registry`] — named [`Counter`]s, [`Gauge`]s and log2-bucketed
 //!   [`Histogram`]s behind plain atomics, safe to update from rayon
 //!   workers (see [`registry`]).
 //! * [`span!`] — RAII span timers that feed per-span duration histograms
 //!   and, optionally, a bounded [`TraceRing`] exportable as Chrome
 //!   `trace_event` JSON (see [`trace`]).
-//! * [`Recorder`] — the dispatch seam. The process-global recorder
-//!   defaults to [`Noop`]; instrumented code guards every telemetry
-//!   statement behind [`enabled()`] (one relaxed atomic load), so the
-//!   default build pays a branch and nothing else. Installing a
-//!   [`Collecting`] recorder (what `--metrics` / `--trace-out` do) turns
-//!   the same statements into registry updates.
+//! * [`Collecting`] — the recorder. The process-global slot is empty by
+//!   default; instrumented code guards every telemetry statement behind
+//!   [`enabled()`] (one relaxed atomic load), so the default build pays a
+//!   branch and nothing else. [`install`]ing a recorder (what `--metrics`
+//!   / `--trace-out` do) turns the same statements into registry updates.
 //!
 //! Instrumentation contract: telemetry must never change results. The
 //! recorder has no channel back into solver state, and every call site is
 //! gated on [`enabled()`]; `tests/obs_properties.rs` checks that solutions
 //! are bit-identical with and without a collecting recorder installed.
+//!
+//! Emission names a declaration (`counter_add(&catalog::HK_SEMI_SOLVES,
+//! 1)`), and a family member fills its placeholder
+//! (`catalog::DAEMON_TENANT_ID_GAP.at(3)`). A string, a declaration of
+//! another kind, or an unfilled family does not compile:
+//!
+//! ```compile_fail,E0308
+//! semimatch_obs::counter_add("hk_semi.solves", 1);
+//! ```
+//!
+//! ```compile_fail,E0308
+//! semimatch_obs::gauge_set(&semimatch_obs::catalog::HK_SEMI_SOLVES, 1);
+//! ```
+//!
+//! ```compile_fail,E0308
+//! semimatch_obs::gauge_set(&semimatch_obs::catalog::DAEMON_TENANT_ID_GAP, 0);
+//! ```
 
+pub mod catalog;
 pub mod registry;
 pub mod trace;
 
@@ -32,41 +52,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
-/// Sink for telemetry events. All methods default to no-ops so [`Noop`]
-/// is the empty impl; [`Collecting`] overrides everything.
-pub trait Recorder: Send + Sync {
-    /// Whether instrumented code should bother emitting at all. The
-    /// global [`enabled()`] flag is latched from this at install time.
-    fn enabled(&self) -> bool {
-        false
-    }
+use catalog::Decl;
 
-    /// Adds `delta` to the counter `name`.
-    fn counter_add(&self, _name: &str, _delta: u64) {}
-
-    /// Overwrites the gauge `name`.
-    fn gauge_set(&self, _name: &str, _value: i64) {}
-
-    /// Records one histogram observation for `name`.
-    fn observe(&self, _name: &str, _value: u64) {}
-
-    /// Monotonic nanoseconds since the recorder's epoch (0 when the
-    /// recorder keeps no clock).
-    fn now_ns(&self) -> u64 {
-        0
-    }
-
-    /// Called when a [`Span`] closes.
-    fn span_close(&self, _name: &'static str, _start_ns: u64, _dur_ns: u64, _tid: u64) {}
-}
-
-/// The default recorder: discards everything.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Noop;
-
-impl Recorder for Noop {}
-
-/// Recorder that aggregates into a [`Registry`] and (optionally) appends
+/// The recorder: aggregates into a [`Registry`] and (optionally) appends
 /// closed spans to a [`TraceRing`].
 #[derive(Debug)]
 pub struct Collecting {
@@ -99,6 +87,17 @@ impl Collecting {
     pub fn ring(&self) -> Option<&TraceRing> {
         self.ring.as_ref()
     }
+
+    fn now_ns(&self) -> u64 {
+        self.epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64
+    }
+
+    fn span_close(&self, name: &'static str, start_ns: u64, dur_ns: u64, tid: u64) {
+        self.registry.observe(&catalog::SPAN_NAME.at(name), dur_ns);
+        if let Some(ring) = &self.ring {
+            ring.push(TraceEvent { name, start_ns, dur_ns, tid });
+        }
+    }
 }
 
 impl Default for Collecting {
@@ -107,45 +106,16 @@ impl Default for Collecting {
     }
 }
 
-impl Recorder for Collecting {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn counter_add(&self, name: &str, delta: u64) {
-        self.registry.counter_add(name, delta);
-    }
-
-    fn gauge_set(&self, name: &str, value: i64) {
-        self.registry.gauge_set(name, value);
-    }
-
-    fn observe(&self, name: &str, value: u64) {
-        self.registry.observe(name, value);
-    }
-
-    fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64
-    }
-
-    fn span_close(&self, name: &'static str, start_ns: u64, dur_ns: u64, tid: u64) {
-        self.registry.observe(&format!("span.{name}"), dur_ns);
-        if let Some(ring) = &self.ring {
-            ring.push(TraceEvent { name, start_ns, dur_ns, tid });
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Process-global recorder
 // ---------------------------------------------------------------------------
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static RECORDER: RwLock<Option<Arc<dyn Recorder>>> = RwLock::new(None);
+static RECORDER: RwLock<Option<Arc<Collecting>>> = RwLock::new(None);
 
-/// Cheap hot-path check: is a recorder that wants events installed?
-/// One relaxed atomic load — this is the entire cost of instrumentation
-/// under the default [`Noop`] configuration.
+/// Cheap hot-path check: is a recorder installed? One relaxed atomic
+/// load — this is the entire cost of instrumentation while the slot is
+/// empty.
 #[inline]
 pub fn enabled() -> bool {
     // ordering: Relaxed — a hint flag; installers flip it under the RwLock
@@ -154,49 +124,49 @@ pub fn enabled() -> bool {
 }
 
 /// Installs `recorder` as the process-global sink, returning the previous
-/// one (if any). [`enabled()`] latches `recorder.enabled()`.
-pub fn install(recorder: Arc<dyn Recorder>) -> Option<Arc<dyn Recorder>> {
+/// one (if any).
+pub fn install(recorder: Arc<Collecting>) -> Option<Arc<Collecting>> {
     let mut slot = RECORDER.write().unwrap();
-    ENABLED.store(recorder.enabled(), Ordering::Relaxed); // ordering: hint; RwLock orders
+    ENABLED.store(true, Ordering::Relaxed); // ordering: hint; RwLock orders
     slot.replace(recorder)
 }
 
-/// Removes the global recorder (reverting to [`Noop`] behaviour) and
-/// returns it.
-pub fn uninstall() -> Option<Arc<dyn Recorder>> {
+/// Empties the global slot (telemetry off again) and returns the recorder
+/// it held.
+pub fn uninstall() -> Option<Arc<Collecting>> {
     let mut slot = RECORDER.write().unwrap();
     ENABLED.store(false, Ordering::Relaxed); // ordering: hint; RwLock orders
     slot.take()
 }
 
-fn with_recorder(f: impl FnOnce(&dyn Recorder)) {
+fn with_recorder(f: impl FnOnce(&Collecting)) {
     if let Some(r) = RECORDER.read().unwrap().as_deref() {
         f(r);
     }
 }
 
-/// Adds `delta` to the global counter `name` (no-op when disabled).
+/// Adds `delta` to the global counter `metric` (no-op when disabled).
 #[inline]
-pub fn counter_add(name: &str, delta: u64) {
+pub fn counter_add(metric: &Decl<Counter>, delta: u64) {
     if enabled() {
-        with_recorder(|r| r.counter_add(name, delta));
+        with_recorder(|r| r.registry.counter_add(metric, delta));
     }
 }
 
-/// Overwrites the global gauge `name` (no-op when disabled).
+/// Overwrites the global gauge `metric` (no-op when disabled).
 #[inline]
-pub fn gauge_set(name: &str, value: i64) {
+pub fn gauge_set(metric: &Decl<Gauge>, value: i64) {
     if enabled() {
-        with_recorder(|r| r.gauge_set(name, value));
+        with_recorder(|r| r.registry.gauge_set(metric, value));
     }
 }
 
-/// Records one observation for the global histogram `name` (no-op when
+/// Records one observation for the global histogram `metric` (no-op when
 /// disabled).
 #[inline]
-pub fn observe(name: &str, value: u64) {
+pub fn observe(metric: &Decl<Histogram>, value: u64) {
     if enabled() {
-        with_recorder(|r| r.observe(name, value));
+        with_recorder(|r| r.registry.observe(metric, value));
     }
 }
 
@@ -217,9 +187,9 @@ fn current_tid() -> u64 {
 }
 
 /// RAII span timer. Create via [`span!`]; on drop it records its duration
-/// into the histogram `span.<name>` and appends to the trace ring when
-/// one is configured. Inert (a single branch at construction, nothing at
-/// drop) while no collecting recorder is installed.
+/// into the histogram `span.<name>` ([`catalog::SPAN_NAME`]) and appends
+/// to the trace ring when one is configured. Inert (a single branch at
+/// construction, nothing at drop) while no recorder is installed.
 #[derive(Debug)]
 pub struct Span {
     name: &'static str,
@@ -266,6 +236,7 @@ macro_rules! span {
 
 #[cfg(test)]
 mod tests {
+    use super::catalog::{DAEMON_TENANTS, HK_SEMI_SOLVES, SERVE_REPAIR_LATENCY_NS};
     use super::*;
     use std::sync::Mutex;
 
@@ -278,9 +249,9 @@ mod tests {
         let _guard = GLOBAL_LOCK.lock().unwrap();
         uninstall();
         assert!(!enabled());
-        counter_add("unseen", 1);
-        gauge_set("unseen", 1);
-        observe("unseen", 1);
+        counter_add(&HK_SEMI_SOLVES, 1);
+        gauge_set(&DAEMON_TENANTS, 1);
+        observe(&SERVE_REPAIR_LATENCY_NS, 1);
         let c = Arc::new(Collecting::new());
         install(c.clone());
         assert!(enabled());
@@ -294,19 +265,19 @@ mod tests {
         let c = Arc::new(Collecting::with_trace(16));
         install(c.clone());
         assert!(enabled());
-        counter_add("t.count", 2);
-        counter_add("t.count", 3);
-        gauge_set("t.gauge", -4);
-        observe("t.hist", 100);
+        counter_add(&HK_SEMI_SOLVES, 2);
+        counter_add(&HK_SEMI_SOLVES, 3);
+        gauge_set(&DAEMON_TENANTS, -4);
+        observe(&SERVE_REPAIR_LATENCY_NS, 100);
         {
             let _outer = span!("t.outer");
             let _inner = span!("t.inner");
         }
         uninstall();
-        counter_add("t.count", 99); // after uninstall: dropped
-        assert_eq!(c.registry().counter("t.count").get(), 5);
-        assert_eq!(c.registry().gauge("t.gauge").get(), -4);
-        assert_eq!(c.registry().histogram("t.hist").count(), 1);
+        counter_add(&HK_SEMI_SOLVES, 99); // after uninstall: dropped
+        assert_eq!(c.registry().counter("hk_semi.solves").get(), 5);
+        assert_eq!(c.registry().gauge("daemon.tenants").get(), -4);
+        assert_eq!(c.registry().histogram("serve.repair_latency_ns").count(), 1);
         assert_eq!(c.registry().histogram("span.t.outer").count(), 1);
         assert_eq!(c.registry().histogram("span.t.inner").count(), 1);
         let events = c.ring().unwrap().events();
@@ -324,12 +295,11 @@ mod tests {
     fn install_returns_previous_recorder() {
         let _guard = GLOBAL_LOCK.lock().unwrap();
         uninstall();
-        let a: Arc<dyn Recorder> = Arc::new(Collecting::new());
-        let b: Arc<dyn Recorder> = Arc::new(Noop);
-        assert!(install(a).is_none());
-        let prev = install(b).expect("first recorder handed back");
-        assert!(prev.enabled());
-        assert!(!enabled(), "Noop recorder leaves the fast-path flag down");
-        uninstall();
+        let a = Arc::new(Collecting::new());
+        assert!(install(a.clone()).is_none());
+        let prev = install(Arc::new(Collecting::new())).expect("first recorder handed back");
+        assert!(Arc::ptr_eq(&prev, &a));
+        assert!(uninstall().is_some());
+        assert!(!enabled(), "an empty slot leaves the fast-path flag down");
     }
 }

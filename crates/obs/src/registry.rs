@@ -13,6 +13,8 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
+use crate::catalog::Decl;
+
 /// Monotone event count.
 #[derive(Debug, Default)]
 pub struct Counter {
@@ -174,8 +176,8 @@ pub enum MetricValue {
 }
 
 /// Named metric store. Metric names are dot-separated lowercase paths
-/// (`"cost_scaling.probes"`, `"span.hk_semi.solve"`); the README's
-/// Observability section catalogues the names this workspace emits.
+/// (`"cost_scaling.probes"`, `"span.hk_semi.solve"`); the writers take
+/// their [`catalog`](crate::catalog) declaration, the resolvers any name.
 #[derive(Debug, Default)]
 pub struct Registry {
     metrics: RwLock<BTreeMap<String, Metric>>,
@@ -229,18 +231,18 @@ impl Registry {
     }
 
     /// One-shot counter bump (resolve + add).
-    pub fn counter_add(&self, name: &str, delta: u64) {
-        self.counter(name).add(delta);
+    pub fn counter_add(&self, metric: &Decl<Counter>, delta: u64) {
+        self.counter(&metric.name).add(delta);
     }
 
     /// One-shot gauge overwrite.
-    pub fn gauge_set(&self, name: &str, value: i64) {
-        self.gauge(name).set(value);
+    pub fn gauge_set(&self, metric: &Decl<Gauge>, value: i64) {
+        self.gauge(&metric.name).set(value);
     }
 
     /// One-shot histogram observation.
-    pub fn observe(&self, name: &str, value: u64) {
-        self.histogram(name).observe(value);
+    pub fn observe(&self, metric: &Decl<Histogram>, value: u64) {
+        self.histogram(&metric.name).observe(value);
     }
 
     /// Detached point-in-time snapshot of every metric, sorted by name.
@@ -377,10 +379,10 @@ mod tests {
         c1.add(3);
         c2.inc();
         assert_eq!(r.counter("x.count").get(), 4);
-        r.gauge_set("x.level", -7);
+        r.gauge("x.level").set(-7);
         assert_eq!(r.gauge("x.level").get(), -7);
-        r.observe("x.lat", 5);
-        r.observe("x.lat", 0);
+        r.histogram("x.lat").observe(5);
+        r.histogram("x.lat").observe(0);
         let h = r.histogram("x.lat");
         assert_eq!(h.count(), 2);
         assert_eq!(h.sum(), 5);
@@ -398,9 +400,9 @@ mod tests {
     #[test]
     fn render_json_is_sorted_and_escaped() {
         let r = Registry::new();
-        r.counter_add("b.count", 2);
-        r.gauge_set("a.gauge", 5);
-        r.observe("c.hist", 9);
+        r.counter("b.count").add(2);
+        r.gauge("a.gauge").set(5);
+        r.histogram("c.hist").observe(9);
         let json = r.render_json();
         let a = json.find("a.gauge").unwrap();
         let b = json.find("b.count").unwrap();

@@ -31,7 +31,7 @@ use semimatch_core::solver::{KindSolver, Problem, Solution, Solver, SolverClass}
 use semimatch_gen::trace::{Event, Trace};
 use semimatch_graph::{Bipartite, Hypergraph};
 
-use semimatch_obs as obs;
+use semimatch_obs::{self as obs, catalog as metric};
 
 use crate::error::{Result, ServeError};
 use crate::policy::{Counters, EngineConfig, RepairPolicy};
@@ -323,9 +323,9 @@ impl Engine {
     /// Swaps the repair policy of a **live** engine, leaving state and
     /// counters intact. The serving daemon uses this seam for per-tenant
     /// policy control: a tenant that exhausts its migration budget is
-    /// demoted to pure greedy placement (`Lazy { slack: u64::MAX }`) for
-    /// the rest of the batch and restored afterwards. Returns the policy
-    /// that was in force.
+    /// demoted to pure greedy placement ([`RepairPolicy::PlacementOnly`])
+    /// for the rest of the batch and restored afterwards. Returns the
+    /// policy that was in force.
     pub fn set_policy(&mut self, policy: RepairPolicy) -> Result<RepairPolicy> {
         if let RepairPolicy::Periodic { every: 0 } = policy {
             return Err(ServeError::Config { msg: "resolve period must be at least 1" });
@@ -344,6 +344,12 @@ impl Engine {
 
     /// Ingests one event, then repairs according to the policy.
     pub fn apply(&mut self, ev: &Event) -> Result<()> {
+        let res = self.step(ev);
+        debug_assert_eq!(self.check_invariants(), Ok(()), "after {ev:?}");
+        res
+    }
+
+    fn step(&mut self, ev: &Event) -> Result<()> {
         match ev {
             Event::Arrive { task, configs } => self.arrive(*task, configs)?,
             Event::Depart { task } => self.depart(*task)?,
@@ -358,12 +364,8 @@ impl Engine {
         let repair_start = std::time::Instant::now();
         let res = self.run_policy();
         let elapsed = repair_start.elapsed().as_nanos();
-        obs::observe("serve.repair_latency_ns", elapsed.min(u64::MAX as u128) as u64);
-        obs::counter_add("serve.events", 1);
-        let score = self.score(self.cfg.objective);
-        obs::gauge_set("serve.score", score.0.min(i64::MAX as u128) as i64);
-        let lb = self.lower_bound_estimate();
-        obs::gauge_set("serve.lower_bound", lb.0.min(i64::MAX as u128) as i64);
+        obs::observe(&metric::SERVE_REPAIR_LATENCY_NS, elapsed.min(u64::MAX as u128) as u64);
+        obs::counter_add(&metric::SERVE_EVENTS, 1);
         res
     }
 
@@ -373,16 +375,12 @@ impl Engine {
         match self.cfg.policy {
             RepairPolicy::Eager => self.repair_now(),
             RepairPolicy::Lazy { slack } => {
-                // `u64::MAX` is the documented never-repair sentinel; it
-                // must hold even for sum objectives whose u128 scores can
-                // legitimately drift past u64::MAX between repairs.
-                if slack != u64::MAX {
-                    let drift = Score(self.baseline.0.saturating_add(slack as u128));
-                    if self.score(self.cfg.objective) > drift {
-                        self.repair_now();
-                    }
+                let drift = Score(self.baseline.0.saturating_add(slack as u128));
+                if self.score(self.cfg.objective) > drift {
+                    self.repair_now();
                 }
             }
+            RepairPolicy::PlacementOnly => {}
             RepairPolicy::Periodic { every } => {
                 self.events_since_resolve += 1;
                 if self.events_since_resolve >= every {
@@ -390,6 +388,49 @@ impl Engine {
                     self.resolve()?;
                 }
             }
+        }
+        Ok(())
+    }
+
+    /// Recomputes the incrementally kept state from the live tasks and
+    /// reports the first field that disagrees: every live processor's
+    /// load is the sum of the chosen weights pinned on it, dead
+    /// processors hold load 0, chosen configurations are pinned on live
+    /// processors only, and the live counts, configuration counts and
+    /// weight sums match. `apply` checks it after every event in debug
+    /// builds.
+    fn check_invariants(&self) -> std::result::Result<(), String> {
+        let mut loads = vec![0u128; self.procs.len()];
+        let (mut wide, mut nonunit, mut min_sum, mut max_sum) = (0, 0, 0u128, 0u128);
+        for (t, state) in self.live_tasks() {
+            let c = &state.configs[state.chosen as usize];
+            for &p in &c.pins {
+                if !self.procs[p as usize].live {
+                    return Err(format!("task {t} is placed on dead processor {p}"));
+                }
+                loads[p as usize] += c.weight as u128;
+            }
+            wide += state.configs.iter().filter(|c| c.pins.len() > 1).count();
+            nonunit += state.configs.iter().filter(|c| c.weight != 1).count();
+            min_sum += min_config_weight(&state.configs);
+            max_sum += max_config_weight(&state.configs);
+        }
+        if let Some(p) = (0..self.procs.len()).find(|&p| self.procs[p].load as u128 != loads[p]) {
+            return Err(format!(
+                "processor {p} holds load {}, not {}",
+                self.procs[p].load, loads[p]
+            ));
+        }
+        let counts =
+            [self.n_live_tasks, self.n_live_procs, self.wide_configs, self.nonunit_configs];
+        let kept = (counts, [self.min_weight_sum, self.max_weight_sum]);
+        let live_procs = self.procs.iter().filter(|p| p.live).count();
+        let fresh = ([self.live_tasks().count(), live_procs, wide, nonunit], [min_sum, max_sum]);
+        if kept != fresh {
+            return Err(format!(
+                "live tasks, live procs, wide and non-unit configs, min and max weight sums \
+                 are {kept:?}, recomputed {fresh:?}"
+            ));
         }
         Ok(())
     }
@@ -1639,7 +1680,7 @@ mod tests {
         // flow 12, the brute-force flow optimum.
         let cfg = EngineConfig {
             objective: Objective::FlowTime,
-            policy: RepairPolicy::Lazy { slack: u64::MAX },
+            policy: RepairPolicy::PlacementOnly,
             ..eager()
         };
         let mut e = Engine::new(cfg, 3).unwrap();

@@ -13,8 +13,9 @@
 //!   loads current;
 //! * a [`RepairPolicy`] decides when solution *quality* is restored:
 //!   after every event (`Eager`), once the bottleneck drifts past a slack
-//!   (`Lazy`), or by periodic from-scratch re-solves through a resident
-//!   warm-workspace solver of any registered `SolverKind` (`Periodic`);
+//!   (`Lazy`), by periodic from-scratch re-solves through a resident
+//!   warm-workspace solver of any registered `SolverKind` (`Periodic`),
+//!   or never (`PlacementOnly`, the greedy baseline);
 //! * repair itself is incremental — bounded augmenting-path searches on
 //!   the unit/single-processor shape (provably bottleneck-optimal at
 //!   every event under `Eager`), shard-local search with skew-triggered

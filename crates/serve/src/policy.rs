@@ -21,12 +21,15 @@ pub enum RepairPolicy {
     /// Repair only when the engine's objective score exceeds the last
     /// repaired score by more than `slack` (in the configured
     /// [`EngineConfig::objective`]'s units: load for the makespan,
-    /// cost for the sum objectives). `slack == u64::MAX` degenerates to
-    /// pure greedy placement (the no-repair baseline).
+    /// cost for the sum objectives).
     Lazy {
         /// Tolerated objective-score growth before a repair triggers.
         slack: u64,
     },
+    /// Never repair: pure greedy placement, the no-repair baseline. The
+    /// daemon demotes a tenant that exhausts its migration budget to this
+    /// policy for the rest of the pump.
+    PlacementOnly,
     /// Re-solve the whole live instance from scratch every `every` events
     /// with the engine's configured [`SolverKind`], through a resident
     /// warm-workspace solver. `every == 1` is the re-solve-per-event
@@ -42,6 +45,7 @@ impl fmt::Display for RepairPolicy {
         match self {
             RepairPolicy::Eager => write!(f, "eager"),
             RepairPolicy::Lazy { slack } => write!(f, "lazy:{slack}"),
+            RepairPolicy::PlacementOnly => write!(f, "placement-only"),
             RepairPolicy::Periodic { every } => write!(f, "periodic:{every}"),
         }
     }
@@ -50,21 +54,31 @@ impl fmt::Display for RepairPolicy {
 impl FromStr for RepairPolicy {
     type Err = String;
 
-    /// Parses `eager`, `lazy:SLACK` and `periodic:EVERY` (the CLI names).
+    /// Parses `eager`, `lazy:SLACK`, `periodic:EVERY` and `placement-only`
+    /// (the CLI names). `lazy:18446744073709551615` (`u64::MAX`), the
+    /// older spelling of placement-only, parses to
+    /// [`RepairPolicy::PlacementOnly`].
     fn from_str(s: &str) -> std::result::Result<Self, String> {
         let lower = s.to_ascii_lowercase();
         if lower == "eager" {
             return Ok(RepairPolicy::Eager);
         }
+        if lower == "placement-only" {
+            return Ok(RepairPolicy::PlacementOnly);
+        }
         if let Some(v) = lower.strip_prefix("lazy:") {
-            let slack = v.parse().map_err(|_| format!("bad lazy slack '{v}'"))?;
-            return Ok(RepairPolicy::Lazy { slack });
+            return match v.parse().map_err(|_| format!("bad lazy slack '{v}'"))? {
+                u64::MAX => Ok(RepairPolicy::PlacementOnly),
+                slack => Ok(RepairPolicy::Lazy { slack }),
+            };
         }
         if let Some(v) = lower.strip_prefix("periodic:") {
             let every: u32 = v.parse().map_err(|_| format!("bad resolve period '{v}'"))?;
             return Ok(RepairPolicy::Periodic { every });
         }
-        Err(format!("unknown repair policy '{s}' (eager | lazy:SLACK | periodic:EVERY)"))
+        Err(format!(
+            "unknown repair policy '{s}' (eager | lazy:SLACK | periodic:EVERY | placement-only)"
+        ))
     }
 }
 
@@ -158,7 +172,7 @@ impl Counters {
             return;
         }
         for (name, v) in self.fields() {
-            semimatch_obs::counter_add(&format!("serve.counters.{name}"), v);
+            semimatch_obs::counter_add(&semimatch_obs::catalog::SERVE_COUNTERS_NAME.at(name), v);
         }
     }
 }
@@ -191,10 +205,14 @@ mod tests {
             RepairPolicy::Eager,
             RepairPolicy::Lazy { slack: 7 },
             RepairPolicy::Periodic { every: 32 },
+            RepairPolicy::PlacementOnly,
         ] {
             let shown = policy.to_string();
             assert_eq!(shown.parse::<RepairPolicy>().unwrap(), policy, "{shown}");
         }
+        assert_eq!(RepairPolicy::PlacementOnly.to_string(), "placement-only");
+        let unbounded = format!("lazy:{}", u64::MAX);
+        assert_eq!(unbounded.parse::<RepairPolicy>().unwrap(), RepairPolicy::PlacementOnly);
         assert!("nonsense".parse::<RepairPolicy>().is_err());
         assert!("lazy:x".parse::<RepairPolicy>().is_err());
         assert!("periodic:".parse::<RepairPolicy>().is_err());

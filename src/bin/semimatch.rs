@@ -70,8 +70,8 @@ usage:
                                 [--max-configs C] [--max-pins K] [--max-weight W]
                                 [--proc-events E] [--burst-every B] [--burst-len L]
                                 [--seed S] [--out FILE.tr]
-  semimatch replay              FILE.tr [--policy eager|lazy:SLACK|periodic:EVERY]
-                                [--kind KIND] [--shards S] [--objective OBJ]
+  semimatch replay              FILE.tr [--policy POLICY] [--kind KIND] [--shards S]
+                                [--objective OBJ]
                                 (stream the trace through the serving engine;
                                 reports throughput, scores and repair work)
   semimatch serve               --tenants N [--shards S] [--policy POLICY]
@@ -87,13 +87,15 @@ usage:
                                 and per-tenant optimality-gap SLO reporting)
   semimatch analyze             [--root DIR] [--baseline FILE | --no-baseline]
                                 [--format text|json]
-                                (workspace-native static analysis: unsafe/
-                                ordering/cast audits plus metric doc-sync;
+                                (workspace-native static analysis: unsafe,
+                                ordering, cast and thread-spawn audits;
                                 exits 0 clean, 1 on findings)
   semimatch dot                 FILE.{hg,bg} [--out FILE.dot]
 
 KIND is any solver registry name (see `semimatch solvers`).
 OBJ is a cost model: makespan (default) | flowtime | l<p> | weighted-load.
+POLICY is a repair policy: eager (default) | lazy:SLACK | periodic:EVERY |
+placement-only.
 
 Every command also accepts --threads N to pin the size of the global
 work-stealing pool (0 = all cores; the RAYON_NUM_THREADS environment
@@ -198,16 +200,17 @@ impl Telemetry {
         let Some(recorder) = self.recorder else { return Ok(()) };
         semimatch::obs::uninstall();
         if let Some(stats) = semimatch::rayon::global_pool_stats() {
+            use semimatch::obs::catalog as metric;
             let reg = recorder.registry();
-            reg.gauge_set("pool.threads", stats.threads() as i64);
-            reg.counter_add("pool.tasks_executed", stats.tasks_executed());
-            reg.counter_add("pool.steals", stats.steals());
-            reg.counter_add("pool.injector_pops", stats.injector_pops());
-            reg.counter_add("pool.sleeps", stats.sleeps());
-            reg.counter_add("pool.wakes", stats.wakes);
+            reg.gauge_set(&metric::POOL_THREADS, stats.threads() as i64);
+            reg.counter_add(&metric::POOL_TASKS_EXECUTED, stats.tasks_executed());
+            reg.counter_add(&metric::POOL_STEALS, stats.steals());
+            reg.counter_add(&metric::POOL_INJECTOR_POPS, stats.injector_pops());
+            reg.counter_add(&metric::POOL_SLEEPS, stats.sleeps());
+            reg.counter_add(&metric::POOL_WAKES, stats.wakes);
             for (i, w) in stats.workers.iter().enumerate() {
-                reg.counter_add(&format!("pool.worker.{i}.tasks_executed"), w.tasks_executed);
-                reg.counter_add(&format!("pool.worker.{i}.steals"), w.steals);
+                reg.counter_add(&metric::POOL_WORKER_I_TASKS_EXECUTED.at(i), w.tasks_executed);
+                reg.counter_add(&metric::POOL_WORKER_I_STEALS.at(i), w.steals);
             }
         }
         match self.format {

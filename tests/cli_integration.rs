@@ -439,9 +439,6 @@ fn solve_and_replay_emit_metrics_json() {
         .expect("repair latency histogram");
     assert!(line.contains("\"type\": \"histogram\""), "{line}");
     assert!(!line.contains("\"count\": 0,"), "latency histogram must be populated: {line}");
-    let score = metric_value(json, "serve.score");
-    let lb = metric_value(json, "serve.lower_bound");
-    assert!(lb >= 1 && score >= lb, "gauge pair must bracket: lb {lb}, score {score}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

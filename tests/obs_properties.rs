@@ -1,6 +1,7 @@
-//! Telemetry subsystem properties: exact counts under concurrency, the
-//! Noop recorder's zero-interference guarantee, Chrome trace export, and
-//! the warm-vs-cold probe accounting of the cost-scaling solver.
+//! Telemetry subsystem properties: the README metric table is the
+//! rendered catalog, exact counts under concurrency, the recorder's
+//! zero-interference guarantee, Chrome trace export, and the warm-vs-cold
+//! probe accounting of the cost-scaling solver.
 
 use std::sync::{Arc, Mutex};
 
@@ -10,7 +11,7 @@ use semimatch::gen::rng::Xoshiro256;
 use semimatch::gen::{fewg_manyg, hilo_permuted};
 use semimatch::graph::Bipartite;
 use semimatch::matching::SearchWorkspace;
-use semimatch::obs::{Collecting, MetricValue, Registry};
+use semimatch::obs::{catalog::TABLE, Collecting, MetricValue, Registry};
 use semimatch::solver::{solve_with, Objective, Problem, SolverKind};
 
 /// The recorder slot is process-global; every test that installs one
@@ -22,6 +23,22 @@ fn counter_value(reg: &Registry, name: &str) -> u64 {
         Some((_, MetricValue::Counter(v))) => v,
         other => panic!("expected counter '{name}', got {other:?}"),
     }
+}
+
+// -------------------------------------------------------------------
+// The README metric table is generated from the catalog
+// -------------------------------------------------------------------
+
+#[test]
+fn readme_metric_table_is_the_rendered_catalog() {
+    let readme =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md")).unwrap();
+    let (_, rest) = readme.split_once("<!-- metric-catalog:begin -->\n").expect("begin marker");
+    let (block, _) = rest.split_once("<!-- metric-catalog:end -->").expect("end marker");
+    assert!(
+        block == TABLE,
+        "README metric table is stale; paste this between the metric-catalog markers:\n{TABLE}"
+    );
 }
 
 // -------------------------------------------------------------------
@@ -45,9 +62,9 @@ proptest! {
             use semimatch::rayon::prelude::*;
             (0..threads).into_par_iter().for_each(|t| {
                 for i in 0..per_thread {
-                    reg.counter_add("hammer.counter", delta);
-                    reg.observe("hammer.histogram", i);
-                    reg.gauge_set("hammer.gauge", (t as i64) * 1000 + i as i64);
+                    reg.counter("hammer.counter").add(delta);
+                    reg.histogram("hammer.histogram").observe(i);
+                    reg.gauge("hammer.gauge").set((t as i64) * 1000 + i as i64);
                 }
             });
         });
@@ -68,7 +85,7 @@ proptest! {
 }
 
 // -------------------------------------------------------------------
-// Noop recorder: solver outputs are bit-identical with telemetry off/on
+// Solver outputs are bit-identical with telemetry off/on
 // -------------------------------------------------------------------
 
 #[test]
@@ -85,7 +102,7 @@ fn recorder_state_never_changes_solver_output() {
     for g in &instances {
         let problem = Problem::SingleProc(g);
         for kind in kinds {
-            // Baseline with no recorder installed (the Noop path).
+            // Baseline with no recorder installed.
             let baseline = solve_with(problem, kind, Objective::Makespan).unwrap();
             // Same solve with a collecting recorder swallowing every
             // metric and span: the Solution must be bit-identical.

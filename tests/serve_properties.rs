@@ -154,7 +154,7 @@ proptest! {
         let policies = [
             RepairPolicy::Eager,
             RepairPolicy::Lazy { slack: 2 },
-            RepairPolicy::Lazy { slack: u64::MAX }, // the no-repair baseline
+            RepairPolicy::PlacementOnly, // the no-repair baseline
             RepairPolicy::Periodic { every: 4 },
         ];
         for (policy, shards) in policies.into_iter().zip([1u32, 2, 1, 3]) {
@@ -186,15 +186,15 @@ proptest! {
     /// At **every** event of a random trace — not just at the end — the
     /// engine's live score stays at or above its balanced lower bound,
     /// and the published gap is exactly their (saturating) difference.
-    /// This is the invariant the daemon's per-tenant SLO check and the
-    /// `serve.score` / `serve.lower_bound` gauges rely on.
+    /// This is the invariant the daemon's per-tenant SLO check and its
+    /// `daemon.tenant.<id>.{score,lower_bound,gap}` gauges rely on.
     #[test]
     fn score_never_drops_below_the_lower_bound_at_any_event(trace in hyper_trace()) {
         use semimatch::solver::Objective;
         for (policy, objective) in [
             (RepairPolicy::Eager, Objective::Makespan),
             (RepairPolicy::Lazy { slack: 4 }, Objective::FlowTime),
-            (RepairPolicy::Lazy { slack: u64::MAX }, Objective::Makespan),
+            (RepairPolicy::PlacementOnly, Objective::Makespan),
             (RepairPolicy::Periodic { every: 3 }, Objective::WeightedLoad),
         ] {
             let cfg = EngineConfig { policy, objective, ..EngineConfig::default() };
