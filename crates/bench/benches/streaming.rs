@@ -70,19 +70,6 @@ fn bench_streaming(c: &mut Criterion) {
     }
     group.finish();
 
-    // Sharded repair on the same stream: per-shard local search with
-    // skew-triggered rebalancing vs the single global shard.
-    let mut group = c.benchmark_group("streaming-shards");
-    group.sample_size(10).measurement_time(Duration::from_secs(3));
-    let trace = trace_at(10, 1500);
-    for shards in [1u32, 4, 16] {
-        let cfg = EngineConfig { shards, ..EngineConfig::default() };
-        group.bench_with_input(BenchmarkId::from_parameter(shards), &trace, |b, tr| {
-            b.iter(|| Engine::replay(cfg, tr).expect("trace replays cleanly").bottleneck())
-        });
-    }
-    group.finish();
-
     // Sanity (run once, not timed): every regime ends on a valid
     // assignment of the same final instance, and repair never loses to
     // the no-repair baseline *on its own final state*.
@@ -90,7 +77,6 @@ fn bench_streaming(c: &mut Criterion) {
     for cfg in [
         EngineConfig::default(),
         EngineConfig { policy: RepairPolicy::Periodic { every: 1 }, ..EngineConfig::default() },
-        EngineConfig { shards: 4, ..EngineConfig::default() },
     ] {
         let engine = Engine::replay(cfg, &trace).expect("trace replays cleanly");
         let snap = engine.snapshot();

@@ -1,11 +1,9 @@
-//! Parallel scaling: the two in-run parallel paths, replayed under local
-//! pools of 1, 2, 4, … workers.
+//! Parallel scaling: the in-run parallel path, run under local pools of
+//! 1, 2, 4, … workers.
 //!
 //! * **fast-exact-tall** — the tall (n ≫ p) unit sweep from the
 //!   `repeat_solve` bench, solved by `hk-semi`, whose phases extract
 //!   augmenting paths on the work-stealing pool.
-//! * **streaming** — a sharded `Engine::replay` of a generated
-//!   hypergraph trace, where the repair pass sweeps shards concurrently.
 //!
 //! Every (workload, pool size) cell reports best-of-`REPEATS` wall-clock
 //! seconds and the speedup over the 1-worker run of the same workload;
@@ -26,10 +24,8 @@ use semimatch_bench::{
 use semimatch_core::objective::Objective;
 use semimatch_core::solver::{solve_many, Problem, SolverKind};
 use semimatch_gen::rng::Xoshiro256;
-use semimatch_gen::trace::{generate_trace, Trace, TraceParams};
 use semimatch_gen::{fewg_manyg, hilo_permuted};
 use semimatch_graph::Bipartite;
-use semimatch_serve::{Engine, EngineConfig};
 
 /// Timing repeats per cell; the best run is reported.
 const REPEATS: usize = 3;
@@ -57,22 +53,6 @@ fn tall_sweep(count: u64, n: u32, p: u32) -> Vec<Bipartite> {
             }
         })
         .collect()
-}
-
-/// The sharded serving trace of the `streaming` bench group.
-fn streaming_trace(arrivals: u32, seed: u64) -> Trace {
-    let params = TraceParams {
-        n_procs: 64,
-        arrivals,
-        churn_pct: 10,
-        max_configs: 4,
-        max_pins: 3,
-        max_weight: 16,
-        proc_events: 0,
-        burst_every: 0,
-        burst_len: 0,
-    };
-    generate_trace(&params, &mut Xoshiro256::seed_from_u64(seed))
 }
 
 struct Cell {
@@ -111,8 +91,6 @@ fn main() {
     // p = 32 keeps HiLo's p-divisible-by-g precondition (g = 16).
     let tall = tall_sweep(16, (8192 / scale).max(64), 32);
     let tall_problems: Vec<Problem<'_>> = tall.iter().map(Problem::SingleProc).collect();
-    let trace = streaming_trace((8192 / scale).max(128), opts.seed);
-    let serve_cfg = EngineConfig { shards: 8, ..EngineConfig::default() };
 
     let mut cells: Vec<Cell> = Vec::new();
     let mut checksums: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
@@ -126,17 +104,6 @@ fn main() {
                 .sum()
         });
         let workload = format!("fast-exact-tall/{}", kind.name());
-        match checksums.get(&workload) {
-            None => {
-                checksums.insert(workload.clone(), sum);
-            }
-            Some(&expect) => assert_eq!(sum, expect, "{workload}: result changed at {t} threads"),
-        }
-        cells.push(Cell { workload, threads: t, seconds: secs });
-        let (secs, sum) = time_under(t, || {
-            Engine::replay(serve_cfg, &trace).expect("coverable trace").bottleneck()
-        });
-        let workload = "streaming/replay-sharded".to_string();
         match checksums.get(&workload) {
             None => {
                 checksums.insert(workload.clone(), sum);

@@ -921,8 +921,8 @@ pub fn solve_with(
 /// the object owns its [`SearchWorkspace`] (visited stamps, BFS/DFS arrays,
 /// flow residual arena), so consecutive [`Solver::solve`] calls on
 /// same-shaped instances perform no scratch allocation. This is also the
-/// seam where future backends (cost-scaling flow, streaming, sharded
-/// serving) land: they implement `Solver` and plug into every consumer —
+/// seam where future backends (cost-scaling flow, streaming, serving)
+/// land: they implement `Solver` and plug into every consumer —
 /// the CLI batch mode, the bench sweeps, the scheduling policies — without
 /// touching the dispatch sites.
 pub trait Solver {

@@ -19,17 +19,17 @@ pub struct DaemonConfig {
     /// runs next to whom*, never per-tenant event order.
     pub shards: u32,
     /// Per-tenant engine configuration (repair policy, resolve kind,
-    /// engine-internal shards, objective). Every admitted tenant starts
-    /// from this; `Daemon::set_tenant_policy` overrides per tenant.
+    /// objective). Every admitted tenant starts from this;
+    /// `Daemon::set_tenant_policy` overrides per tenant.
     pub engine: EngineConfig,
     /// Bounded per-tenant ingest queue (≥ 1). A submit to a full queue is
     /// *shed*: rejected with accounting, never blocking the router.
     pub queue_capacity: usize,
     /// Migration budget: repair work units (augmenting-path shifts,
-    /// local-search moves, rebalances and resolves) one tenant may spend
-    /// per pump. A tenant that exhausts it is demoted to pure greedy
-    /// placement for the rest of that pump and restored afterwards.
-    /// `u64::MAX` means unmetered.
+    /// local-search moves and resolves) one tenant may spend per pump. A
+    /// tenant that exhausts it is demoted to pure greedy placement for the
+    /// rest of that pump and restored afterwards. `u64::MAX` means
+    /// unmetered.
     pub migration_budget: u64,
     /// Admission control: live-tenant capacity (≥ 1). Admissions beyond
     /// it are rejected with [`DaemonError::AtCapacity`] and counted.

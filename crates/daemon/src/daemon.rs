@@ -93,11 +93,11 @@ impl Shard {
 }
 
 /// Repair work spent so far by an engine, in migration-budget units: every
-/// augmenting-path shift, accepted local-search move, shard rebalance and
-/// from-scratch resolve counts one.
+/// augmenting-path shift, accepted local-search move and from-scratch
+/// resolve counts one.
 fn repair_work(engine: &Engine) -> u64 {
     let c = engine.counters();
-    c.shifts + c.moves + c.rebalances + c.resolves
+    c.shifts + c.moves + c.resolves
 }
 
 /// Monotonic daemon-wide accounting, one field per control- and

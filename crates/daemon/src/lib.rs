@@ -13,9 +13,8 @@
 //!   that drains shards in parallel on the vendored work-stealing pool;
 //! * **backpressure** — a full tenant queue sheds submits with
 //!   accounting; a per-pump *migration budget* caps how much repair work
-//!   (shifts, moves, rebalances, resolves) one tenant may consume before
-//!   being demoted to `RepairPolicy::PlacementOnly` for the rest of the
-//!   batch;
+//!   (shifts, moves, resolves) one tenant may consume before being
+//!   demoted to `RepairPolicy::PlacementOnly` for the rest of the batch;
 //! * **live SLOs** — every tenant continuously reports score, lower
 //!   bound and optimality gap ([`TenantStatus`]), checked against a
 //!   configurable gap SLO and published through `semimatch-obs` (the

@@ -140,7 +140,8 @@ impl Trace {
     }
 
     /// Parses the `.tr` text format written by [`Trace::write`]. Blank
-    /// lines and `#` comments are skipped.
+    /// lines and `#` comments are skipped; a `procs`, `depart`, `addproc`
+    /// or `dropproc` line with a token after its number is an error.
     pub fn read<R: Read>(r: R) -> Result<Trace, TraceParseError> {
         let reader = BufReader::new(r);
         let mut n_procs: Option<u32> = None;
@@ -160,7 +161,7 @@ impl Trace {
                     if n_procs.is_some() {
                         return Err(fail("duplicate 'procs' header".into()));
                     }
-                    n_procs = Some(parse_num(tokens.next(), "processor count", line_no)?);
+                    n_procs = Some(parse_sole(tokens, "processor count", line_no)?);
                 }
                 "arrive" => {
                     let task = parse_num(tokens.next(), "task id", line_no)?;
@@ -184,8 +185,9 @@ impl Trace {
                     }
                     events.push(Event::Arrive { task, configs });
                 }
-                "depart" => events
-                    .push(Event::Depart { task: parse_num(tokens.next(), "task id", line_no)? }),
+                "depart" => {
+                    events.push(Event::Depart { task: parse_sole(tokens, "task id", line_no)? })
+                }
                 "reweight" => {
                     let task = parse_num(tokens.next(), "task id", line_no)?;
                     let weights = tokens
@@ -197,10 +199,12 @@ impl Trace {
                     }
                     events.push(Event::Reweight { task, weights });
                 }
-                "addproc" => events
-                    .push(Event::AddProc { proc: parse_num(tokens.next(), "proc id", line_no)? }),
-                "dropproc" => events
-                    .push(Event::DropProc { proc: parse_num(tokens.next(), "proc id", line_no)? }),
+                "addproc" => {
+                    events.push(Event::AddProc { proc: parse_sole(tokens, "proc id", line_no)? })
+                }
+                "dropproc" => {
+                    events.push(Event::DropProc { proc: parse_sole(tokens, "proc id", line_no)? })
+                }
                 other => return Err(fail(format!("unknown event '{other}'"))),
             }
         }
@@ -223,6 +227,22 @@ fn parse_num<T: std::str::FromStr>(
     tok.ok_or_else(|| TraceParseError::new(line, format!("missing {what}")))?
         .parse()
         .map_err(|_| TraceParseError::new(line, format!("cannot parse {what}")))
+}
+
+/// Parses the one number a `procs`, `depart`, `addproc` or `dropproc`
+/// line carries, rejecting any token after it.
+fn parse_sole<'a, T: std::str::FromStr>(
+    mut tokens: impl Iterator<Item = &'a str>,
+    what: &str,
+    line: usize,
+) -> Result<T, TraceParseError> {
+    let value = parse_num(tokens.next(), what, line)?;
+    match tokens.next() {
+        None => Ok(value),
+        Some(tok) => {
+            Err(TraceParseError::new(line, format!("trailing token '{tok}' after {what}")))
+        }
+    }
 }
 
 /// Malformed text while parsing a [`Trace`].
@@ -674,6 +694,23 @@ mod tests {
             ok.events,
             vec![Event::Arrive { task: 0, configs: vec![(vec![0, 1], 3), (vec![1], 1)] }]
         );
+    }
+
+    #[test]
+    fn single_number_lines_reject_trailing_tokens() {
+        for (text, line) in [
+            ("procs 2 9\n", 1),
+            ("procs 2\narrive 0 1:0\ndepart 0 7\n", 3),
+            ("procs 2\naddproc 2 3\n", 2),
+            ("procs 2\ndropproc 1 4\n", 2),
+        ] {
+            let err = Trace::read(text.as_bytes()).unwrap_err();
+            assert_eq!(err.line, line, "{text:?}: {err}");
+            assert!(err.msg.contains("trailing token"), "{text:?}: {err}");
+        }
+        // A trailing comment is not a token.
+        let ok = Trace::read("procs 2 # pool\ndropproc 1 # retire\n".as_bytes()).unwrap();
+        assert_eq!(ok.events, vec![Event::DropProc { proc: 1 }]);
     }
 
     #[test]

@@ -14,17 +14,15 @@
 //!   cost-reducing-path optimality condition), so eager repair keeps the
 //!   engine's bottleneck equal to a from-scratch exact solve at all times.
 //! * **hypergraph / weighted traces**: greedy re-placement plus a bounded
-//!   `refine`-style local search (first-improvement descent under the
-//!   min-resulting-bottleneck criterion), run shard-locally. Processors
-//!   are partitioned into shards that repair independently; when shard
-//!   bottlenecks skew beyond [`SKEW_FACTOR`], one global pass runs and the
-//!   partition is rebuilt by longest-processing-time bin packing.
+//!   `refine`-style local search (up to [`LOCAL_PASSES`] first-improvement
+//!   sweeps over every live task, each re-placed on the configuration the
+//!   engine's objective prefers). The `lazy:SLACK` policy is the
+//!   speed/quality dial for this repair.
 //!
 //! Full from-scratch resolves (the periodic policy) go through a resident
 //! [`KindSolver`] so the workspace warm path of the solver registry is
 //! reused across resolves.
 
-use rayon::prelude::*;
 use semimatch_core::objective::{balanced_score, Objective, Score};
 use semimatch_core::problem::HyperMatching;
 use semimatch_core::solver::{KindSolver, Problem, Solution, Solver, SolverClass};
@@ -38,10 +36,6 @@ use crate::policy::{Counters, EngineConfig, RepairPolicy};
 
 /// Local-search sweeps per repair invocation (hypergraph repair).
 pub const LOCAL_PASSES: u32 = 4;
-
-/// A shard rebalance triggers when the most loaded shard's bottleneck
-/// exceeds `SKEW_FACTOR ×` the least loaded shard's bottleneck.
-pub const SKEW_FACTOR: u64 = 2;
 
 /// One configuration of a live task.
 #[derive(Clone, Debug)]
@@ -75,7 +69,6 @@ fn max_config_weight(configs: &[ConfigState]) -> u128 {
 struct ProcSlot {
     live: bool,
     load: u64,
-    shard: u32,
 }
 
 /// Stamped scratch for the augmenting-path repair, resident in the engine
@@ -216,17 +209,12 @@ pub struct Engine {
 impl Engine {
     /// An engine over the initial pool `0..n_procs`, validated config.
     pub fn new(cfg: EngineConfig, n_procs: u32) -> Result<Engine> {
-        if cfg.shards == 0 {
-            return Err(ServeError::Config { msg: "shard count must be at least 1" });
-        }
         if let RepairPolicy::Periodic { every: 0 } = cfg.policy {
             return Err(ServeError::Config { msg: "resolve period must be at least 1" });
         }
-        let procs =
-            (0..n_procs).map(|p| ProcSlot { live: true, load: 0, shard: p % cfg.shards }).collect();
         Ok(Engine {
             cfg,
-            procs,
+            procs: vec![ProcSlot { live: true, load: 0 }; n_procs as usize],
             n_live_procs: n_procs as usize,
             tasks: Vec::new(),
             n_live_tasks: 0,
@@ -484,7 +472,7 @@ impl Engine {
             return Err(ServeError::LoadOverflow { task });
         }
         let chosen =
-            self.choose(&states, None).expect("all arriving configurations are live by validation");
+            self.choose(&states).expect("all arriving configurations are live by validation");
         self.wide_configs += states.iter().filter(|c| c.pins.len() > 1).count();
         self.nonunit_configs += states.iter().filter(|c| c.weight != 1).count();
         let state = TaskState { configs: states, chosen };
@@ -560,13 +548,7 @@ impl Engine {
         if self.procs[slot].live {
             return Err(ServeError::DuplicateProc(proc));
         }
-        // Join the shard with the fewest live processors (lowest id wins).
-        let mut counts = vec![0usize; self.cfg.shards as usize];
-        for p in self.procs.iter().filter(|p| p.live) {
-            counts[p.shard as usize] += 1;
-        }
-        let shard = (0..self.cfg.shards).min_by_key(|&s| counts[s as usize]).unwrap_or(0);
-        self.procs[slot] = ProcSlot { live: true, load: 0, shard };
+        self.procs[slot] = ProcSlot { live: true, load: 0 };
         self.n_live_procs += 1;
         Ok(())
     }
@@ -607,7 +589,7 @@ impl Engine {
                     self.procs[p as usize].load -= w;
                 }
             }
-            state.chosen = self.choose(&state.configs, None).expect("feasibility was pre-checked");
+            state.chosen = self.choose(&state.configs).expect("feasibility was pre-checked");
             self.add_contribution(&state);
             self.tasks[t as usize] = Some(state);
             self.counters.placements += 1;
@@ -624,20 +606,15 @@ impl Engine {
         self.tasks.iter().enumerate().filter_map(|(t, s)| Some((t as u32, s.as_ref()?)))
     }
 
-    /// Greedy choice among fully-live configurations (optionally further
-    /// restricted to one shard), keyed by the engine's objective:
-    /// minimize the resulting bottleneck over the configuration's
-    /// processors under the makespan, the total marginal cost under a
-    /// sum objective; ties keep the lowest index.
-    fn choose(&self, configs: &[ConfigState], shard: Option<u32>) -> Option<u32> {
+    /// Greedy choice among fully-live configurations, keyed by the
+    /// engine's objective: minimize the resulting bottleneck over the
+    /// configuration's processors under the makespan, the total marginal
+    /// cost under a sum objective; ties keep the lowest index.
+    fn choose(&self, configs: &[ConfigState]) -> Option<u32> {
         let objective = self.cfg.objective;
         let mut best: Option<(u128, u32)> = None;
         for (i, c) in configs.iter().enumerate() {
-            let eligible = c.pins.iter().all(|&p| {
-                let s = &self.procs[p as usize];
-                s.live && shard.is_none_or(|sh| s.shard == sh)
-            });
-            if !eligible {
+            if !c.pins.iter().all(|&p| self.procs[p as usize].live) {
                 continue;
             }
             let key = if objective.is_bottleneck() {
@@ -677,17 +654,25 @@ impl Engine {
     /// augmenting-path repair on unit/singleton state (extended to the
     /// full cost-reducing descent when the engine optimizes a sum
     /// objective, so eager repair is simultaneously optimal there too),
-    /// shard-local search plus skew rebalancing otherwise. Never worsens
-    /// the configured objective.
+    /// local-search sweeps otherwise. Never worsens the configured
+    /// objective; debug builds check this after every repair.
     pub fn repair_now(&mut self) {
         let _span = obs::span!("serve.repair");
         self.counters.repairs += 1;
+        let objective = self.cfg.objective;
+        // The O(p) score before repair is only needed by the debug check.
+        let before = if cfg!(debug_assertions) { self.score(objective) } else { Score(0) };
         if self.is_unit_singleton() {
             self.exact_repair();
         } else {
-            self.heuristic_repair();
+            self.local_sweeps();
         }
-        self.baseline = self.score(self.cfg.objective);
+        self.baseline = self.score(objective);
+        debug_assert!(
+            self.baseline <= before,
+            "repair worsened the {objective} score from {before} to {}",
+            self.baseline
+        );
     }
 
     /// Augmenting-path repair for the unit/single-processor shape.
@@ -838,70 +823,22 @@ impl Engine {
         self.procs[v as usize].load += 1;
     }
 
-    /// Hypergraph repair: shard-local first-improvement sweeps, then — on
-    /// shard skew — one global sweep and an LPT re-partition.
-    ///
-    /// The shard-local sweeps touch disjoint state by construction (a
-    /// shard sweep moves only tasks whose chosen configuration pins lie
-    /// entirely in that shard, between configurations of the same shard),
-    /// so with several shards and a multi-threaded pool they run
-    /// concurrently — producing exactly the state the sequential shard
-    /// loop would.
-    fn heuristic_repair(&mut self) {
-        if self.cfg.shards > 1 && rayon::current_num_threads() > 1 {
-            self.parallel_local_sweeps();
-        } else {
-            for s in 0..self.cfg.shards {
-                self.local_sweeps(Some(s));
-            }
-        }
-        if self.cfg.shards > 1 {
-            let mut min_b = u64::MAX;
-            let mut max_b = 0u64;
-            let mut loads = vec![(0u64, false); self.cfg.shards as usize];
-            for p in self.procs.iter().filter(|p| p.live) {
-                let slot = &mut loads[p.shard as usize];
-                slot.0 = slot.0.max(p.load);
-                slot.1 = true;
-            }
-            for &(b, populated) in &loads {
-                if populated {
-                    min_b = min_b.min(b);
-                    max_b = max_b.max(b);
-                }
-            }
-            if min_b != u64::MAX && max_b > SKEW_FACTOR.saturating_mul(min_b.max(1)) {
-                self.local_sweeps(None);
-                self.rebalance_shards();
-                self.counters.rebalances += 1;
-            }
-        }
-    }
-
-    /// Up to [`LOCAL_PASSES`] sweeps over the live tasks (ascending id),
-    /// each task re-placed on its best configuration; `shard` restricts
-    /// both the tasks touched and the candidate configurations.
-    fn local_sweeps(&mut self, shard: Option<u32>) {
+    /// Hypergraph repair: up to [`LOCAL_PASSES`] first-improvement sweeps
+    /// over the live tasks (ascending id), each task re-placed on its best
+    /// fully-live configuration by [`Engine::choose`]. A task's current
+    /// configuration is always among the candidates, so no move worsens
+    /// the configured objective.
+    fn local_sweeps(&mut self) {
         for _ in 0..LOCAL_PASSES {
             let mut moved = false;
-            for t in 0..self.tasks.len() as u32 {
-                let Some(state) = self.tasks[t as usize].as_ref() else { continue };
-                if state.configs.len() <= 1 {
+            for t in 0..self.tasks.len() {
+                if self.tasks[t].as_ref().is_none_or(|s| s.configs.len() <= 1) {
                     continue;
                 }
-                if let Some(s) = shard {
-                    let local = state.configs[state.chosen as usize]
-                        .pins
-                        .iter()
-                        .all(|&p| self.procs[p as usize].shard == s);
-                    if !local {
-                        continue;
-                    }
-                }
-                let mut state = self.tasks[t as usize].take().expect("checked live above");
+                let mut state = self.tasks[t].take().expect("checked live above");
                 self.remove_contribution(&state);
                 let best = self
-                    .choose(&state.configs, shard)
+                    .choose(&state.configs)
                     .expect("the chosen configuration itself is always eligible");
                 if best != state.chosen {
                     state.chosen = best;
@@ -909,75 +846,11 @@ impl Engine {
                     moved = true;
                 }
                 self.add_contribution(&state);
-                self.tasks[t as usize] = Some(state);
+                self.tasks[t] = Some(state);
             }
             if !moved {
                 break;
             }
-        }
-    }
-
-    /// All shard-local sweeps at once, one pool worker per shard.
-    ///
-    /// Equivalent to running [`Engine::local_sweeps`]`(Some(s))` for every
-    /// shard in order: the shards' working sets are disjoint (see
-    /// [`Engine::heuristic_repair`]), so the concurrent sweeps commute and
-    /// the resulting assignment is identical to the sequential one.
-    fn parallel_local_sweeps(&mut self) {
-        // Partition the movable tasks by owning shard: live, more than one
-        // configuration, chosen configuration entirely inside one shard.
-        // Ownership is stable for the whole round — a shard-restricted
-        // sweep only ever re-chooses configurations of the same shard.
-        let shards = self.cfg.shards as usize;
-        let mut owned: Vec<Vec<u32>> = vec![Vec::new(); shards];
-        for t in 0..self.tasks.len() as u32 {
-            let Some(state) = self.tasks[t as usize].as_ref() else { continue };
-            if state.configs.len() <= 1 {
-                continue;
-            }
-            let pins = &state.configs[state.chosen as usize].pins;
-            let s = self.procs[pins[0] as usize].shard;
-            if pins.iter().all(|&p| self.procs[p as usize].shard == s) {
-                owned[s as usize].push(t);
-            }
-        }
-        let objective = self.cfg.objective;
-        let tasks = SyncSlice::new(&mut self.tasks);
-        let procs = SyncSlice::new(&mut self.procs);
-        let moves: Vec<u64> = (0..shards as u32)
-            .into_par_iter()
-            .map(|s| {
-                // SAFETY: worker `s` dereferences only the tasks in
-                // `owned[s]` (the per-shard sets are disjoint) and writes
-                // only the loads of shard-`s` processors; foreign
-                // processors are touched through raw per-field reads of
-                // `live`/`shard`, which no sweep writes.
-                unsafe { sweep_shard(&tasks, &procs, &owned[s as usize], s, objective) }
-            })
-            .collect();
-        self.counters.moves += moves.iter().sum::<u64>();
-    }
-
-    /// Longest-processing-time re-partition: live processors, heaviest
-    /// first, each join the currently lightest shard.
-    fn rebalance_shards(&mut self) {
-        let mut procs: Vec<(u32, u64)> = self
-            .procs
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.live)
-            .map(|(i, p)| (i as u32, p.load))
-            .collect();
-        procs.sort_by_key(|&(i, load)| (std::cmp::Reverse(load), i));
-        // A wide configuration loads each of its processors, so a shard's
-        // total can pass `u64::MAX` even though no single load does.
-        let mut shard_loads = vec![0u128; self.cfg.shards as usize];
-        for (i, load) in procs {
-            let s = (0..self.cfg.shards)
-                .min_by_key(|&s| (shard_loads[s as usize], s))
-                .expect("at least one shard");
-            self.procs[i as usize].shard = s;
-            shard_loads[s as usize] += load as u128;
         }
     }
 
@@ -1127,126 +1000,6 @@ impl Engine {
     }
 }
 
-/// A raw view of a `&mut [T]` that several pool workers may index into
-/// under an external disjointness argument (each element is dereferenced
-/// by at most one worker; see [`Engine::parallel_local_sweeps`]).
-struct SyncSlice<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _marker: std::marker::PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: the wrapper only hands out raw pointers; every dereference site
-// carries its own disjointness justification.
-unsafe impl<T: Send> Sync for SyncSlice<'_, T> {}
-
-impl<'a, T> SyncSlice<'a, T> {
-    fn new(slice: &'a mut [T]) -> SyncSlice<'a, T> {
-        SyncSlice { ptr: slice.as_mut_ptr(), len: slice.len(), _marker: std::marker::PhantomData }
-    }
-
-    /// Raw pointer to element `i`. The caller is responsible for aliasing
-    /// discipline on the pointee.
-    fn get(&self, i: usize) -> *mut T {
-        debug_assert!(i < self.len);
-        // SAFETY: `i` is in bounds of the borrowed slice.
-        unsafe { self.ptr.add(i) }
-    }
-}
-
-/// One shard's [`LOCAL_PASSES`] first-improvement sweeps over its owned
-/// tasks — the body of [`Engine::local_sweeps`]`(Some(shard))` lifted to
-/// raw state access so shards can sweep concurrently. Returns the number
-/// of configuration moves.
-///
-/// # Safety
-///
-/// Callers must guarantee that no two concurrent invocations share a task
-/// in `owned` or a processor in `shard`, and that nothing concurrently
-/// writes any processor's `live`/`shard` fields.
-unsafe fn sweep_shard(
-    tasks: &SyncSlice<'_, Option<TaskState>>,
-    procs: &SyncSlice<'_, ProcSlot>,
-    owned: &[u32],
-    shard: u32,
-    objective: Objective,
-) -> u64 {
-    let mut moves = 0u64;
-    for _ in 0..LOCAL_PASSES {
-        let mut moved = false;
-        for &t in owned {
-            // SAFETY: `owned` sets are disjoint across workers, so this is
-            // the only live reference to the task.
-            let Some(state) = (*tasks.get(t as usize)).as_mut() else { continue };
-            let c = &state.configs[state.chosen as usize];
-            for &p in &c.pins {
-                // SAFETY: the chosen configuration's pins are all in this
-                // worker's shard; only this worker writes their loads.
-                (*procs.get(p as usize)).load -= c.weight;
-            }
-            let best = choose_in_shard(procs, &state.configs, shard, objective)
-                .expect("the chosen configuration itself is always eligible");
-            if best != state.chosen {
-                state.chosen = best;
-                moves += 1;
-                moved = true;
-            }
-            let c = &state.configs[state.chosen as usize];
-            for &p in &c.pins {
-                // SAFETY: as above — `choose_in_shard` only returns
-                // configurations pinned entirely inside this shard.
-                (*procs.get(p as usize)).load += c.weight;
-            }
-        }
-        if !moved {
-            break;
-        }
-    }
-    moves
-}
-
-/// [`Engine::choose`] restricted to one shard, reading processor state
-/// through the shared raw view.
-///
-/// # Safety
-///
-/// Same contract as [`sweep_shard`]: foreign processors may only have
-/// their `live`/`shard` fields read (per-field raw reads — no `&ProcSlot`
-/// is formed, so a concurrent in-shard `load` write elsewhere is not an
-/// aliasing violation), and in-shard loads must be owned by the caller.
-unsafe fn choose_in_shard(
-    procs: &SyncSlice<'_, ProcSlot>,
-    configs: &[ConfigState],
-    shard: u32,
-    objective: Objective,
-) -> Option<u32> {
-    let mut best: Option<(u128, u32)> = None;
-    for (i, c) in configs.iter().enumerate() {
-        let eligible = c.pins.iter().all(|&p| {
-            let s = procs.get(p as usize);
-            // SAFETY (per contract): field-granular reads; `live`/`shard`
-            // are never written during sweeps.
-            (*s).live && (*s).shard == shard
-        });
-        if !eligible {
-            continue;
-        }
-        // All pins below are in-shard, so their loads are this worker's.
-        let key = if objective.is_bottleneck() {
-            (c.pins.iter().map(|&p| (*procs.get(p as usize)).load).max().unwrap_or(0) + c.weight)
-                as u128
-        } else {
-            c.pins.iter().fold(0u128, |acc, &p| {
-                acc.saturating_add(objective.marginal((*procs.get(p as usize)).load, c.weight))
-            })
-        };
-        if best.is_none_or(|(k, _)| key < k) {
-            best = Some((key, i as u32));
-        }
-    }
-    best.map(|(_, i)| i)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1262,7 +1015,6 @@ mod tests {
 
     #[test]
     fn config_validation() {
-        assert!(Engine::new(EngineConfig { shards: 0, ..eager() }, 2).is_err());
         assert!(Engine::new(
             EngineConfig { policy: RepairPolicy::Periodic { every: 0 }, ..eager() },
             2
@@ -1581,67 +1333,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_engine_rebalances_on_skew() {
-        let cfg = EngineConfig { shards: 2, ..eager() };
-        let mut e = Engine::new(cfg, 4).unwrap();
-        // Weighted tasks (hyper path) hammering one processor: the shard
-        // holding it skews, forcing a rebalance.
-        for t in 0..8 {
-            e.apply(&arrive(t, &[(&[0], 4), (&[t % 4], 5)])).unwrap();
-        }
-        assert!(e.counters().rebalances >= 1, "skew must trigger a rebalance");
-        let snap = e.snapshot();
-        snap.matching.validate(&snap.hypergraph).unwrap();
-        assert_eq!(snap.matching.makespan(&snap.hypergraph), e.bottleneck());
-    }
-
-    #[test]
-    fn parallel_shard_sweeps_match_sequential_exactly() {
-        // The concurrent per-shard sweeps must land in bit-for-bit the
-        // same state as the sequential shard loop: a replay under a
-        // multi-threaded pool and under a single-threaded pool (which
-        // takes the sequential branch) must agree on every load.
-        let mut st = 0xabcdef12345u64;
-        let mut rng = move || {
-            st ^= st << 13;
-            st ^= st >> 7;
-            st ^= st << 17;
-            st
-        };
-        let n_procs = 16u32;
-        let mut events = Vec::new();
-        for t in 0..400u32 {
-            let mut configs: Vec<(Vec<u32>, u64)> = Vec::new();
-            for _ in 0..1 + rng() % 3 {
-                let a = (rng() % n_procs as u64) as u32;
-                let b = (rng() % n_procs as u64) as u32;
-                let pins = if a == b { vec![a] } else { vec![a, b] };
-                configs.push((pins, 1 + rng() % 4));
-            }
-            events.push(Event::Arrive { task: t, configs });
-            if t % 5 == 4 {
-                events.push(Event::Depart { task: t - (rng() % 5) as u32 });
-            }
-        }
-        let cfg = EngineConfig { shards: 4, ..eager() };
-        let run = |threads: usize| {
-            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-            pool.install(|| {
-                let mut e = Engine::new(cfg, n_procs).unwrap();
-                for ev in &events {
-                    e.apply(ev).unwrap();
-                }
-                let loads: Vec<u64> = (0..n_procs).map(|p| e.load_of(p).unwrap()).collect();
-                (e.bottleneck(), loads, e.counters().moves)
-            })
-        };
-        let seq = run(1);
-        for threads in [2usize, 4, 8] {
-            assert_eq!(run(threads), seq, "replay diverged at {threads} threads");
-        }
-    }
-
-    #[test]
     fn snapshot_maps_ids_and_drops_dead_configs() {
         let mut e = Engine::new(eager(), 3).unwrap();
         e.apply(&arrive(4, &[(&[0], 1), (&[2], 1)])).unwrap();
@@ -1703,7 +1394,7 @@ mod tests {
 
     #[test]
     fn weighted_flowtime_repair_never_worsens_the_score() {
-        let cfg = EngineConfig { objective: Objective::FlowTime, shards: 2, ..eager() };
+        let cfg = EngineConfig { objective: Objective::FlowTime, ..eager() };
         let mut e = Engine::new(cfg, 4).unwrap();
         for t in 0..8 {
             e.apply(&arrive(t, &[(&[0, 1], 4), (&[t % 4], 5), (&[(t + 1) % 4], 3)])).unwrap();
@@ -1733,40 +1424,10 @@ mod tests {
             ..TraceParams::default()
         };
         let trace = generate_trace(&params, &mut Xoshiro256::seed_from_u64(5));
-        for shards in [1, 3] {
-            let cfg = EngineConfig { shards, ..eager() };
-            let e = Engine::replay(cfg, &trace).unwrap();
-            assert_eq!(e.counters().events as usize, trace.events.len());
-            let snap = e.snapshot();
-            snap.matching.validate(&snap.hypergraph).unwrap();
-            assert_eq!(snap.matching.makespan(&snap.hypergraph), e.bottleneck());
-        }
-    }
-
-    /// The Miri CI subset: drives [`SyncSlice`]'s raw-pointer sharing under
-    /// the same disjointness argument `parallel_local_sweeps` relies on, on
-    /// plain scoped threads so the interpreter checks the aliasing claims.
-    #[test]
-    fn miri_sync_slice_disjoint_writes_are_race_free() {
-        let mut data = vec![0u64; 8];
-        {
-            let view = SyncSlice::new(&mut data);
-            std::thread::scope(|s| {
-                let v = &view;
-                s.spawn(move || {
-                    for i in 0..4 {
-                        // SAFETY: this thread writes indices 0..4 exclusively.
-                        unsafe { *v.get(i) = i as u64 + 1 };
-                    }
-                });
-                s.spawn(move || {
-                    for i in 4..8 {
-                        // SAFETY: this thread writes indices 4..8 exclusively.
-                        unsafe { *v.get(i) = i as u64 + 1 };
-                    }
-                });
-            });
-        }
-        assert_eq!(data, (1..=8).collect::<Vec<u64>>());
+        let e = Engine::replay(eager(), &trace).unwrap();
+        assert_eq!(e.counters().events as usize, trace.events.len());
+        let snap = e.snapshot();
+        snap.matching.validate(&snap.hypergraph).unwrap();
+        assert_eq!(snap.matching.makespan(&snap.hypergraph), e.bottleneck());
     }
 }

@@ -59,8 +59,8 @@ pub enum ServeError {
         task: u32,
     },
     /// The engine configuration is unusable for the instance (zero
-    /// shards, zero resolve period, or a bipartite-only resolve kind on a
-    /// live instance with non-singleton configurations).
+    /// resolve period, or a bipartite-only resolve kind on a live instance
+    /// with non-singleton configurations).
     Config {
         /// What is wrong.
         msg: &'static str,

@@ -18,8 +18,9 @@
 //!   or never (`PlacementOnly`, the greedy baseline);
 //! * repair itself is incremental — bounded augmenting-path searches on
 //!   the unit/single-processor shape (provably bottleneck-optimal at
-//!   every event under `Eager`), shard-local search with skew-triggered
-//!   rebalancing on the general hypergraph shape;
+//!   every event under `Eager`), local-search sweeps over the live tasks
+//!   on the general hypergraph shape; `Lazy` trades that repair's cost
+//!   against quality;
 //! * the engine optimizes a configurable cost model
 //!   ([`EngineConfig::objective`]): placement, local search, the lazy
 //!   trigger and periodic resolves all target it, the exact unit-singleton
@@ -41,7 +42,7 @@ mod engine;
 mod error;
 mod policy;
 
-pub use engine::{Engine, Snapshot, LOCAL_PASSES, SKEW_FACTOR};
+pub use engine::{Engine, Snapshot, LOCAL_PASSES};
 pub use error::{Result, ServeError};
 pub use policy::{Counters, EngineConfig, RepairPolicy};
 

@@ -1,4 +1,4 @@
-//! Engine configuration: repair policies, sharding and counters.
+//! Engine configuration: repair policies and counters.
 
 use std::fmt;
 use std::str::FromStr;
@@ -10,9 +10,8 @@ use semimatch_core::solver::SolverKind;
 ///
 /// Every policy places arriving (and displaced) tasks greedily first; the
 /// policy decides when the *repair* machinery — augmenting-path searches
-/// for the unit/single-processor case, shard-local search plus skew
-/// rebalancing for the hypergraph case, or a full from-scratch re-solve —
-/// runs on top of that.
+/// for the unit/single-processor case, local-search sweeps for the
+/// hypergraph case, or a full from-scratch re-solve — runs on top of that.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RepairPolicy {
     /// Repair after every event: the assignment is always at its
@@ -87,12 +86,12 @@ impl FromStr for RepairPolicy {
 pub struct EngineConfig {
     /// When to repair (see [`RepairPolicy`]).
     pub policy: RepairPolicy,
-    /// Solver used by from-scratch resolves (periodic policy, or fallback
-    /// paths). Must accept hypergraph (`MULTIPROC`) problems.
+    /// Solver used by from-scratch resolves (the periodic policy). Any
+    /// registered kind: hypergraph (`MULTIPROC`) kinds solve the live
+    /// instance directly; bipartite-only (`SINGLEPROC`) kinds solve its
+    /// singleton collapse, and the engine then rejects arrivals with a
+    /// multi-processor configuration.
     pub resolve_kind: SolverKind,
-    /// Processor shards (≥ 1). Shards repair independently; cross-shard
-    /// moves happen only in the skew-triggered rebalance pass.
-    pub shards: u32,
     /// The cost model the engine optimizes: greedy placement, local
     /// search, lazy triggering and periodic resolves all target this
     /// objective. The engine reports live scores for *all* reported
@@ -105,7 +104,6 @@ impl Default for EngineConfig {
         EngineConfig {
             policy: RepairPolicy::Eager,
             resolve_kind: SolverKind::Evg,
-            shards: 1,
             objective: Objective::Makespan,
         }
     }
@@ -129,8 +127,6 @@ pub struct Counters {
     pub moves: u64,
     /// From-scratch resolves of the whole live instance.
     pub resolves: u64,
-    /// Skew-triggered shard rebalances.
-    pub rebalances: u64,
 }
 
 impl Counters {
@@ -146,13 +142,12 @@ impl Counters {
             shifts: self.shifts.saturating_sub(earlier.shifts),
             moves: self.moves.saturating_sub(earlier.moves),
             resolves: self.resolves.saturating_sub(earlier.resolves),
-            rebalances: self.rebalances.saturating_sub(earlier.rebalances),
         }
     }
 
     /// Field names and values in [`fmt::Display`] order, for generic
     /// rendering (tables, metric export).
-    pub fn fields(&self) -> [(&'static str, u64); 8] {
+    pub fn fields(&self) -> [(&'static str, u64); 7] {
         [
             ("events", self.events),
             ("placements", self.placements),
@@ -161,7 +156,6 @@ impl Counters {
             ("shifts", self.shifts),
             ("moves", self.moves),
             ("resolves", self.resolves),
-            ("rebalances", self.rebalances),
         ]
     }
 
@@ -181,16 +175,14 @@ impl fmt::Display for Counters {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "events {}  placements {}  repairs {}  searches {}  shifts {}  moves {}  \
-             resolves {}  rebalances {}",
+            "events {}  placements {}  repairs {}  searches {}  shifts {}  moves {}  resolves {}",
             self.events,
             self.placements,
             self.repairs,
             self.searches,
             self.shifts,
             self.moves,
-            self.resolves,
-            self.rebalances
+            self.resolves
         )
     }
 }
@@ -234,6 +226,7 @@ mod tests {
     fn default_config_is_eager_single_shard() {
         let cfg = EngineConfig::default();
         assert_eq!(cfg.policy, RepairPolicy::Eager);
-        assert_eq!(cfg.shards, 1);
+        assert_eq!(cfg.objective, Objective::Makespan);
+        assert_eq!(cfg.resolve_kind, SolverKind::Evg);
     }
 }

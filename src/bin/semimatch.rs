@@ -70,13 +70,13 @@ usage:
                                 [--max-configs C] [--max-pins K] [--max-weight W]
                                 [--proc-events E] [--burst-every B] [--burst-len L]
                                 [--seed S] [--out FILE.tr]
-  semimatch replay              FILE.tr [--policy POLICY] [--kind KIND] [--shards S]
+  semimatch replay              FILE.tr [--policy POLICY] [--kind KIND]
                                 [--objective OBJ]
                                 (stream the trace through the serving engine;
                                 reports throughput, scores and repair work)
   semimatch serve               --tenants N [--shards S] [--policy POLICY]
                                 [--slo-gap G] [--queue-cap Q] [--budget B]
-                                [--batch B] [--procs P] [--arrivals A]
+                                [--max-tenants M] [--batch B] [--procs P] [--arrivals A]
                                 [--hotness H] [--churn PCT] [--max-configs C]
                                 [--max-pins K] [--max-weight W] [--proc-events E]
                                 [--kind KIND] [--objective OBJ] [--seed S]
@@ -97,9 +97,10 @@ OBJ is a cost model: makespan (default) | flowtime | l<p> | weighted-load.
 POLICY is a repair policy: eager (default) | lazy:SLACK | periodic:EVERY |
 placement-only.
 
-Every command also accepts --threads N to pin the size of the global
-work-stealing pool (0 = all cores; the RAYON_NUM_THREADS environment
-variable is the fallback), keeping runs reproducible on shared machines.
+A command rejects any flag it does not read. Every command also accepts
+--threads N to pin the size of the global work-stealing pool (0 = all
+cores; the RAYON_NUM_THREADS environment variable is the fallback),
+keeping runs reproducible on shared machines.
 
 Telemetry (any command, most useful on solve/replay):
   --metrics[=text|json]   append a dump of every recorded counter, gauge
@@ -148,6 +149,33 @@ fn parse(args: &[String]) -> Result<(Vec<&str>, HashMap<&str, &str>), String> {
         }
     }
     Ok((positional, flags))
+}
+
+/// Flags every command accepts: the pool size and the telemetry outputs.
+const GLOBAL_FLAGS: &str = "threads metrics trace-out";
+
+/// The flags each command reads beyond [`GLOBAL_FLAGS`], space-separated;
+/// `None` for an unknown command. `run` rejects any other flag before the
+/// command starts, so a misspelled option cannot be silently ignored.
+fn command_flags(command: &str) -> Option<&'static str> {
+    Some(match command {
+        "generate" => "name family n p dv dh weights seed instance out",
+        "generate-bipartite" => "gen n p g d seed out",
+        "stats" | "verify" | "solvers" => "",
+        "solve" => "algo kinds refine objective save",
+        "exact" => "strategy",
+        "generate-trace" => {
+            "procs arrivals churn max-configs max-pins max-weight proc-events burst-every \
+             burst-len seed out"
+        }
+        "replay" => "policy kind objective",
+        "serve" => {
+            "tenants shards policy slo-gap queue-cap budget max-tenants batch procs arrivals \
+             hotness churn max-configs max-pins max-weight proc-events kind objective seed out"
+        }
+        "dot" => "out",
+        _ => return None,
+    })
 }
 
 /// The per-invocation telemetry session: when `--metrics` and/or
@@ -289,6 +317,16 @@ fn emit_lines<I: IntoIterator<Item = String>>(lines: I) {
 
 fn run(args: &[String]) -> Result<(), String> {
     let (positional, flags) = parse(args)?;
+    let command = *positional.first().ok_or("missing command")?;
+    let accepted = command_flags(command).ok_or_else(|| format!("unknown command '{command}'"))?;
+    let reads = |f: &str| {
+        GLOBAL_FLAGS.split_whitespace().chain(accepted.split_whitespace()).any(|a| a == f)
+    };
+    let mut unread: Vec<&str> = flags.keys().copied().filter(|f| !reads(f)).collect();
+    if !unread.is_empty() {
+        unread.sort_unstable();
+        return Err(format!("{command} does not take --{}", unread.join(", --")));
+    }
     // Pin the global pool before any command touches it. `0` keeps the
     // automatic size (RAYON_NUM_THREADS, else all cores).
     if let Some(n) = flags.get("threads") {
@@ -298,7 +336,6 @@ fn run(args: &[String]) -> Result<(), String> {
             .build_global()
             .map_err(|e| format!("--threads: {e}"))?;
     }
-    let command = *positional.first().ok_or("missing command")?;
     // Install the collecting recorder (if requested) before the command
     // body so every gated instrumentation site in the stack records.
     let telemetry = Telemetry::from_flags(&flags)?;
@@ -757,9 +794,6 @@ fn replay(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<(), String
     if let Some(kind) = flags.get("kind") {
         base.resolve_kind = kind.parse().map_err(|e: semimatch::core::CoreError| e.to_string())?;
     }
-    if let Some(shards) = flags.get("shards") {
-        base.shards = num(shards, "--shards")?;
-    }
     base.objective = objective_flag(flags)?;
 
     println!("trace:      {path} ({} events, {} arrivals)", trace.events.len(), trace.arrivals());
@@ -780,8 +814,8 @@ fn replay(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<(), String
     if let [(policy, engine, secs)] = &runs[..] {
         // Single policy: the classic report.
         println!(
-            "policy:     {} (resolve kind {}, {} shard(s), objective {})",
-            policy, base.resolve_kind, base.shards, base.objective
+            "policy:     {} (resolve kind {}, objective {})",
+            policy, base.resolve_kind, base.objective
         );
         println!(
             "throughput: {:.0} events/sec ({:.4}s total)",
@@ -816,10 +850,9 @@ fn replay(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<(), String
     // counters reported as signed deltas against the first policy's run
     // (built from the saturating `Counters::delta` in both directions).
     println!(
-        "compare:    {} policies (resolve kind {}, {} shard(s), objective {})",
+        "compare:    {} policies (resolve kind {}, objective {})",
         runs.len(),
         base.resolve_kind,
-        base.shards,
         base.objective
     );
     let baseline: Counters = runs[0].1.counters();
@@ -1260,7 +1293,6 @@ mod tests {
         for policy in ["eager", "lazy:4", "periodic:8"] {
             run(&argv(&["replay", tr.to_str().unwrap(), "--policy", policy])).unwrap();
         }
-        run(&argv(&["replay", tr.to_str().unwrap(), "--shards", "2"])).unwrap();
         run(&argv(&["replay", tr.to_str().unwrap(), "--policy", "periodic:4", "--kind", "sgh"]))
             .unwrap();
         // A SINGLEPROC-shaped trace reports the exact-repair marker.
@@ -1288,7 +1320,8 @@ mod tests {
         assert!(run(&argv(&["replay", tr.to_str().unwrap(), "--policy", "eager,bogus"])).is_err());
         assert!(run(&argv(&["replay", tr.to_str().unwrap(), "--policy", "bogus"])).is_err());
         assert!(run(&argv(&["replay", tr.to_str().unwrap(), "--kind", "nonsense"])).is_err());
-        assert!(run(&argv(&["replay", tr.to_str().unwrap(), "--shards", "0"])).is_err());
+        let err = run(&argv(&["replay", tr.to_str().unwrap(), "--shards", "2"])).unwrap_err();
+        assert!(err.contains("--shards"), "{err}");
         assert!(run(&argv(&["replay", dir.join("missing.tr").to_str().unwrap()])).is_err());
         assert!(run(&argv(&["generate-trace", "--procs", "4"])).is_err(), "missing --arrivals");
         assert!(run(&argv(&[

@@ -30,7 +30,7 @@
 //! | [`gen`] | HiLo / FewgManyg / hypergraph generators, adversarial families, X3C |
 //! | [`core`] | exact algorithms, the four SINGLEPROC and four MULTIPROC heuristics, lower bounds, refinement, online dispatch, streaming greedy |
 //! | [`sched`] | task/processor model, schedules, discrete-event simulator, policies |
-//! | [`serve`] | streaming & dynamic serving: event traces, the incremental engine, repair policies, sharding |
+//! | [`serve`] | streaming & dynamic serving: event traces, the incremental engine, repair policies |
 //! | [`daemon`] | multi-tenant serving daemon: sharded event router, per-tenant backpressure, live optimality-gap SLOs |
 //!
 //! The [`solver`] module unifies every algorithm behind one

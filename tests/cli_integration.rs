@@ -188,6 +188,38 @@ fn bad_usage_exits_2() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A flag the subcommand does not read is an error naming it, not a
+/// silently ignored misspelling; nothing is written or replayed.
+#[test]
+fn unread_flags_exit_2_and_name_the_flag() {
+    let dir = tmp_dir("unread-flags");
+    let tr = dir.join("smoke.tr");
+    let gen = semimatch(&[
+        "generate-trace",
+        "--procs",
+        "4",
+        "--arrivals",
+        "16",
+        "--out",
+        tr.to_str().unwrap(),
+    ]);
+    assert!(gen.status.success(), "{gen:?}");
+    let tr = tr.to_str().unwrap();
+    for (args, flag) in [
+        (&["replay", tr, "--shards", "4"][..], "--shards"),
+        (&["replay", tr, "--objectve", "flowtime"][..], "--objectve"),
+        (&["generate-trace", "--procs", "4", "--arrivals", "3", "--max-pin", "1"][..], "--max-pin"),
+    ] {
+        let out = semimatch(args);
+        assert_eq!(out.status.code(), Some(2), "args {args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("does not take {flag}")), "args {args:?}: {err}");
+        // Rejected before any work: no report, no trace on stdout.
+        assert!(out.stdout.is_empty(), "args {args:?}: {}", stdout(&out));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Regression: two 2^63-weight arrivals on one processor used to wrap the
 /// load and replay reported `bottleneck 0` against a lower bound of 2^64.
 /// The overflowing event is now an error, not a score.

@@ -1,10 +1,9 @@
-//! Thread-count determinism: every registered solver kind — and the
-//! serving engine's replay — must return the **same objective score**
-//! whether it runs on one worker or many.
+//! Thread-count determinism: every registered solver kind must return the
+//! **same objective score** whether it runs on one worker or many.
 //!
-//! The parallel paths (the work-stealing semi-matching extraction and the
-//! sharded serve sweeps) are designed to be *deterministic-equivalent*:
-//! they may take different internal routes, but the score they report is
+//! The one in-run parallel path, hk-semi's work-stealing extraction of
+//! augmenting paths, is designed to be *deterministic-equivalent*: it may
+//! take different internal routes, but the score it reports is
 //! bit-identical to the sequential run. This suite pins that contract
 //! across local pools of 1, 2 and 4 workers, on the shared proptest
 //! instance generators and on a seeded tall instance large enough to cross
@@ -16,10 +15,8 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use semimatch::gen::rng::Xoshiro256;
-use semimatch::gen::trace::{generate_trace, TraceParams};
 use semimatch::graph::Bipartite;
 use semimatch::rayon::{ThreadPool, ThreadPoolBuilder};
-use semimatch::serve::{Engine, EngineConfig};
 use semimatch::solver::{solve, Problem, SolverKind};
 
 /// Local pools of 1, 2 and 4 workers, built once. Oversubscription is
@@ -86,35 +83,6 @@ proptest! {
         let problem = Problem::MultiProc(&h);
         for kind in SolverKind::MULTIPROC {
             scores_across_pools(problem, kind);
-        }
-    }
-
-    /// Replaying the same sharded trace under every pool yields the same
-    /// bottleneck and the same per-objective score board: the concurrent
-    /// shard sweeps are bit-equivalent to the sequential shard loop.
-    #[test]
-    fn sharded_replay_is_thread_count_invariant(seed in 0u64..1_000_000) {
-        let params = TraceParams {
-            n_procs: 12,
-            arrivals: 80,
-            churn_pct: 25,
-            max_configs: 3,
-            max_pins: 3,
-            max_weight: 8,
-            proc_events: 0,
-            burst_every: 0,
-            burst_len: 0,
-        };
-        let trace = generate_trace(&params, &mut Xoshiro256::seed_from_u64(seed));
-        let cfg = EngineConfig { shards: 4, ..EngineConfig::default() };
-        let mut first = None;
-        for pool in pools() {
-            let engine = pool.install(|| Engine::replay(cfg, &trace)).unwrap();
-            let snapshot = (engine.bottleneck(), engine.scores());
-            match &first {
-                None => first = Some(snapshot),
-                Some(expect) => prop_assert_eq!(&snapshot, expect),
-            }
         }
     }
 }

@@ -64,27 +64,23 @@ proptest! {
 
     #[test]
     fn eager_incremental_repair_matches_from_scratch_exact(trace in singleproc_trace()) {
-        for shards in [1, 2] {
-            let cfg = EngineConfig { shards, ..EngineConfig::default() };
-            let engine = Engine::replay(cfg, &trace).unwrap();
-            prop_assert!(engine.is_unit_singleton());
-            if engine.n_live_tasks() == 0 {
-                prop_assert_eq!(engine.bottleneck(), 0);
-                continue;
-            }
-            let snap = engine.snapshot();
-            snap.matching.validate(&snap.hypergraph).unwrap();
-            prop_assert_eq!(snap.matching.makespan(&snap.hypergraph), engine.bottleneck());
-            let g = snap.to_bipartite().expect("singleton trace");
-            let problem = Problem::SingleProc(&g);
-            let opt = solve(problem, SolverKind::ExactBisection).unwrap().makespan(&problem).unwrap();
-            prop_assert_eq!(
-                engine.bottleneck(),
-                opt,
-                "incremental repair diverged from the from-scratch optimum ({} shards)",
-                shards
-            );
+        let engine = Engine::replay(EngineConfig::default(), &trace).unwrap();
+        prop_assert!(engine.is_unit_singleton());
+        if engine.n_live_tasks() == 0 {
+            prop_assert_eq!(engine.bottleneck(), 0);
+            return Ok(());
         }
+        let snap = engine.snapshot();
+        snap.matching.validate(&snap.hypergraph).unwrap();
+        prop_assert_eq!(snap.matching.makespan(&snap.hypergraph), engine.bottleneck());
+        let g = snap.to_bipartite().expect("singleton trace");
+        let problem = Problem::SingleProc(&g);
+        let opt = solve(problem, SolverKind::ExactBisection).unwrap().makespan(&problem).unwrap();
+        prop_assert_eq!(
+            engine.bottleneck(),
+            opt,
+            "incremental repair diverged from the from-scratch optimum"
+        );
     }
 
     #[test]
@@ -157,8 +153,8 @@ proptest! {
             RepairPolicy::PlacementOnly, // the no-repair baseline
             RepairPolicy::Periodic { every: 4 },
         ];
-        for (policy, shards) in policies.into_iter().zip([1u32, 2, 1, 3]) {
-            let cfg = EngineConfig { policy, shards, ..EngineConfig::default() };
+        for policy in policies {
+            let cfg = EngineConfig { policy, ..EngineConfig::default() };
             let mut engine = Engine::replay(cfg, &trace).unwrap();
             if engine.n_live_tasks() == 0 {
                 prop_assert_eq!(engine.bottleneck(), 0);
