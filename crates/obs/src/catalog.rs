@@ -125,10 +125,6 @@ catalog! {
         "successive-shortest-path Dijkstra rounds";
     MCF_POTENTIALS_RESETS: Decl<counter> = "mcf.potentials_resets",
         "potential re-initialisations in the min-cost-flow backend";
-    SERVE_EVENTS: Decl<counter> = "serve.events",
-        "serving events processed (arrivals, departures, reweights)";
-    SERVE_REPAIR_LATENCY_NS: Decl<histogram> = "serve.repair_latency_ns",
-        "per-event repair latency, nanoseconds";
     SERVE_COUNTERS_NAME: Family<counter> = "serve.counters.<name>",
         "per-policy repair counters (one series per `serve::Counters` field)";
     DAEMON_TENANT_ID_GAP: Family<gauge> = "daemon.tenant.<id>.gap",
@@ -163,9 +159,9 @@ catalog! {
     POOL_INJECTOR_POPS: Decl<counter> = "pool.injector_pops",
         "jobs taken from the global injector";
     POOL_SLEEPS: Decl<counter> = "pool.sleeps",
-        "worker park events";
+        "idle-worker park events";
     POOL_WAKES: Decl<counter> = "pool.wakes",
-        "worker unpark events";
+        "wake broadcasts to parked threads, after a push or a finished job";
     POOL_WORKER_I_TASKS_EXECUTED: Family<counter> = "pool.worker.<i>.tasks_executed",
         "per-worker job count";
     POOL_WORKER_I_STEALS: Family<counter> = "pool.worker.<i>.steals",

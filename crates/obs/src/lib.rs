@@ -236,7 +236,7 @@ macro_rules! span {
 
 #[cfg(test)]
 mod tests {
-    use super::catalog::{DAEMON_TENANTS, HK_SEMI_SOLVES, SERVE_REPAIR_LATENCY_NS};
+    use super::catalog::{DAEMON_PUMP_NS, DAEMON_TENANTS, HK_SEMI_SOLVES};
     use super::*;
     use std::sync::Mutex;
 
@@ -251,7 +251,7 @@ mod tests {
         assert!(!enabled());
         counter_add(&HK_SEMI_SOLVES, 1);
         gauge_set(&DAEMON_TENANTS, 1);
-        observe(&SERVE_REPAIR_LATENCY_NS, 1);
+        observe(&DAEMON_PUMP_NS, 1);
         let c = Arc::new(Collecting::new());
         install(c.clone());
         assert!(enabled());
@@ -268,7 +268,7 @@ mod tests {
         counter_add(&HK_SEMI_SOLVES, 2);
         counter_add(&HK_SEMI_SOLVES, 3);
         gauge_set(&DAEMON_TENANTS, -4);
-        observe(&SERVE_REPAIR_LATENCY_NS, 100);
+        observe(&DAEMON_PUMP_NS, 100);
         {
             let _outer = span!("t.outer");
             let _inner = span!("t.inner");
@@ -277,7 +277,7 @@ mod tests {
         counter_add(&HK_SEMI_SOLVES, 99); // after uninstall: dropped
         assert_eq!(c.registry().counter("hk_semi.solves").get(), 5);
         assert_eq!(c.registry().gauge("daemon.tenants").get(), -4);
-        assert_eq!(c.registry().histogram("serve.repair_latency_ns").count(), 1);
+        assert_eq!(c.registry().histogram("daemon.pump_ns").count(), 1);
         assert_eq!(c.registry().histogram("span.t.outer").count(), 1);
         assert_eq!(c.registry().histogram("span.t.inner").count(), 1);
         let events = c.ring().unwrap().events();

@@ -6,7 +6,9 @@
 //! registry is safe (and cheap) to hammer from rayon workers. Callers on a
 //! genuinely hot path should resolve the [`Arc`] handle once and update it
 //! directly, or accumulate plain locals and flush a single delta per
-//! phase — the instrumented solvers in this workspace all do the latter.
+//! phase. The instrumented solvers and the serving engine in this
+//! workspace all do the latter: the engine keeps its counts in
+//! `serve::Counters`, which `semimatch replay` publishes once per run.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -29,7 +29,7 @@ use semimatch_core::solver::{KindSolver, Problem, Solution, Solver, SolverClass}
 use semimatch_gen::trace::{Event, Trace};
 use semimatch_graph::{Bipartite, Hypergraph};
 
-use semimatch_obs::{self as obs, catalog as metric};
+use semimatch_obs as obs;
 
 use crate::error::{Result, ServeError};
 use crate::policy::{Counters, EngineConfig, RepairPolicy};
@@ -185,8 +185,8 @@ pub struct Engine {
     nonunit_configs: usize,
     counters: Counters,
     /// Σ over live tasks of their cheapest configuration weight: the work
-    /// any assignment must place somewhere, maintained incrementally for
-    /// the O(1) per-event lower-bound gauge.
+    /// any assignment must place somewhere, maintained incrementally so
+    /// [`Engine::lower_bound_estimate`] is O(1).
     min_weight_sum: u128,
     /// Σ over live tasks of their heaviest configuration weight. No task
     /// adds more than its heaviest weight to a processor, so every load is
@@ -346,15 +346,7 @@ impl Engine {
             Event::DropProc { proc } => self.drop_proc(*proc)?,
         }
         self.counters.events += 1;
-        if !obs::enabled() {
-            return self.run_policy();
-        }
-        let repair_start = std::time::Instant::now();
-        let res = self.run_policy();
-        let elapsed = repair_start.elapsed().as_nanos();
-        obs::observe(&metric::SERVE_REPAIR_LATENCY_NS, elapsed.min(u64::MAX as u128) as u64);
-        obs::counter_add(&metric::SERVE_EVENTS, 1);
-        res
+        self.run_policy()
     }
 
     /// The policy dispatch of [`Engine::apply`]: decides whether the

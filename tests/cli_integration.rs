@@ -408,10 +408,10 @@ fn metric_value(json: &str, name: &str) -> i64 {
         .unwrap_or_else(|| panic!("metric {name} has no integer value: {line}"))
 }
 
-/// The ISSUE's CLI telemetry contract: `solve --metrics=json` and
+/// The CLI telemetry contract: `solve --metrics=json` and
 /// `replay --metrics=json` both end stdout with a schema-conformant JSON
-/// dump carrying the layer's key series (solver probes; serving repair
-/// latency plus the live score/lower-bound gauge pair).
+/// dump carrying the layer's key series (solver probes; the replay's
+/// event count and repair span).
 #[test]
 fn solve_and_replay_emit_metrics_json() {
     let dir = tmp_dir("metrics");
@@ -463,14 +463,15 @@ fn solve_and_replay_emit_metrics_json() {
     let text = stdout(&out);
     let json = metrics_json(&text);
     assert_metrics_schema(json);
-    let events = metric_value(json, "serve.events");
-    assert!(events >= 300, "every trace event recorded: {events}");
+    let trace = semimatch::serve::Trace::read(File::open(&tr).unwrap()).unwrap();
+    let events = metric_value(json, "serve.counters.events");
+    assert_eq!(events, trace.events.len() as i64, "every trace event counted once");
     let line = json
         .lines()
-        .find(|l| l.trim_start().starts_with("\"serve.repair_latency_ns\""))
-        .expect("repair latency histogram");
+        .find(|l| l.trim_start().starts_with("\"span.serve.repair\""))
+        .expect("repair span histogram");
     assert!(line.contains("\"type\": \"histogram\""), "{line}");
-    assert!(!line.contains("\"count\": 0,"), "latency histogram must be populated: {line}");
+    assert!(!line.contains("\"count\": 0,"), "repair span histogram must be populated: {line}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,13 +1,16 @@
 //! Telemetry subsystem properties: the README metric table is the
 //! rendered catalog, exact counts under concurrency, the recorder's
-//! zero-interference guarantee, Chrome trace export, and the warm-vs-cold
-//! probe accounting of the cost-scaling solver.
+//! zero-interference guarantee, Chrome trace export, the warm-vs-cold
+//! probe accounting of the cost-scaling solver, and the daemon's
+//! published counts and tenant gauges.
 
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use semimatch::core::exact::{cost_scaling_cold_in, cost_scaling_seeded_in};
+use semimatch::daemon::{Daemon, DaemonConfig};
 use semimatch::gen::rng::Xoshiro256;
+use semimatch::gen::trace::{generate_multiplexed, MultiplexParams, TraceParams};
 use semimatch::gen::{fewg_manyg, hilo_permuted};
 use semimatch::graph::Bipartite;
 use semimatch::matching::SearchWorkspace;
@@ -22,6 +25,13 @@ fn counter_value(reg: &Registry, name: &str) -> u64 {
     match reg.snapshot().into_iter().find(|(n, _)| n == name) {
         Some((_, MetricValue::Counter(v))) => v,
         other => panic!("expected counter '{name}', got {other:?}"),
+    }
+}
+
+fn gauge_value(reg: &Registry, name: &str) -> i64 {
+    match reg.snapshot().into_iter().find(|(n, _)| n == name) {
+        Some((_, MetricValue::Gauge(v))) => v,
+        other => panic!("expected gauge '{name}', got {other:?}"),
     }
 }
 
@@ -347,4 +357,54 @@ fn seeded_cost_scaling_reports_warm_sessions_and_beats_cold_probes() {
         "warm-started search must probe less than the cold ablation \
          ({probes} vs {cold_probes})"
     );
+}
+
+// -------------------------------------------------------------------
+// The daemon publishes its own counts and its tenants' live scores
+// -------------------------------------------------------------------
+
+#[test]
+fn daemon_publishes_applied_events_and_tenant_scores() {
+    let _guard = GLOBAL_RECORDER_LOCK.lock().unwrap();
+    let params = MultiplexParams {
+        tenants: 5,
+        hotness: 1,
+        per_tenant: TraceParams {
+            n_procs: 8,
+            arrivals: 160,
+            churn_pct: 20,
+            ..TraceParams::default()
+        },
+    };
+    let trace = generate_multiplexed(&params, &mut Xoshiro256::seed_from_u64(17));
+    let mut daemon = Daemon::new(DaemonConfig { shards: 2, ..DaemonConfig::default() }).unwrap();
+    for tenant in 0..trace.tenants {
+        daemon.admit(tenant, trace.n_procs).unwrap();
+    }
+
+    let collecting = Arc::new(Collecting::new());
+    semimatch::obs::install(collecting.clone());
+    let reg = collecting.registry();
+    for batch in trace.events.chunks(37) {
+        for (tenant, ev) in batch {
+            assert_eq!(daemon.submit(*tenant, ev.clone()), Ok(true));
+        }
+        daemon.pump();
+        daemon.publish_metrics();
+        // Publishes send deltas: the published total is the daemon's own
+        // count after every pump, never a running sum of totals.
+        assert_eq!(counter_value(reg, "daemon.applied"), daemon.counters().applied);
+        for tenant in 0..trace.tenants {
+            let score = daemon.status(tenant).unwrap().score.0;
+            let gauge = gauge_value(reg, &format!("daemon.tenant.{tenant}.score"));
+            assert_eq!(gauge as u128, score, "tenant {tenant} score gauge");
+        }
+    }
+    // A publish with nothing new to report adds nothing.
+    daemon.publish_metrics();
+    semimatch::obs::uninstall();
+    let applied = daemon.counters().applied;
+    assert_eq!(applied, trace.events.len() as u64, "every submitted event applied");
+    assert_eq!(counter_value(reg, "daemon.applied"), applied);
+    assert_eq!(counter_value(reg, "daemon.submitted"), applied);
 }
