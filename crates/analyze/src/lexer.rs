@@ -2,21 +2,20 @@
 //!
 //! The rule engine does not need a full parse tree: every lint in this crate
 //! is a statement about *lines* — "this line uses an atomic ordering", "this
-//! line opens an `unsafe` block", "the adjacent comment carries a
+//! line calls a read-modify-write", "the adjacent comment carries a
 //! justification". What it does need, and what a naive `grep` cannot deliver,
 //! is a reliable separation of the two channels a source line interleaves:
 //!
 //! * **code** — the line with comments removed and string/char literal
-//!   *contents* blanked (the quotes stay, so call shapes like `spawn("")`
+//!   *contents* blanked (the quotes stay, so call shapes like `load("")`
 //!   remain visible). Rules match tokens here, so `Ordering::Relaxed` inside
 //!   a doc comment or a format string can never trip a lint.
 //! * **comment** — the concatenated text of `//` and `/* */` comments that
-//!   touch the line. Justification markers (`SAFETY:`, `ordering:`, `cast:`)
-//!   are looked up here.
+//!   touch the line. The `ordering:` justification marker is looked up here.
 //!
 //! The lexer also tracks `#[cfg(test)] mod` regions by brace depth so rules
-//! can skip test-only code (test modules may spawn threads, hammer orderings,
-//! and cast freely without polluting the production audit).
+//! can skip test-only code (test modules may hammer orderings freely without
+//! polluting the production audit).
 
 /// One source line, split into the two channels described at module level.
 #[derive(Debug, Clone, Default)]

@@ -1,12 +1,13 @@
 //! Workspace-native static analysis for the `semimatch` workspace.
 //!
-//! A zero-dependency lint engine purpose-built for the invariants this
-//! codebase actually depends on: `unsafe` sites must argue their safety,
-//! atomic orderings must argue their strength (with relaxed read-modify-write
-//! flagged unconditionally), score-path casts must argue their range, and no
-//! code outside the vendored pool may spawn raw threads.
+//! A zero-dependency lint engine for the one invariant clippy cannot check:
+//! atomic orderings in the concurrency-bearing modules must argue their
+//! strength, and a relaxed read-modify-write is flagged unconditionally.
+//! The unsafe, thread-spawn and cast audits are clippy lints
+//! (`[workspace.lints.clippy]` in the root manifest, `clippy.toml`, and a
+//! module-level `deny` on the score and lower-bound arithmetic).
 //!
-//! The engine is a lightweight line/token lexer ([`lexer`]) feeding five rules
+//! The engine is a lightweight line/token lexer ([`lexer`]) feeding two rules
 //! ([`rules`]), with a counted, justification-carrying allowlist
 //! ([`baseline`]) and `file:line` diagnostics ([`report`]). The
 //! `semimatch-analyze` binary (and `semimatch analyze` subcommand) exit

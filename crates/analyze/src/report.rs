@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 /// One diagnostic: a rule violation anchored to `file:line`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Stable rule identifier (kebab-case), e.g. `unsafe-safety-comment`.
+    /// Stable rule identifier (kebab-case), e.g. `relaxed-rmw`.
     pub rule: &'static str,
     /// Path relative to the analysis root.
     pub file: String,

@@ -68,7 +68,7 @@ pub fn check(ws: &Workspace) -> Vec<Finding> {
         }
         for (lineno, line) in file.code_lines() {
             let has_atomic = ATOMIC_ORDERINGS.iter().any(|o| line.code.contains(o));
-            if has_atomic && !justified(file, lineno - 1, "ordering:", None) {
+            if has_atomic && !justified(file, lineno - 1, "ordering:") {
                 out.push(Finding {
                     rule: RULE_JUSTIFIED,
                     file: file.rel.clone(),

@@ -21,6 +21,8 @@
 //! specialization. For [`Objective::FlowTime`] this is the natural
 //! flow-time analogue of Eq. 1.
 
+#![deny(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)]
+
 use semimatch_graph::{Bipartite, Hypergraph};
 
 use crate::error::{CoreError, Result};
@@ -29,27 +31,10 @@ use crate::objective::{balanced_score, Objective, Score};
 /// The paper's Eq. 1 for `MULTIPROC`, as an exact rational `⌈Σ time_i / p⌉`,
 /// combined with the single-task bound `max_i min_h w_h`.
 pub fn lower_bound_multiproc(h: &Hypergraph) -> Result<u64> {
-    let mut total: u128 = 0;
-    let mut single_task = 0u64;
-    for t in 0..h.n_tasks() {
-        let range = h.hedges_of(t);
-        if range.is_empty() {
-            return Err(CoreError::UncoveredTask(t));
-        }
-        let mut best_time = u64::MAX;
-        let mut best_weight = u64::MAX;
-        for hid in range {
-            // cast: u32 → u64 widening; hedge sizes always fit.
-            let time = h.weight(hid) * h.hedge_size(hid) as u64;
-            best_time = best_time.min(time);
-            best_weight = best_weight.min(h.weight(hid));
-        }
-        total += best_time as u128;
-        single_task = single_task.max(best_weight);
-    }
+    let (total, single_task) = multiproc_work(h)?;
     let p = h.n_procs().max(1) as u128;
-    // Saturate rather than truncate: `total` is a u128 sum of u64 times, so
-    // the averaged bound can exceed u64 on adversarial inputs; u64::MAX is
+    // Saturate rather than truncate: `total` is a u128 sum of per-task times,
+    // so the averaged bound can exceed u64 on adversarial inputs; u64::MAX is
     // still a valid makespan floor (the PR 5 overflow class).
     let averaged = u64::try_from(total.div_ceil(p)).unwrap_or(u64::MAX);
     Ok(averaged.max(single_task))
@@ -57,19 +42,30 @@ pub fn lower_bound_multiproc(h: &Hypergraph) -> Result<u64> {
 
 /// Eq. 1 as a real number (no ceiling), for reporting.
 pub fn lower_bound_multiproc_f64(h: &Hypergraph) -> Result<f64> {
-    let mut total: f64 = 0.0;
+    Ok(multiproc_work(h)?.0 as f64 / h.n_procs().max(1) as f64)
+}
+
+/// `(Σ_i time_i, max_i min_h w_h)` with `time_i = min_h w_h · |h|`. Each
+/// product is taken in `u128`: `w_h · |h|` can exceed `u64` even when every
+/// processor load fits.
+fn multiproc_work(h: &Hypergraph) -> Result<(u128, u64)> {
+    let mut total: u128 = 0;
+    let mut single_task = 0u64;
     for t in 0..h.n_tasks() {
         let range = h.hedges_of(t);
         if range.is_empty() {
             return Err(CoreError::UncoveredTask(t));
         }
-        let best = range
-            // cast: u32 → u64 widening; hedge sizes always fit.
-            .map(|hid| (h.weight(hid) * h.hedge_size(hid) as u64) as f64)
-            .fold(f64::INFINITY, f64::min);
-        total += best;
+        let mut best_time = u128::MAX;
+        let mut best_weight = u64::MAX;
+        for hid in range {
+            best_time = best_time.min(h.weight(hid) as u128 * h.hedge_size(hid) as u128);
+            best_weight = best_weight.min(h.weight(hid));
+        }
+        total += best_time;
+        single_task = single_task.max(best_weight);
     }
-    Ok(total / h.n_procs().max(1) as f64)
+    Ok((total, single_task))
 }
 
 /// Lower bound on the optimal `MULTIPROC` score under any [`Objective`].
@@ -86,19 +82,7 @@ pub fn lower_bound_objective_multiproc(h: &Hypergraph, objective: Objective) -> 
     if objective.is_bottleneck() {
         return Ok(Score(lower_bound_multiproc(h)? as u128));
     }
-    let mut total: u128 = 0;
-    for t in 0..h.n_tasks() {
-        let range = h.hedges_of(t);
-        if range.is_empty() {
-            return Err(CoreError::UncoveredTask(t));
-        }
-        let best = range
-            .map(|hid| h.weight(hid) as u128 * h.hedge_size(hid) as u128)
-            .min()
-            .expect("non-empty");
-        total += best;
-    }
-    // cast: u32 → u64 widening; processor counts always fit.
+    let (total, _) = multiproc_work(h)?;
     Ok(balanced_score(objective, total, h.n_procs().max(1) as u64))
 }
 
@@ -116,7 +100,6 @@ pub fn lower_bound_objective_singleproc(g: &Bipartite, objective: Objective) -> 
         }
         total += range.map(|e| g.weight(e)).min().expect("non-empty") as u128;
     }
-    // cast: u32 → u64 widening; processor counts always fit.
     Ok(balanced_score(objective, total, g.n_right().max(1) as u64))
 }
 
@@ -178,6 +161,20 @@ mod tests {
         assert_eq!(lower_bound_multiproc(&h).unwrap(), 3);
         let f = lower_bound_multiproc_f64(&h).unwrap();
         assert!((f - 2.0).abs() < 1e-12);
+    }
+
+    /// Regression: `w_h · |h|` overflowed `u64` here (a debug panic, a
+    /// wrapped bound in release) although the single processor load fits.
+    #[test]
+    fn multiproc_work_is_exact_beyond_u64() {
+        let w = 1u64 << 63;
+        let h = Hypergraph::from_hyperedges(1, 4, vec![(0, vec![0, 1, 2, 3], w)]).unwrap();
+        assert_eq!(lower_bound_multiproc(&h).unwrap(), w);
+        assert_eq!(lower_bound_multiproc_f64(&h).unwrap(), w as f64);
+        assert_eq!(
+            lower_bound_objective_multiproc(&h, Objective::WeightedLoad).unwrap().0,
+            4 * w as u128
+        );
     }
 
     #[test]

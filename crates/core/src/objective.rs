@@ -22,6 +22,8 @@
 //! comparisons never suffer float round-off and `u64` loads cannot
 //! overflow a sum of squares.
 
+#![deny(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)]
+
 use std::fmt;
 use std::str::FromStr;
 
@@ -153,9 +155,7 @@ impl Objective {
         let cost = |l: f64| match self {
             Objective::Makespan | Objective::WeightedLoad => l,
             Objective::FlowTime => l * (l + 1.0) / 2.0,
-            // cast: `i32::MAX as u32` is exact, and the min-clamp proves the
-            // following `as i32` is in range.
-            Objective::LpNorm(p) => l.powi(p.min(i32::MAX as u32) as i32),
+            Objective::LpNorm(p) => l.powi(i32::try_from(p).unwrap_or(i32::MAX)),
         };
         let delta = cost(load + add) - cost(load);
         if delta.is_nan() {
@@ -334,7 +334,13 @@ mod tests {
         let l = 1u64 << 32;
         assert_eq!(Objective::LpNorm(2).marginal(l, 1), 2 * l as u128 + 1);
         let f = Objective::LpNorm(2).marginal_f64(l as f64, 1.0);
-        assert_ne!(f as u128, 2 * l as u128 + 1, "the float path really does diverge here");
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "f is 2^33, a positive integer well inside u128"
+        )]
+        let f = f as u128;
+        assert_ne!(f, 2 * l as u128 + 1, "the float path really does diverge here");
     }
 
     /// Regression: `marginal` at the `u64` domain boundary must stay

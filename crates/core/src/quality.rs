@@ -1,5 +1,7 @@
 //! Quality metrics and the paper's median-of-10 aggregation.
 
+#![deny(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)]
+
 use crate::objective::Score;
 
 /// `makespan / lower_bound` as a real ratio (the entries of Tables II/III).

@@ -25,8 +25,7 @@
 //!
 //! Workloads come from [`semimatch_gen::trace::generate_multiplexed`]
 //! (per-tenant traces interleaved with Zipf-skewed tenant hotness); the
-//! `semimatch serve` CLI subcommand and the `serve_scale` bench bin drive
-//! [`Daemon::run`] over them.
+//! `semimatch serve` CLI subcommand drives [`Daemon::run`] over them.
 //!
 //! ```
 //! use semimatch_daemon::{Daemon, DaemonConfig};

@@ -10,7 +10,7 @@
 //! algorithms can scan either side without pointer chasing, following the
 //! flat-array guidance of the Rust performance book.
 
-use crate::error::{GraphError, Result};
+use crate::error::{check_load_bound, GraphError, Result};
 
 /// Identifier of an edge: its position in the forward CSR `adj` array.
 pub type EdgeId = u32;
@@ -20,7 +20,9 @@ pub type EdgeId = u32;
 /// Invariants (enforced by all constructors):
 /// * neighbor lists are sorted and duplicate-free,
 /// * all indices are in range,
-/// * `weights.len() == num_edges()` and all weights are positive.
+/// * `weights.len() == num_edges()` and all weights are positive,
+/// * the tasks' heaviest edge weights sum to at most `u64::MAX`, so no
+///   processor load can wrap.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Bipartite {
     n_left: u32,
@@ -49,7 +51,8 @@ impl Bipartite {
     /// Builds a graph from an edge list with one weight per edge.
     ///
     /// Edges may be given in any order; they are sorted internally.
-    /// Duplicate edges and zero weights are rejected.
+    /// Duplicate edges, zero weights and weights whose per-task maxima sum
+    /// past `u64::MAX` are rejected.
     pub fn from_weighted_edges(
         n_left: u32,
         n_right: u32,
@@ -112,6 +115,7 @@ impl Bipartite {
                 }
             }
         }
+        check_load_bound(&xadj, &wts)?;
         Ok(Self::from_csr_unchecked(n_left, n_right, xadj, adj, wts))
     }
 
@@ -253,7 +257,8 @@ impl Bipartite {
         self.weights.iter().all(|&w| w == 1)
     }
 
-    /// Replaces all edge weights. Length and positivity are validated.
+    /// Replaces all edge weights. Length, positivity and the load bound are
+    /// validated.
     pub fn set_weights(&mut self, weights: Vec<u64>) -> Result<()> {
         if weights.len() != self.adj.len() {
             return Err(GraphError::WeightLengthMismatch {
@@ -264,6 +269,7 @@ impl Bipartite {
         if let Some(i) = weights.iter().position(|&w| w == 0) {
             return Err(GraphError::ZeroWeight { index: i });
         }
+        check_load_bound(&self.xadj, &weights)?;
         self.weights = weights;
         Ok(())
     }
@@ -402,6 +408,21 @@ mod tests {
     fn zero_weight_rejected() {
         let err = Bipartite::from_weighted_edges(1, 2, &[(0, 0), (0, 1)], &[1, 0]).unwrap_err();
         assert!(matches!(err, GraphError::ZeroWeight { index: 1 }));
+    }
+
+    #[test]
+    fn load_overflow_rejected() {
+        // Each task counts once, at its heaviest edge: u64::MAX on a single
+        // task fits, two 2^62 tasks fit, two 2^63 tasks can wrap a load.
+        let max = u64::MAX;
+        assert!(Bipartite::from_weighted_edges(1, 2, &[(0, 0), (0, 1)], &[max, max]).is_ok());
+        let w = 1u64 << 62;
+        let mut g = Bipartite::from_weighted_edges(2, 1, &[(0, 0), (1, 0)], &[w, w]).unwrap();
+        let err = Bipartite::from_weighted_edges(2, 1, &[(0, 0), (1, 0)], &[2 * w, 2 * w]);
+        assert!(matches!(err.unwrap_err(), GraphError::LoadOverflow { task: 1 }));
+        let err = g.set_weights(vec![2 * w, 2 * w]).unwrap_err();
+        assert!(matches!(err, GraphError::LoadOverflow { task: 1 }));
+        assert_eq!(g.weight(0), w, "a rejected reweight leaves the graph unchanged");
     }
 
     #[test]

@@ -20,6 +20,9 @@ pub enum GraphError {
     WeightLengthMismatch { expected: usize, got: usize },
     /// A zero weight was supplied (execution times must be positive).
     ZeroWeight { index: usize },
+    /// The tasks' heaviest weights sum past `u64::MAX`, so a processor load
+    /// could wrap. `task` is the task whose heaviest weight crosses it.
+    LoadOverflow { task: u32 },
     /// Underlying I/O failure.
     Io(std::io::Error),
     /// Malformed text while parsing a serialized graph.
@@ -50,6 +53,11 @@ impl fmt::Display for GraphError {
             GraphError::ZeroWeight { index } => {
                 write!(f, "weight at index {index} is zero; execution times must be positive")
             }
+            GraphError::LoadOverflow { task } => write!(
+                f,
+                "load overflow: with task {task}, the tasks' heaviest weights sum past \
+                 u64::MAX, so a processor load could wrap"
+            ),
             GraphError::Io(e) => write!(f, "i/o error: {e}"),
             GraphError::Parse { line, msg } => write!(f, "parse error at line {line}: {msg}"),
         }
@@ -73,6 +81,18 @@ impl From<std::io::Error> for GraphError {
 
 /// Convenient result alias for this crate.
 pub type Result<T> = std::result::Result<T, GraphError>;
+
+/// Rejects weights whose per-task maxima sum past `u64::MAX`. A task adds at
+/// most its heaviest weight to any processor, so below that sum no load can
+/// wrap. `task_ptr` is the task → slot CSR over `weights`.
+pub(crate) fn check_load_bound(task_ptr: &[usize], weights: &[u64]) -> Result<()> {
+    let mut sum = 0u64;
+    for (task, slots) in task_ptr.windows(2).enumerate() {
+        let heaviest = weights[slots[0]..slots[1]].iter().copied().max().unwrap_or(0);
+        sum = sum.checked_add(heaviest).ok_or(GraphError::LoadOverflow { task: task as u32 })?;
+    }
+    Ok(())
+}
 
 #[cfg(test)]
 mod tests {

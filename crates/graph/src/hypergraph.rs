@@ -9,7 +9,7 @@
 //! The structure is stored as two CSR maps: task → hyperedges and
 //! hyperedge → processors ("pins"), plus the owner task of each hyperedge.
 
-use crate::error::{GraphError, Result};
+use crate::error::{check_load_bound, GraphError, Result};
 
 /// A bipartite hypergraph with one weight per hyperedge.
 ///
@@ -17,6 +17,8 @@ use crate::error::{GraphError, Result};
 /// * each hyperedge has exactly one owning task and ≥ 1 processors,
 /// * pin lists are sorted and duplicate-free,
 /// * all indices in range, all weights positive,
+/// * the tasks' heaviest weights sum to at most `u64::MAX`, so no processor
+///   load can wrap,
 /// * the hyperedges of a task are contiguous in hyperedge-id order
 ///   (hyperedges are grouped by task).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -54,6 +56,8 @@ impl Hypergraph {
     ///
     /// Hyperedges may arrive in any order; they are grouped by task
     /// internally. Pin lists may be unsorted but must not repeat a processor.
+    /// Zero weights and weights whose per-task maxima sum past `u64::MAX`
+    /// are rejected.
     pub fn from_hyperedges(
         n_tasks: u32,
         n_procs: u32,
@@ -104,6 +108,7 @@ impl Hypergraph {
             hedge_task.push(t);
             weights.push(w);
         }
+        check_load_bound(&task_ptr, &weights)?;
         Ok(Hypergraph { n_tasks, n_procs, task_ptr, hedge_ptr, pins, hedge_task, weights })
     }
 
@@ -178,7 +183,8 @@ impl Hypergraph {
         self.weights.iter().all(|&w| w == 1)
     }
 
-    /// Replaces all hyperedge weights. Length and positivity are validated.
+    /// Replaces all hyperedge weights. Length, positivity and the load bound
+    /// are validated.
     pub fn set_weights(&mut self, weights: Vec<u64>) -> Result<()> {
         if weights.len() != self.hedge_task.len() {
             return Err(GraphError::WeightLengthMismatch {
@@ -189,6 +195,7 @@ impl Hypergraph {
         if let Some(i) = weights.iter().position(|&w| w == 0) {
             return Err(GraphError::ZeroWeight { index: i });
         }
+        check_load_bound(&self.task_ptr, &weights)?;
         self.weights = weights;
         Ok(())
     }
@@ -357,6 +364,18 @@ mod tests {
     fn zero_weight_rejected() {
         let err = Hypergraph::from_hyperedges(1, 2, vec![(0, vec![0], 0)]).unwrap_err();
         assert!(matches!(err, GraphError::ZeroWeight { .. }));
+    }
+
+    #[test]
+    fn load_overflow_rejected() {
+        let w = 1u64 << 63;
+        let one_task = vec![(0, vec![0], w), (0, vec![0, 1], w)];
+        let mut h = Hypergraph::from_hyperedges(2, 2, one_task).unwrap();
+        let two_tasks = vec![(1, vec![0], w), (0, vec![0, 1], w)];
+        let err = Hypergraph::from_hyperedges(2, 2, two_tasks).unwrap_err();
+        assert!(matches!(err, GraphError::LoadOverflow { task: 1 }));
+        assert!(h.set_weights(vec![w, w - 1]).is_ok());
+        assert!(h.set_weights(vec![u64::MAX, 1]).is_ok());
     }
 
     #[test]

@@ -87,8 +87,9 @@ usage:
                                 and per-tenant optimality-gap SLO reporting)
   semimatch analyze             [--root DIR] [--baseline FILE | --no-baseline]
                                 [--format text|json]
-                                (workspace-native static analysis: unsafe,
-                                ordering, cast and thread-spawn audits;
+                                (workspace-native static analysis: the
+                                atomic-ordering audits; clippy carries the
+                                unsafe, thread-spawn and cast audits;
                                 exits 0 clean, 1 on findings)
   semimatch dot                 FILE.{hg,bg} [--out FILE.dot]
 
@@ -386,6 +387,9 @@ fn generate(flags: &HashMap<&str, &str>) -> Result<(), String> {
             weights,
         }
     };
+    if cfg.p == 0 || cfg.dh == 0 {
+        return Err("--p and --dh must be at least 1".into());
+    }
     if !cfg.p.is_multiple_of(cfg.family.groups()) {
         return Err(format!(
             "--p must be divisible by the family's group count ({})",
@@ -414,7 +418,10 @@ fn generate_bipartite(flags: &HashMap<&str, &str>) -> Result<(), String> {
     let n = num(req(flags, "n")?, "--n")?;
     let p: u32 = num(req(flags, "p")?, "--p")?;
     let g: u32 = num(req(flags, "g")?, "--g")?;
-    let d = num(req(flags, "d")?, "--d")?;
+    let d: u32 = num(req(flags, "d")?, "--d")?;
+    if p == 0 || d == 0 {
+        return Err("--p and --d must be at least 1".into());
+    }
     if g == 0 || !p.is_multiple_of(g) {
         return Err("--p must be divisible by --g".into());
     }

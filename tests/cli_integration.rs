@@ -237,6 +237,67 @@ fn replay_rejects_load_overflow_instead_of_wrapping() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Regression: two 2^63-weight tasks on one processor used to solve to
+/// `makespan: 0` (the load wrapped) under a `u64::MAX` lower bound.
+#[test]
+fn solve_rejects_weights_that_could_wrap_a_load() {
+    let dir = tmp_dir("wrap");
+    let bg = dir.join("wrap.bg");
+    let half = 1u64 << 63;
+    std::fs::write(&bg, format!("2 1 2\n0 0 {half}\n1 0 {half}\n")).unwrap();
+    let out = semimatch(&["solve", bg.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("load overflow") && err.contains("u64::MAX"), "{err}");
+    assert!(!stdout(&out).contains("makespan"), "{}", stdout(&out));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every numeric flag of the generators and the daemon, set to 0 on an
+/// otherwise small valid command, either succeeds or exits 2 with a
+/// message: no zero reaches a generator's assertion.
+#[test]
+fn zero_valued_numeric_flags_exit_0_or_2() {
+    let mut commands = Vec::new();
+    for (family, p) in [("FG", 32), ("MG", 128), ("HLF", 32), ("HLM", 128)] {
+        commands.push(format!(
+            "generate --family {family} --n 64 --p {p} --dv 2 --dh 3 --seed 1 --instance 1"
+        ));
+    }
+    for gen in ["hilo", "fewgmanyg"] {
+        commands.push(format!("generate-bipartite --gen {gen} --n 24 --p 8 --g 4 --d 2 --seed 1"));
+    }
+    commands.push(
+        "generate-trace --procs 4 --arrivals 32 --churn 20 --max-configs 2 --max-pins 2 \
+         --max-weight 4 --proc-events 2 --burst-every 8 --burst-len 2 --seed 1"
+            .into(),
+    );
+    commands.push(
+        "serve --tenants 2 --shards 2 --slo-gap 4 --queue-cap 16 --budget 8 --max-tenants 2 \
+         --batch 8 --procs 4 --arrivals 32 --hotness 1 --churn 20 --max-configs 2 \
+         --max-pins 2 --max-weight 4 --proc-events 2 --seed 1"
+            .into(),
+    );
+    let mut bad = Vec::new();
+    for base in &commands {
+        let base: Vec<&str> = base.split_whitespace().collect();
+        // A flag is numeric when its value in the valid base command is.
+        for i in (1..base.len()).step_by(2) {
+            if base[i + 1].parse::<u64>().is_err() {
+                continue;
+            }
+            let mut args = base.clone();
+            args[i + 1] = "0";
+            let out = semimatch(&args);
+            let err = String::from_utf8_lossy(&out.stderr);
+            if !matches!(out.status.code(), Some(0 | 2)) || err.contains("panicked") {
+                bad.push(format!("{} -> {:?}: {err}", args.join(" "), out.status.code()));
+            }
+        }
+    }
+    assert!(bad.is_empty(), "{} command(s) failed:\n{}", bad.len(), bad.join("\n"));
+}
+
 #[test]
 fn exact_strategies_agree_via_cli() {
     let dir = tmp_dir("exact");

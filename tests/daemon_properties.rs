@@ -90,7 +90,7 @@ proptest! {
     }
 
     /// Per-tenant outcomes are invariant under the shard count — the
-    /// determinism contract the `serve_scale` bench asserts while timing.
+    /// daemon's determinism contract.
     #[test]
     fn per_tenant_outcomes_are_shard_count_invariant(trace in multiplexed(2)) {
         let outcome = |d: &Daemon| -> Vec<(u32, u128, u128, u128, u64, usize, usize)> {
