@@ -13,10 +13,14 @@ use crate::error::{DaemonError, Result};
 /// (tenant capacity).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DaemonConfig {
-    /// Router shards (≥ 1). Tenants hash to a shard; shards pump their
-    /// tenants in parallel on the work-stealing pool. Per-tenant results
-    /// are invariant under the shard count — sharding only changes *who
-    /// runs next to whom*, never per-tenant event order.
+    /// Router shards (≥ 1). Tenants hash to a shard, and a shard is
+    /// created when its first tenant is admitted. A pump forks the shards
+    /// onto the work-stealing pool only when at least two hold queued
+    /// work, the pool has at least two workers, and each of the last two
+    /// pumps spent at least 1 ms in the engines; otherwise they pump in
+    /// turn on the calling thread. Per-tenant results are invariant under the
+    /// shard count — sharding only changes *who runs next to whom*, never
+    /// per-tenant event order.
     pub shards: u32,
     /// Per-tenant engine configuration (repair policy, resolve kind,
     /// objective). Every admitted tenant starts from this;

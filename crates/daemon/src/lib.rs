@@ -10,7 +10,9 @@
 //!
 //! * [`Daemon`] — admission control, tenant-id-hash → shard routing,
 //!   bounded per-tenant ingest queues, and a batched [`Daemon::pump`]
-//!   that drains shards in parallel on the vendored work-stealing pool;
+//!   that drains the shards on the calling thread, or forks them onto
+//!   the vendored work-stealing pool when the last two pumps' engine
+//!   times (each at least 1 ms) say the fork pays;
 //! * **backpressure** — a full tenant queue sheds submits with
 //!   accounting; a per-pump *migration budget* caps how much repair work
 //!   (shifts, moves, resolves) one tenant may consume before being
@@ -21,7 +23,7 @@
 //!   `daemon.*` rows of its metric catalog);
 //! * **determinism** — tenant engines are independent and per-tenant
 //!   event order is preserved, so every tenant's final score is invariant
-//!   under the shard count.
+//!   under the shard count and under whether a pump forks.
 //!
 //! Workloads come from [`semimatch_gen::trace::generate_multiplexed`]
 //! (per-tenant traces interleaved with Zipf-skewed tenant hotness); the
@@ -171,6 +173,57 @@ mod tests {
         let c = d.counters();
         assert_eq!(c.applied + c.shed_apply_error, c.submitted, "every accepted submit lands");
         assert_eq!(c.shed_queue_full, 0, "batch below queue capacity never sheds");
+    }
+
+    #[test]
+    fn repair_heavy_pumps_fork_and_match_one_shard() {
+        // Eager repair of weighted two-pin configurations. The first two
+        // pumps (1200 and 450 events over 4 tenants) each carry 5–8 ms of
+        // engine work in a release build on a 2-core host, at least 5× the
+        // fork threshold, so the third pump forks when both shards hold
+        // work.
+        let params = MultiplexParams {
+            tenants: 4,
+            hotness: 0,
+            per_tenant: TraceParams {
+                n_procs: 16,
+                arrivals: 360,
+                churn_pct: 20,
+                max_configs: 3,
+                max_pins: 2,
+                max_weight: 8,
+                proc_events: 0,
+                burst_every: 0,
+                burst_len: 0,
+            },
+        };
+        let trace = generate_multiplexed(&params, &mut Xoshiro256::seed_from_u64(5));
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        let run = |shards: u32| {
+            let engine = EngineConfig { policy: RepairPolicy::Eager, ..EngineConfig::default() };
+            let mut d =
+                Daemon::new(DaemonConfig { shards, engine, ..DaemonConfig::default() }).unwrap();
+            for tenant in 0..trace.tenants {
+                d.admit(tenant, trace.n_procs).unwrap();
+            }
+            let mut events = trace.events.iter();
+            pool.install(|| {
+                for batch in [1200, 450, usize::MAX] {
+                    for (tenant, ev) in events.by_ref().take(batch) {
+                        assert_eq!(d.submit(*tenant, ev.clone()), Ok(true));
+                    }
+                    d.pump();
+                }
+            });
+            let outcomes: Vec<TenantStatus> =
+                d.statuses().into_iter().map(|st| TenantStatus { shard: 0, ..st }).collect();
+            (d.counters(), outcomes)
+        };
+        let (one, expect) = run(1);
+        let (two, got) = run(2);
+        assert_eq!(one.forked_pumps, 0, "one shard never forks");
+        assert_eq!(two.forked_pumps, 1, "the third pump forks, after two repair-heavy ones");
+        assert_eq!(got, expect, "forking changed a per-tenant outcome");
     }
 
     #[test]

@@ -136,7 +136,7 @@ catalog! {
     DAEMON_TENANT_ID_QUEUE_DEPTH: Family<gauge> = "daemon.tenant.<id>.queue_depth",
         "per-tenant pending-event queue depth";
     DAEMON_TENANT_GAP: Decl<histogram> = "daemon.tenant.gap",
-        "cross-tenant gap distribution, one observation per tenant per pump";
+        "cross-tenant gap distribution, one observation per tenant per publish";
     DAEMON_TENANTS: Decl<gauge> = "daemon.tenants",
         "tenants currently admitted";
     DAEMON_QUEUE_DEPTH: Decl<gauge> = "daemon.queue_depth",

@@ -139,6 +139,15 @@ pub fn uninstall() -> Option<Arc<Collecting>> {
     slot.take()
 }
 
+/// The installed recorder, if any: for writers that resolve their metric
+/// handles once. Such a writer keeps this `Arc` next to its handles and
+/// resolves again when a later call returns a recorder that is not
+/// [`Arc::ptr_eq`] to it. Holding the `Arc`, not a pointer, keeps the old
+/// recorder alive, so its address cannot be reused by a successor.
+pub fn recorder() -> Option<Arc<Collecting>> {
+    RECORDER.read().expect("a recorder call panicked holding the slot").clone()
+}
+
 fn with_recorder(f: impl FnOnce(&Collecting)) {
     if let Some(r) = RECORDER.read().unwrap().as_deref() {
         f(r);

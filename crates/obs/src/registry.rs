@@ -4,11 +4,16 @@
 //! Registration takes a write lock once per metric name; every subsequent
 //! update is a read-locked map probe plus one relaxed atomic RMW, so the
 //! registry is safe (and cheap) to hammer from rayon workers. Callers on a
-//! genuinely hot path should resolve the [`Arc`] handle once and update it
+//! genuinely hot path should resolve the [`Arc`] handle once
+//! ([`Registry::resolve_counter`] and its siblings) and update it
 //! directly, or accumulate plain locals and flush a single delta per
 //! phase. The instrumented solvers and the serving engine in this
-//! workspace all do the latter: the engine keeps its counts in
+//! workspace do the latter: the engine keeps its counts in
 //! `serve::Counters`, which `semimatch replay` publishes once per run.
+//! The daemon does the former: it resolves its per-tenant, fleet,
+//! counter and pump handles once against the installed recorder
+//! ([`crate::recorder`]) and resolves again only when a new recorder is
+//! installed or its tenant set changes.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -232,19 +237,35 @@ impl Registry {
         }
     }
 
+    /// Resolves (registering on first use) the declared counter, for a
+    /// writer that keeps the handle and updates it many times.
+    pub fn resolve_counter(&self, metric: &Decl<Counter>) -> Arc<Counter> {
+        self.counter(&metric.name)
+    }
+
+    /// Resolves (registering on first use) the declared gauge.
+    pub fn resolve_gauge(&self, metric: &Decl<Gauge>) -> Arc<Gauge> {
+        self.gauge(&metric.name)
+    }
+
+    /// Resolves (registering on first use) the declared histogram.
+    pub fn resolve_histogram(&self, metric: &Decl<Histogram>) -> Arc<Histogram> {
+        self.histogram(&metric.name)
+    }
+
     /// One-shot counter bump (resolve + add).
     pub fn counter_add(&self, metric: &Decl<Counter>, delta: u64) {
-        self.counter(&metric.name).add(delta);
+        self.resolve_counter(metric).add(delta);
     }
 
     /// One-shot gauge overwrite.
     pub fn gauge_set(&self, metric: &Decl<Gauge>, value: i64) {
-        self.gauge(&metric.name).set(value);
+        self.resolve_gauge(metric).set(value);
     }
 
     /// One-shot histogram observation.
     pub fn observe(&self, metric: &Decl<Histogram>, value: u64) {
-        self.histogram(&metric.name).observe(value);
+        self.resolve_histogram(metric).observe(value);
     }
 
     /// Detached point-in-time snapshot of every metric, sorted by name.

@@ -299,6 +299,14 @@ fn zero_valued_numeric_flags_exit_0_or_2() {
 }
 
 #[test]
+fn huge_shard_count_exits_0_or_2() {
+    // Shards are created as tenants land on them, never up front.
+    let out = semimatch(&["serve", "--tenants", "2", "--arrivals", "8", "--shards", "4000000000"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(matches!(out.status.code(), Some(0 | 2)), "exit {:?}: {err}", out.status.code());
+}
+
+#[test]
 fn exact_strategies_agree_via_cli() {
     let dir = tmp_dir("exact");
     let (bg, _) = write_tiny_instances(&dir);

@@ -11,8 +11,9 @@
 //!   per-tenant event order is FIFO, so every per-tenant outcome (score,
 //!   lower bound, gap, applied count, live sizes) is invariant under the
 //!   shard count; sharding is purely a throughput knob.
-//! * **Accounting** — every accepted submit is either applied or shed
-//!   with an apply-error, at any queue capacity.
+//! * **Accounting** — every accepted submit is applied, shed with an
+//!   apply error, or discarded because its tenant was evicted, at any
+//!   queue capacity.
 
 use proptest::prelude::*;
 use semimatch::core::objective::balanced_score;
@@ -120,21 +121,48 @@ proptest! {
         }
     }
 
-    /// Accounting stays consistent even when the queue bound bites:
-    /// accepted submits are applied or shed-with-error, queue-full sheds
-    /// are counted, and nothing is lost or double-counted.
+    /// Accounting stays consistent even when the queue bound bites and
+    /// tenants are evicted with events still queued: every accepted
+    /// submit is applied, shed with an apply error or discarded on
+    /// evict, queue-full sheds are counted, nothing is lost or
+    /// double-counted, and the tenant index still finds every tenant.
     #[test]
-    fn accounting_is_exact_under_queue_pressure(trace in multiplexed(1), cap in 1usize..8) {
+    fn accounting_is_exact_under_queue_pressure(
+        trace in multiplexed(1),
+        cap in 1usize..8,
+        evictions in proptest::collection::vec((0usize..200, 0u32..5), 0..8),
+    ) {
         let cfg = DaemonConfig { queue_capacity: cap, ..DaemonConfig::default() };
         let mut d = Daemon::new(cfg).unwrap();
-        // Batch far above the queue bound, so run() sheds on hot tenants.
-        d.run(&trace, 64).unwrap();
+        for tenant in 0..trace.tenants {
+            d.admit(tenant, trace.n_procs).unwrap();
+        }
+        let mut evicted_shed = 0;
+        let mut queued = 0;
+        for (i, (tenant, ev)) in trace.events.iter().enumerate() {
+            queued += usize::from(d.submit(*tenant, ev.clone()).unwrap());
+            for &(_, victim) in evictions.iter().filter(|(at, _)| *at == i) {
+                // Re-admitted at once, so the victim's later events still
+                // land (on a fresh engine, which may reject them).
+                let victim = victim % trace.tenants;
+                evicted_shed += d.evict(victim).unwrap().shed;
+                d.admit(victim, trace.n_procs).unwrap();
+            }
+            // Pump far above the queue bound, so hot tenants shed.
+            if queued == 64 {
+                d.pump();
+                queued = 0;
+            }
+        }
+        d.pump();
         let c = d.counters();
-        prop_assert_eq!(c.applied + c.shed_apply_error, c.submitted);
+        prop_assert_eq!(c.applied + c.shed_apply_error + c.discarded_on_evict, c.submitted);
         let per_tenant_shed: u64 = d.statuses().iter().map(|s| s.shed).sum();
-        prop_assert_eq!(per_tenant_shed, c.shed_queue_full + c.shed_apply_error);
-        for st in d.statuses() {
-            prop_assert_eq!(st.queue_depth, 0, "run() drains every queue");
+        prop_assert_eq!(per_tenant_shed + evicted_shed, c.shed_queue_full + c.shed_apply_error);
+        for tenant in 0..trace.tenants {
+            let st = d.status(tenant).expect("every tenant is live");
+            prop_assert_eq!(st.tenant, tenant, "the index found another tenant");
+            prop_assert_eq!(st.queue_depth, 0, "the last pump drains every queue");
             prop_assert!(st.score >= st.lower_bound);
         }
     }

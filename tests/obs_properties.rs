@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use semimatch::core::exact::{cost_scaling_cold_in, cost_scaling_seeded_in};
-use semimatch::daemon::{Daemon, DaemonConfig};
+use semimatch::daemon::{Daemon, DaemonConfig, Event};
 use semimatch::gen::rng::Xoshiro256;
 use semimatch::gen::trace::{generate_multiplexed, MultiplexParams, TraceParams};
 use semimatch::gen::{fewg_manyg, hilo_permuted};
@@ -407,4 +407,66 @@ fn daemon_publishes_applied_events_and_tenant_scores() {
     assert_eq!(applied, trace.events.len() as u64, "every submitted event applied");
     assert_eq!(counter_value(reg, "daemon.applied"), applied);
     assert_eq!(counter_value(reg, "daemon.submitted"), applied);
+}
+
+#[test]
+fn daemon_publish_follows_the_installed_recorder_and_tenant_set() {
+    let _guard = GLOBAL_RECORDER_LOCK.lock().unwrap();
+    let params = MultiplexParams {
+        tenants: 4,
+        hotness: 1,
+        per_tenant: TraceParams {
+            n_procs: 8,
+            arrivals: 60,
+            churn_pct: 20,
+            ..TraceParams::default()
+        },
+    };
+    let trace = generate_multiplexed(&params, &mut Xoshiro256::seed_from_u64(23));
+    let (first, second) = trace.events.split_at(trace.events.len() / 2);
+    let mut daemon = Daemon::new(DaemonConfig { shards: 2, ..DaemonConfig::default() }).unwrap();
+    for tenant in 0..trace.tenants {
+        daemon.admit(tenant, trace.n_procs).unwrap();
+    }
+    let feed = |daemon: &mut Daemon, events: &[(u32, Event)]| {
+        for (tenant, ev) in events {
+            assert_eq!(daemon.submit(*tenant, ev.clone()), Ok(true));
+        }
+        daemon.pump();
+        daemon.publish_metrics();
+    };
+
+    let a = Arc::new(Collecting::new());
+    semimatch::obs::install(a.clone());
+    feed(&mut daemon, first);
+    let applied_under_a = daemon.counters().applied;
+    // A new recorder: the daemon writes to it, not to the one it resolved
+    // against first.
+    let b = Arc::new(Collecting::new());
+    semimatch::obs::install(b.clone());
+    feed(&mut daemon, second);
+    // A new tenant set: tenant 0 leaves and tenant 9 joins with its own
+    // load, so a handle left over from tenant 0 would misreport.
+    daemon.evict(0).unwrap();
+    daemon.admit(9, trace.n_procs).unwrap();
+    feed(&mut daemon, &[(9, Event::Arrive { task: 0, configs: vec![(vec![0], 5)] })]);
+    semimatch::obs::uninstall();
+
+    let (a, b) = (a.registry(), b.registry());
+    assert_eq!(counter_value(a, "daemon.applied"), applied_under_a, "A stops at its last publish");
+    assert_eq!(counter_value(b, "daemon.applied"), daemon.counters().applied - applied_under_a);
+    assert_eq!(counter_value(b, "daemon.evictions"), 1);
+    let forked = counter_value(a, "daemon.forked_pumps") + counter_value(b, "daemon.forked_pumps");
+    assert_eq!(forked, daemon.counters().forked_pumps);
+    assert_eq!(gauge_value(b, "daemon.tenants"), 4);
+    let live: Vec<u32> = daemon.statuses().iter().map(|st| st.tenant).collect();
+    assert_eq!(live, [1, 2, 3, 9]);
+    for st in daemon.statuses() {
+        let gauge = |series: &str| gauge_value(b, &format!("daemon.tenant.{}.{series}", st.tenant));
+        assert_eq!(gauge("gap") as u128, st.gap.0, "tenant {} gap", st.tenant);
+        assert_eq!(gauge("score") as u128, st.score.0, "tenant {} score", st.tenant);
+        assert_eq!(gauge("lower_bound") as u128, st.lower_bound.0, "tenant {}", st.tenant);
+        assert_eq!(gauge("queue_depth") as usize, st.queue_depth, "tenant {}", st.tenant);
+    }
+    assert_eq!(gauge_value(b, "daemon.tenant.9.score"), 5);
 }
