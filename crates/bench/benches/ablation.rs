@@ -10,12 +10,11 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use semimatch_core::hyper::evg::{expected_vector_greedy_hyp, expected_vector_greedy_hyp_naive};
-use semimatch_core::hyper::sgh::{
-    basic_greedy_hyp, sorted_greedy_hyp, sorted_greedy_hyp_resulting,
-};
+use semimatch_core::hyper::sgh::{sorted_greedy_hyp, sorted_greedy_hyp_resulting};
 use semimatch_core::hyper::vgh::{
     vector_greedy_hyp, vector_greedy_hyp_naive, vector_greedy_hyp_pinwise,
 };
+use semimatch_core::online::{online_schedule, OnlineRule};
 use semimatch_core::refine::refine;
 use semimatch_gen::params::{Config, Family};
 use semimatch_gen::weights::WeightScheme;
@@ -68,7 +67,9 @@ fn bench_ablation(c: &mut Criterion) {
     group.bench_function("sgh-resulting-criterion", |b| {
         b.iter(|| sorted_greedy_hyp_resulting(&h).unwrap().makespan(&h))
     });
-    group.bench_function("bgh-no-sort", |b| b.iter(|| basic_greedy_hyp(&h).unwrap().makespan(&h)));
+    group.bench_function("bgh-no-sort", |b| {
+        b.iter(|| online_schedule(&h, OnlineRule::MinBottleneck).unwrap().makespan(&h))
+    });
     group.bench_function("sgh-plus-refinement", |b| {
         b.iter(|| {
             let mut hm = sorted_greedy_hyp(&h).unwrap();

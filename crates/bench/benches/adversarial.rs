@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use semimatch_core::exact::{exact_unit, harvey_exact, SearchStrategy};
-use semimatch_core::BiHeuristic;
+use semimatch_core::{Problem, SolverKind};
 use semimatch_gen::adversarial::fig3;
 
 fn bench_adversarial(c: &mut Criterion) {
@@ -14,9 +14,10 @@ fn bench_adversarial(c: &mut Criterion) {
     group.sample_size(10).measurement_time(Duration::from_secs(3));
     for k in [10u32, 13, 16] {
         let g = fig3(k);
-        for h in BiHeuristic::ALL {
-            group.bench_with_input(BenchmarkId::new(h.label(), k), &g, |b, g| {
-                b.iter(|| h.run(g).unwrap().makespan(g))
+        for kind in SolverKind::BI_HEURISTICS {
+            group.bench_with_input(BenchmarkId::new(kind.label(), k), &g, |b, g| {
+                let problem = Problem::SingleProc(g);
+                b.iter(|| kind.solve(problem).unwrap().makespan(&problem).unwrap())
             });
         }
         group.bench_with_input(BenchmarkId::new("exact-bisection", k), &g, |b, g| {

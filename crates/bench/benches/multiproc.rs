@@ -7,7 +7,7 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use semimatch_core::hyper::HyperHeuristic;
+use semimatch_core::{Problem, SolverKind};
 use semimatch_gen::params::{Config, Family};
 use semimatch_gen::weights::WeightScheme;
 
@@ -18,12 +18,11 @@ fn bench_multiproc(c: &mut Criterion) {
         for family in [Family::Fg, Family::Mg, Family::Hlf, Family::Hlm] {
             let cfg = Config { family, n: 1280, p: 256, dv: 5, dh: 10, weights };
             let h = cfg.instance(42, 0);
-            for heuristic in HyperHeuristic::ALL {
-                group.bench_with_input(
-                    BenchmarkId::new(heuristic.label(), cfg.name()),
-                    &h,
-                    |b, h| b.iter(|| heuristic.run(h).unwrap().makespan(h)),
-                );
+            for kind in SolverKind::HYPER_HEURISTICS {
+                group.bench_with_input(BenchmarkId::new(kind.label(), cfg.name()), &h, |b, h| {
+                    let problem = Problem::MultiProc(h);
+                    b.iter(|| kind.solve(problem).unwrap().makespan(&problem).unwrap())
+                });
             }
         }
     }

@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use semimatch_core::exact::{exact_unit, SearchStrategy};
-use semimatch_core::BiHeuristic;
+use semimatch_core::{Problem, SolverKind};
 use semimatch_gen::rng::Xoshiro256;
 use semimatch_gen::{fewg_manyg, hilo_permuted};
 
@@ -19,9 +19,10 @@ fn bench_singleproc(c: &mut Criterion) {
     let mut group = c.benchmark_group("singleproc");
     group.sample_size(20).measurement_time(Duration::from_secs(3));
     for (name, g) in &instances {
-        for h in BiHeuristic::ALL {
-            group.bench_with_input(BenchmarkId::new(h.label(), name), g, |b, g| {
-                b.iter(|| h.run(g).unwrap().makespan(g))
+        for kind in SolverKind::BI_HEURISTICS {
+            group.bench_with_input(BenchmarkId::new(kind.label(), name), g, |b, g| {
+                let problem = Problem::SingleProc(g);
+                b.iter(|| kind.solve(problem).unwrap().makespan(&problem).unwrap())
             });
         }
         group.bench_with_input(BenchmarkId::new("exact-bisection", name), g, |b, g| {

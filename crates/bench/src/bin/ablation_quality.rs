@@ -12,11 +12,10 @@
 
 use rayon::prelude::*;
 use semimatch_bench::{emit_report, markdown_table, row_name, scale_config, Options};
-use semimatch_core::hyper::sgh::{
-    basic_greedy_hyp, sorted_greedy_hyp, sorted_greedy_hyp_resulting,
-};
+use semimatch_core::hyper::sgh::{sorted_greedy_hyp, sorted_greedy_hyp_resulting};
 use semimatch_core::hyper::vgh::{vector_greedy_hyp, vector_greedy_hyp_pinwise};
 use semimatch_core::lower_bound::lower_bound_multiproc;
+use semimatch_core::online::{online_schedule, OnlineRule};
 use semimatch_core::quality::{median_f64, ratio};
 use semimatch_core::refine::refine;
 use semimatch_gen::params::table1_grid;
@@ -34,7 +33,7 @@ fn sgh_refined(h: &Hypergraph) -> u64 {
 fn main() {
     let opts = Options::from_args();
     let variants: Vec<Variant> = vec![
-        ("BGH", |h| basic_greedy_hyp(h).unwrap().makespan(h)),
+        ("BGH", |h| online_schedule(h, OnlineRule::MinBottleneck).unwrap().makespan(h)),
         ("SGH", |h| sorted_greedy_hyp(h).unwrap().makespan(h)),
         ("SGH-resulting", |h| sorted_greedy_hyp_resulting(h).unwrap().makespan(h)),
         ("VGH-resulting", |h| vector_greedy_hyp(h).unwrap().makespan(h)),

@@ -8,9 +8,8 @@
 use semimatch_graph::{Bipartite, Hypergraph};
 
 use crate::error::{CoreError, Result};
-use crate::hyper::obj_greedy::objective_greedy_hyp;
-use crate::hyper::sgh::sorted_greedy_hyp;
-use crate::hyper::tasks_by_degree;
+use crate::greedy::{tasks_by_degree, Key};
+use crate::hyper::sgh::{greedy_hyp, sorted_greedy_hyp};
 use crate::objective::{Objective, Score};
 use crate::problem::{HyperMatching, SemiMatching};
 
@@ -33,7 +32,7 @@ pub fn brute_force_multiproc(h: &Hypergraph, budget: u64) -> Result<(u64, HyperM
         return Ok((0, best));
     }
 
-    let order = tasks_by_degree(h);
+    let order = tasks_by_degree(h.n_tasks(), |t| h.deg_task(t));
     // Averaged-work bound: suffix_min_work[k] is the least total work the
     // tasks order[k..] can still add; together with the work already placed
     // it lower-bounds every completion's makespan by the residual Eq. 1.
@@ -161,14 +160,14 @@ pub fn brute_force_multiproc_objective(
         }
     }
     // Incumbent: the objective-aware greedy gives a feasible upper bound.
-    let incumbent = objective_greedy_hyp(h, objective, true)?;
+    let incumbent = greedy_hyp(h, true, Key::Marginal(objective))?;
     let mut best_score = incumbent.score(h, objective);
     let mut best = incumbent;
     if h.n_tasks() == 0 {
         return Ok((Score(0), best));
     }
 
-    let order = tasks_by_degree(h);
+    let order = tasks_by_degree(h.n_tasks(), |t| h.deg_task(t));
     let min_work: Vec<u128> = (0..h.n_tasks())
         .map(|t| {
             h.hedges_of(t)
@@ -215,9 +214,7 @@ pub fn brute_force_multiproc_objective(
         let t = order[depth];
         for hid in h.hedges_of(t) {
             let w = h.weight(hid);
-            let delta = h.procs_of(hid).iter().fold(0u128, |acc, &u| {
-                acc.saturating_add(objective.marginal(loads[u as usize], w))
-            });
+            let delta = Key::Marginal(objective).of(loads, h.procs_of(hid), w);
             // Prune: exact partial score plus the residual work floor.
             let floor = partial.saturating_add(delta).saturating_add(suffix_min_work[depth + 1]);
             if Score(floor) >= *best_score {
@@ -366,9 +363,10 @@ mod tests {
         .unwrap();
         let (opt, solution) = brute_force_multiproc(&h, 1_000_000).unwrap();
         solution.validate(&h).unwrap();
-        for heuristic in crate::hyper::HyperHeuristic::ALL {
-            let hm = heuristic.run(&h).unwrap();
-            assert!(hm.makespan(&h) >= opt, "{}", heuristic.label());
+        let problem = crate::solver::Problem::MultiProc(&h);
+        for kind in crate::solver::SolverKind::HYPER_HEURISTICS {
+            let m = kind.solve(problem).unwrap().makespan(&problem).unwrap();
+            assert!(m >= opt, "{}", kind.label());
         }
     }
 

@@ -2,7 +2,8 @@
 
 use semimatch_graph::Bipartite;
 
-use crate::error::{CoreError, Result};
+use crate::error::Result;
+use crate::greedy::greedy_in_order;
 use crate::objective::Objective;
 use crate::problem::SemiMatching;
 
@@ -13,70 +14,13 @@ use crate::problem::SemiMatching;
 /// approximation guarantee.
 pub fn basic_greedy(g: &Bipartite) -> Result<SemiMatching> {
     let order: Vec<u32> = (0..g.n_left()).collect();
-    greedy_in_order(g, &order)
-}
-
-/// Shared core of basic- and sorted-greedy: min-load assignment along a
-/// caller-chosen task order. Ties go to the first (smallest-id) processor.
-pub(crate) fn greedy_in_order(g: &Bipartite, order: &[u32]) -> Result<SemiMatching> {
-    let mut loads = vec![0u64; g.n_right() as usize];
-    let mut edge_of = vec![0u32; g.n_left() as usize];
-    for &v in order {
-        let mut best_edge = None;
-        let mut best_load = u64::MAX;
-        for e in g.edge_range(v) {
-            let u = g.edge_right(e);
-            if loads[u as usize] < best_load {
-                best_load = loads[u as usize];
-                best_edge = Some(e);
-            }
-        }
-        let e = best_edge.ok_or(CoreError::UncoveredTask(v))?;
-        edge_of[v as usize] = e;
-        loads[g.edge_right(e) as usize] += g.weight(e);
-    }
-    Ok(SemiMatching { edge_of })
-}
-
-/// Objective-aware greedy along a caller-chosen task order: each task
-/// takes the edge with the smallest marginal cost under `objective`
-/// (first candidate wins ties). Under [`Objective::Makespan`] this is the
-/// paper's min-load criterion verbatim (the marginal degenerates and the
-/// historical behaviour is preserved by delegation).
-pub(crate) fn greedy_in_order_with(
-    g: &Bipartite,
-    order: &[u32],
-    objective: Objective,
-) -> Result<SemiMatching> {
-    if objective.is_bottleneck() {
-        return greedy_in_order(g, order);
-    }
-    let mut loads = vec![0u64; g.n_right() as usize];
-    let mut edge_of = vec![0u32; g.n_left() as usize];
-    for &v in order {
-        // Seed with the first candidate, not a MAX sentinel: a saturated
-        // marginal (u128::MAX) must still be selectable, or fully covered
-        // tasks would spuriously error as uncovered.
-        let mut best_edge: Option<u32> = None;
-        let mut best_delta = 0u128;
-        for e in g.edge_range(v) {
-            let u = g.edge_right(e);
-            let delta = objective.marginal(loads[u as usize], g.weight(e));
-            if best_edge.is_none() || delta < best_delta {
-                best_delta = delta;
-                best_edge = Some(e);
-            }
-        }
-        let e = best_edge.ok_or(CoreError::UncoveredTask(v))?;
-        edge_of[v as usize] = e;
-        loads[g.edge_right(e) as usize] += g.weight(e);
-    }
-    Ok(SemiMatching { edge_of })
+    greedy_in_order(g, &order, Objective::Makespan, false)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::CoreError;
 
     #[test]
     fn fig1_worst_case() {

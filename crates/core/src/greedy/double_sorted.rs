@@ -2,8 +2,8 @@
 
 use semimatch_graph::Bipartite;
 
-use crate::error::{CoreError, Result};
-use crate::greedy::tasks_by_degree;
+use crate::error::Result;
+use crate::greedy::{greedy_in_order, tasks_by_degree};
 use crate::objective::Objective;
 use crate::problem::SemiMatching;
 
@@ -19,64 +19,13 @@ use crate::problem::SemiMatching;
 /// (`<`), keeping the first minimum; `benches/adversarial.rs` and the
 /// `figures` binary confirm the §IV-B3 behaviour under this reading.
 pub fn double_sorted(g: &Bipartite) -> Result<SemiMatching> {
-    let mut loads = vec![0u64; g.n_right() as usize];
-    let mut edge_of = vec![0u32; g.n_left() as usize];
-    for v in tasks_by_degree(g) {
-        let mut best: Option<u32> = None;
-        let mut min_l = u64::MAX;
-        let mut min_d = u32::MAX;
-        for e in g.edge_range(v) {
-            let u = g.edge_right(e);
-            let l = loads[u as usize];
-            let d = g.deg_right(u);
-            if l < min_l || (l == min_l && d < min_d) {
-                min_l = l;
-                min_d = d;
-                best = Some(e);
-            }
-        }
-        let e = best.ok_or(CoreError::UncoveredTask(v))?;
-        edge_of[v as usize] = e;
-        loads[g.edge_right(e) as usize] += g.weight(e);
-    }
-    Ok(SemiMatching { edge_of })
-}
-
-/// Objective-aware double-sorted: the load criterion becomes the marginal
-/// cost under `objective`, the in-degree tie-break survives unchanged.
-/// Under [`Objective::Makespan`] this delegates to [`double_sorted`].
-pub(crate) fn double_sorted_with(g: &Bipartite, objective: Objective) -> Result<SemiMatching> {
-    if objective.is_bottleneck() {
-        return double_sorted(g);
-    }
-    let mut loads = vec![0u64; g.n_right() as usize];
-    let mut edge_of = vec![0u32; g.n_left() as usize];
-    for v in tasks_by_degree(g) {
-        // First-candidate seeding (not a MAX sentinel): saturated marginals
-        // must stay selectable.
-        let mut best: Option<u32> = None;
-        let mut min_delta = 0u128;
-        let mut min_d = u32::MAX;
-        for e in g.edge_range(v) {
-            let u = g.edge_right(e);
-            let delta = objective.marginal(loads[u as usize], g.weight(e));
-            let d = g.deg_right(u);
-            if best.is_none() || delta < min_delta || (delta == min_delta && d < min_d) {
-                min_delta = delta;
-                min_d = d;
-                best = Some(e);
-            }
-        }
-        let e = best.ok_or(CoreError::UncoveredTask(v))?;
-        edge_of[v as usize] = e;
-        loads[g.edge_right(e) as usize] += g.weight(e);
-    }
-    Ok(SemiMatching { edge_of })
+    greedy_in_order(g, &tasks_by_degree(g.n_left(), |v| g.deg_left(v)), Objective::Makespan, true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::CoreError;
 
     #[test]
     fn prefers_less_contended_processor() {

@@ -36,7 +36,7 @@ pub(crate) fn expected_greedy_with(g: &Bipartite, objective: Objective) -> Resul
         }
     }
     let mut edge_of = vec![0u32; g.n_left() as usize];
-    for v in tasks_by_degree(g) {
+    for v in tasks_by_degree(g.n_left(), |v| g.deg_left(v)) {
         let dv = g.deg_left(v) as f64;
         // First-candidate seeding: an all-infinite (overflowed) key set
         // must still pick an edge, not error the task as uncovered.

@@ -38,16 +38,11 @@ pub fn lpt_greedy(g: &Bipartite) -> Result<SemiMatching> {
     let mut loads = vec![0u64; g.n_right() as usize];
     let mut edge_of = vec![0u32; g.n_left() as usize];
     for v in order {
-        let mut best_edge = None;
-        let mut best_finish = u64::MAX;
-        for e in g.edge_range(v) {
-            let finish = loads[g.edge_right(e) as usize] + g.weight(e);
-            if finish < best_finish {
-                best_finish = finish;
-                best_edge = Some(e);
-            }
-        }
-        let e = best_edge.expect("covered tasks have edges");
+        // The earliest finish; the first candidate wins ties.
+        let e = g
+            .edge_range(v)
+            .min_by_key(|&e| loads[g.edge_right(e) as usize] + g.weight(e))
+            .expect("covered tasks have edges");
         edge_of[v as usize] = e;
         loads[g.edge_right(e) as usize] += g.weight(e);
     }

@@ -3,7 +3,8 @@
 use semimatch_graph::Hypergraph;
 
 use crate::error::{CoreError, Result};
-use crate::hyper::tasks_by_degree;
+use crate::greedy::tasks_by_degree;
+use crate::objective::Objective;
 use crate::problem::HyperMatching;
 
 /// Expected-greedy-hyp (Algorithm 5): like SGH but ranks configurations by
@@ -14,6 +15,17 @@ use crate::problem::HyperMatching;
 /// `O(Σ_h |h|)` (each hyperedge's pins are touched a constant number of
 /// times).
 pub fn expected_greedy_hyp(h: &Hypergraph) -> Result<HyperMatching> {
+    expected_greedy_hyp_with(h, Objective::Makespan)
+}
+
+/// Objective-aware EGH: under a sum objective a configuration's key is
+/// its total marginal cost over the expected loads,
+/// `Σ_{u∈h} marginal(o(u), w_h)`, to which EGH and EVG collapse. Under
+/// [`Objective::Makespan`] the key is Algorithm 5's `max_{u∈h} o(u)`.
+pub(crate) fn expected_greedy_hyp_with(
+    h: &Hypergraph,
+    objective: Objective,
+) -> Result<HyperMatching> {
     let mut o = vec![0.0f64; h.n_procs() as usize];
     for v in 0..h.n_tasks() {
         let dv = h.deg_task(v) as f64;
@@ -25,19 +37,24 @@ pub fn expected_greedy_hyp(h: &Hypergraph) -> Result<HyperMatching> {
         }
     }
     let mut hedge_of = vec![0u32; h.n_tasks() as usize];
-    for v in tasks_by_degree(h) {
+    for v in tasks_by_degree(h.n_tasks(), |t| h.deg_task(t)) {
         let dv = h.deg_task(v) as f64;
-        let mut best: Option<u32> = None;
-        let mut best_key = f64::INFINITY;
+        // First-candidate seeding: an all-infinite (overflowed) key set
+        // must still pick a configuration, not error as uncovered.
+        let mut best: Option<(f64, u32)> = None;
         for hid in h.hedges_of(v) {
-            let key =
-                h.procs_of(hid).iter().map(|&u| o[u as usize]).fold(f64::NEG_INFINITY, f64::max);
-            if key < best_key {
-                best_key = key;
-                best = Some(hid);
+            let expected = h.procs_of(hid).iter().map(|&u| o[u as usize]);
+            let key = if objective.is_bottleneck() {
+                expected.fold(f64::NEG_INFINITY, f64::max)
+            } else {
+                let w = h.weight(hid) as f64;
+                expected.map(|l| objective.marginal_f64(l, w)).sum()
+            };
+            if best.is_none_or(|(min, _)| key < min) {
+                best = Some((key, hid));
             }
         }
-        let hid = best.ok_or(CoreError::UncoveredTask(v))?;
+        let (_, hid) = best.ok_or(CoreError::UncoveredTask(v))?;
         hedge_of[v as usize] = hid;
         let w = h.weight(hid) as f64;
         for &u in h.procs_of(hid) {
@@ -120,9 +137,36 @@ mod tests {
     }
 
     #[test]
+    fn expected_variant_anticipates_future_load() {
+        // The fixture above under flow time: the expected marginal also
+        // sends T0 to P1, where the plain marginal could not see it coming.
+        let h = Hypergraph::from_hyperedges(
+            3,
+            2,
+            vec![
+                (0, vec![0], 1),
+                (0, vec![1], 1),
+                (1, vec![0], 2),
+                (1, vec![0], 2),
+                (2, vec![0], 2),
+                (2, vec![0], 2),
+            ],
+        )
+        .unwrap();
+        let hm = expected_greedy_hyp_with(&h, Objective::FlowTime).unwrap();
+        hm.validate(&h).unwrap();
+        assert_eq!(hm.hedge_of[0], 1, "expected marginal sends T0 to P1");
+    }
+
+    #[test]
     fn uncovered_task_errors() {
         let h = Hypergraph::from_hyperedges(1, 1, vec![]).unwrap();
         assert_eq!(expected_greedy_hyp(&h).unwrap_err(), CoreError::UncoveredTask(0));
+        let h = Hypergraph::from_hyperedges(2, 1, vec![(0, vec![0], 1)]).unwrap();
+        assert_eq!(
+            expected_greedy_hyp_with(&h, Objective::FlowTime).unwrap_err(),
+            CoreError::UncoveredTask(1)
+        );
     }
 
     #[test]

@@ -3,8 +3,8 @@
 use semimatch_graph::Hypergraph;
 
 use crate::error::{CoreError, Result};
+use crate::greedy::tasks_by_degree;
 use crate::hyper::lex::cmp_sorted_desc;
-use crate::hyper::tasks_by_degree;
 use crate::problem::HyperMatching;
 
 /// Expected-vector-greedy-hyp: combines the expected loads of EGH with the
@@ -38,7 +38,7 @@ pub fn expected_vector_greedy_hyp(h: &Hypergraph) -> Result<HyperMatching> {
     let mut cand_vec: Vec<f64> = Vec::new();
     let mut best_vec: Vec<f64> = Vec::new();
 
-    for v in tasks_by_degree(h) {
+    for v in tasks_by_degree(h.n_tasks(), |t| h.deg_task(t)) {
         if h.deg_task(v) == 0 {
             return Err(CoreError::UncoveredTask(v));
         }
@@ -112,7 +112,7 @@ pub fn expected_vector_greedy_hyp_naive(h: &Hypergraph) -> Result<HyperMatching>
         }
     }
     let mut hedge_of = vec![0u32; h.n_tasks() as usize];
-    for v in tasks_by_degree(h) {
+    for v in tasks_by_degree(h.n_tasks(), |t| h.deg_task(t)) {
         if h.deg_task(v) == 0 {
             return Err(CoreError::UncoveredTask(v));
         }

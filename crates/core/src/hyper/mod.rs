@@ -12,79 +12,26 @@
 //! (direct transcription) and in the sorted-list/multiset-difference form
 //! sketched at the end of §IV-D3; both are exposed and property-tested
 //! equal.
+//!
+//! Under a sum-type objective (flow time, `L_p`, total load) a bottleneck
+//! key no longer ranks the myopically best choice; the registry then runs
+//! the SGH loop (for SGH and VGH) and the EGH loop (for EGH and EVG) with
+//! the total marginal cost `Σ_{u∈h} (cost(l(u) + w_h) − cost(l(u)))` as the
+//! key, over the current and the expected loads respectively. The SGH
+//! loop also serves [`crate::online`] (input order) and the
+//! [`sgh::sorted_greedy_hyp_resulting`] ablation (resulting bottleneck).
 
 pub mod egh;
 pub mod evg;
 pub mod lex;
-pub mod obj_greedy;
 pub mod sgh;
 pub mod vgh;
 
-use semimatch_graph::Hypergraph;
-
-/// Tasks ordered by non-decreasing configuration count; stable counting
-/// sort (ties keep input order), matching the bipartite helper.
-pub(crate) fn tasks_by_degree(h: &Hypergraph) -> Vec<u32> {
-    let n = h.n_tasks() as usize;
-    let max_deg = (0..h.n_tasks()).map(|t| h.deg_task(t)).max().unwrap_or(0) as usize;
-    let mut count = vec![0usize; max_deg + 2];
-    for t in 0..h.n_tasks() {
-        count[h.deg_task(t) as usize + 1] += 1;
-    }
-    for i in 0..max_deg + 1 {
-        count[i + 1] += count[i];
-    }
-    let mut order = vec![0u32; n];
-    for t in 0..h.n_tasks() {
-        let d = h.deg_task(t) as usize;
-        order[count[d]] = t;
-        count[d] += 1;
-    }
-    order
-}
-
-/// Selector for the four `MULTIPROC` heuristics (bench/report plumbing).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum HyperHeuristic {
-    /// sorted-greedy-hyp (SGH).
-    Sgh,
-    /// vector-greedy-hyp (VGH).
-    Vgh,
-    /// expected-greedy-hyp (EGH).
-    Egh,
-    /// expected-vector-greedy-hyp (EVG).
-    Evg,
-}
-
-impl HyperHeuristic {
-    /// Table column order of the paper: SGH, VGH, EGH, EVG.
-    pub const ALL: [HyperHeuristic; 4] =
-        [HyperHeuristic::Sgh, HyperHeuristic::Vgh, HyperHeuristic::Egh, HyperHeuristic::Evg];
-
-    /// Column label used in Tables II/III.
-    pub fn label(self) -> &'static str {
-        match self {
-            HyperHeuristic::Sgh => "SGH",
-            HyperHeuristic::Vgh => "VGH",
-            HyperHeuristic::Egh => "EGH",
-            HyperHeuristic::Evg => "EVG",
-        }
-    }
-
-    /// Runs the heuristic (optimized variants for the vector strategies).
-    pub fn run(self, h: &Hypergraph) -> crate::error::Result<crate::problem::HyperMatching> {
-        match self {
-            HyperHeuristic::Sgh => sgh::sorted_greedy_hyp(h),
-            HyperHeuristic::Vgh => vgh::vector_greedy_hyp(h),
-            HyperHeuristic::Egh => egh::expected_greedy_hyp(h),
-            HyperHeuristic::Evg => evg::expected_vector_greedy_hyp(h),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use semimatch_graph::Hypergraph;
+
+    use crate::greedy::tasks_by_degree;
 
     #[test]
     fn order_is_stable_by_degree() {
@@ -98,12 +45,6 @@ mod tests {
             ],
         )
         .unwrap();
-        assert_eq!(tasks_by_degree(&h), vec![1, 3, 0, 2]);
-    }
-
-    #[test]
-    fn labels_match_paper_columns() {
-        let labels: Vec<_> = HyperHeuristic::ALL.iter().map(|x| x.label()).collect();
-        assert_eq!(labels, vec!["SGH", "VGH", "EGH", "EVG"]);
+        assert_eq!(tasks_by_degree(h.n_tasks(), |t| h.deg_task(t)), vec![1, 3, 0, 2]);
     }
 }

@@ -1,9 +1,10 @@
-//! Algorithm 4: sorted-greedy-hyp (SGH).
+//! Algorithm 4: sorted-greedy-hyp (SGH), and the current-load selection
+//! loop it shares with the online dispatcher and the sum objectives.
 
 use semimatch_graph::Hypergraph;
 
 use crate::error::{CoreError, Result};
-use crate::hyper::tasks_by_degree;
+use crate::greedy::{tasks_by_degree, Key};
 use crate::problem::HyperMatching;
 
 /// Sorted-greedy-hyp (Algorithm 4): visit tasks by non-decreasing number
@@ -11,44 +12,35 @@ use crate::problem::HyperMatching;
 /// the *current* loads (ties keep the first candidate), then charge `w_h`
 /// to every processor of the hyperedge. `O(Σ_h |h|)`.
 pub fn sorted_greedy_hyp(h: &Hypergraph) -> Result<HyperMatching> {
-    select_greedy(h, false, true)
+    greedy_hyp(h, true, Key::Current)
 }
 
 /// Ablation variant: minimizes the *resulting* bottleneck
 /// `max_{u∈h} l(u) + w_h` instead of the current one. Not in the paper;
 /// benchmarked in `benches/ablation.rs` to quantify the difference.
 pub fn sorted_greedy_hyp_resulting(h: &Hypergraph) -> Result<HyperMatching> {
-    select_greedy(h, true, true)
+    greedy_hyp(h, true, Key::Resulting)
 }
 
-/// Ablation variant: SGH **without** the degree sort — tasks are visited
-/// in input order, extending the paper's basic-vs-sorted comparison
-/// (§IV-B1/2) to the hypergraph setting, which the paper itself skips.
-pub fn basic_greedy_hyp(h: &Hypergraph) -> Result<HyperMatching> {
-    select_greedy(h, false, false)
-}
-
-fn select_greedy(h: &Hypergraph, add_weight: bool, sort: bool) -> Result<HyperMatching> {
+/// The current-load hypergraph greedy: visits tasks by non-decreasing
+/// configuration count when `sorted` (Algorithm 4), else in input order
+/// (the online discipline), gives each the configuration with the
+/// smallest `key` over the current loads (ties keep the lowest hyperedge
+/// id), and charges `w_h` to its processors. Under a sum objective the
+/// registry passes the marginal-cost key, to which SGH and VGH collapse.
+pub(crate) fn greedy_hyp(h: &Hypergraph, sorted: bool, key: Key) -> Result<HyperMatching> {
     let mut loads = vec![0u64; h.n_procs() as usize];
     let mut hedge_of = vec![0u32; h.n_tasks() as usize];
-    let order: Vec<u32> = if sort { tasks_by_degree(h) } else { (0..h.n_tasks()).collect() };
+    let order: Vec<u32> = if sorted {
+        tasks_by_degree(h.n_tasks(), |t| h.deg_task(t))
+    } else {
+        (0..h.n_tasks()).collect()
+    };
     for v in order {
-        let mut best: Option<u32> = None;
-        let mut best_key = u64::MAX;
-        for hid in h.hedges_of(v) {
-            let bump = if add_weight { h.weight(hid) } else { 0 };
-            let key = h
-                .procs_of(hid)
-                .iter()
-                .map(|&u| loads[u as usize] + bump)
-                .max()
-                .expect("hyperedges are non-empty");
-            if key < best_key {
-                best_key = key;
-                best = Some(hid);
-            }
-        }
-        let hid = best.ok_or(CoreError::UncoveredTask(v))?;
+        let hid = h
+            .hedges_of(v)
+            .min_by_key(|&hid| key.of(&loads, h.procs_of(hid), h.weight(hid)))
+            .ok_or(CoreError::UncoveredTask(v))?;
         hedge_of[v as usize] = hid;
         let w = h.weight(hid);
         for &u in h.procs_of(hid) {
@@ -61,6 +53,37 @@ fn select_greedy(h: &Hypergraph, add_weight: bool, sort: bool) -> Result<HyperMa
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::objective::Objective;
+
+    /// T0 is forced onto P0 (w3). T1 then chooses {P0} w1 (marginal flow
+    /// cost 4) or the wide {P1..P7} w1 (marginal flow cost 7): flow time
+    /// prefers stacking P0 a bit higher, the makespan criterion prefers
+    /// the wide spread — the two objectives genuinely disagree.
+    #[test]
+    fn flowtime_and_makespan_disagree_by_design() {
+        let h = Hypergraph::from_hyperedges(
+            2,
+            8,
+            vec![(0, vec![0], 3), (1, vec![0], 1), (1, vec![1, 2, 3, 4, 5, 6, 7], 1)],
+        )
+        .unwrap();
+        let flow = greedy_hyp(&h, true, Key::Marginal(Objective::FlowTime)).unwrap();
+        flow.validate(&h).unwrap();
+        assert_eq!(flow.hedge_of[1], 1, "flow time stacks P0 to 4");
+        let sgh = sorted_greedy_hyp(&h).unwrap();
+        assert_eq!(sgh.hedge_of[1], 2, "makespan criterion spreads wide");
+        assert!(flow.score(&h, Objective::FlowTime) < sgh.score(&h, Objective::FlowTime));
+        assert!(sgh.makespan(&h) < flow.makespan(&h));
+    }
+
+    #[test]
+    fn weighted_load_picks_cheapest_total_work() {
+        // {P0} w4 is 4 units of work; {P1,P2} w3 is 6.
+        let h =
+            Hypergraph::from_hyperedges(1, 3, vec![(0, vec![0], 4), (0, vec![1, 2], 3)]).unwrap();
+        let hm = greedy_hyp(&h, true, Key::Marginal(Objective::WeightedLoad)).unwrap();
+        assert_eq!(hm.hedge_of[0], 0);
+    }
 
     #[test]
     fn picks_least_loaded_configuration() {
@@ -99,7 +122,13 @@ mod tests {
     fn uncovered_task_errors() {
         let h = Hypergraph::from_hyperedges(2, 1, vec![(0, vec![0], 1)]).unwrap();
         assert_eq!(sorted_greedy_hyp(&h).unwrap_err(), CoreError::UncoveredTask(1));
-        assert_eq!(basic_greedy_hyp(&h).unwrap_err(), CoreError::UncoveredTask(1));
+        assert_eq!(greedy_hyp(&h, false, Key::Current).unwrap_err(), CoreError::UncoveredTask(1));
+        for sorted in [false, true] {
+            assert_eq!(
+                greedy_hyp(&h, sorted, Key::Marginal(Objective::FlowTime)).unwrap_err(),
+                CoreError::UncoveredTask(1)
+            );
+        }
     }
 
     #[test]
@@ -113,7 +142,7 @@ mod tests {
             vec![(0, vec![0], 1), (0, vec![1], 1), (1, vec![0], 1)],
         )
         .unwrap();
-        assert_eq!(basic_greedy_hyp(&h).unwrap().makespan(&h), 2);
+        assert_eq!(greedy_hyp(&h, false, Key::Current).unwrap().makespan(&h), 2);
         assert_eq!(sorted_greedy_hyp(&h).unwrap().makespan(&h), 1);
     }
 

@@ -7,7 +7,9 @@
 //! look-ahead — so this is also the natural "basic-greedy-hyp" baseline
 //! for the offline heuristics.
 
-use crate::error::{CoreError, Result};
+use crate::error::Result;
+use crate::greedy::Key;
+use crate::hyper::sgh::greedy_hyp;
 use crate::problem::HyperMatching;
 use semimatch_graph::Hypergraph;
 
@@ -25,7 +27,9 @@ pub enum OnlineRule {
     FirstFit,
 }
 
-/// Schedules tasks in arrival order (= task id order) under `rule`.
+/// Schedules tasks in arrival order (= task id order) under `rule`: the
+/// selection loop of [`crate::hyper::sgh::sorted_greedy_hyp`] without its
+/// degree sort.
 ///
 /// Tie-breaking is deterministic and part of the contract: every rule
 /// scans a task's configurations in hyperedge-id order and accepts a new
@@ -34,42 +38,12 @@ pub enum OnlineRule {
 /// keys equal), falling out of the same loop rather than a special-cased
 /// early exit.
 pub fn online_schedule(h: &Hypergraph, rule: OnlineRule) -> Result<HyperMatching> {
-    let mut loads = vec![0u64; h.n_procs() as usize];
-    let mut hedge_of = vec![0u32; h.n_tasks() as usize];
-    for t in 0..h.n_tasks() {
-        let mut best: Option<u32> = None;
-        let mut best_key = u64::MAX;
-        for hid in h.hedges_of(t) {
-            let key = match rule {
-                OnlineRule::FirstFit => 0,
-                OnlineRule::MinBottleneck => h
-                    .procs_of(hid)
-                    .iter()
-                    .map(|&u| loads[u as usize])
-                    .max()
-                    .expect("non-empty hyperedge"),
-                OnlineRule::MinResulting => {
-                    h.procs_of(hid)
-                        .iter()
-                        .map(|&u| loads[u as usize])
-                        .max()
-                        .expect("non-empty hyperedge")
-                        + h.weight(hid)
-                }
-            };
-            if key < best_key {
-                best_key = key;
-                best = Some(hid);
-            }
-        }
-        let hid = best.ok_or(CoreError::UncoveredTask(t))?;
-        hedge_of[t as usize] = hid;
-        let w = h.weight(hid);
-        for &u in h.procs_of(hid) {
-            loads[u as usize] += w;
-        }
-    }
-    Ok(HyperMatching { hedge_of })
+    let key = match rule {
+        OnlineRule::MinBottleneck => Key::Current,
+        OnlineRule::MinResulting => Key::Resulting,
+        OnlineRule::FirstFit => Key::FirstFit,
+    };
+    greedy_hyp(h, false, key)
 }
 
 #[cfg(test)]

@@ -10,9 +10,12 @@
 //! the integer objective score. Either way termination is guaranteed and
 //! the result never scores worse than the input.
 
+use std::cmp::Ordering;
+
 use semimatch_graph::Hypergraph;
 
 use crate::error::Result;
+use crate::greedy::Key;
 use crate::hyper::lex::LexScratch;
 use crate::objective::Objective;
 use crate::problem::HyperMatching;
@@ -28,9 +31,8 @@ pub struct RefineStats {
 
 /// Refines `hm` in place; stops at a fixpoint or after `max_passes`.
 ///
-/// Thin alias for [`refine_with`] under [`Objective::Makespan`]: the
-/// historical lexicographic descent (which dominates the plain makespan
-/// criterion) is exactly the makespan arm of the objective-aware entry.
+/// [`refine_with`] under [`Objective::Makespan`]: the lexicographic
+/// load-vector descent.
 pub fn refine(h: &Hypergraph, hm: &mut HyperMatching, max_passes: u32) -> Result<RefineStats> {
     refine_with(h, hm, max_passes, Objective::Makespan)
 }
@@ -39,27 +41,26 @@ pub fn refine(h: &Hypergraph, hm: &mut HyperMatching, max_passes: u32) -> Result
 /// time, accepting a move iff it strictly improves the solution under
 /// `objective`; stops at a fixpoint or after `max_passes`.
 ///
-/// Move acceptance per objective:
-/// * [`Objective::Makespan`] — the lexicographic load-vector descent of
-///   the original `refine` (strictly stronger than comparing the raw
-///   makespan, and unchanged from the historical behaviour);
-/// * sum-type objectives — a task moves to the candidate with the
-///   smallest total marginal cost `Σ_{u∈h} (cost(l(u)+w_h) − cost(l(u)))`
-///   over the loads with the task's own contribution removed; ties keep
-///   the current configuration. Every accepted move strictly decreases
-///   the integer objective score, so termination is guaranteed and the
-///   result never scores worse than the input.
+/// Each task's candidates are compared over the loads with its own
+/// contribution removed, and ties keep the current configuration:
+/// * [`Objective::Makespan`] — lexicographically on the resulting
+///   descending-sorted load vectors (strictly stronger than comparing the
+///   raw makespan);
+/// * sum-type objectives — by total marginal cost
+///   `Σ_{u∈h} (cost(l(u)+w_h) − cost(l(u)))`.
+///
+/// Every accepted move strictly decreases the sorted load vector
+/// (lexicographically) or the integer objective score, so termination is
+/// guaranteed and the result never scores worse than the input.
 pub fn refine_with(
     h: &Hypergraph,
     hm: &mut HyperMatching,
     max_passes: u32,
     objective: Objective,
 ) -> Result<RefineStats> {
-    if objective.is_bottleneck() {
-        return refine_lex(h, hm, max_passes);
-    }
     hm.validate(h)?;
     let mut loads = hm.loads(h);
+    let mut scratch = LexScratch::default();
     let mut stats = RefineStats::default();
     for _ in 0..max_passes {
         stats.passes += 1;
@@ -74,21 +75,9 @@ pub fn refine_with(
             for &u in h.procs_of(current) {
                 loads[u as usize] -= w_cur;
             }
-            let delta = |hid: u32| {
-                let w = h.weight(hid);
-                h.procs_of(hid).iter().fold(0u128, |acc, &u| {
-                    acc.saturating_add(objective.marginal(loads[u as usize], w))
-                })
-            };
             let mut best = current;
-            let mut best_delta = delta(current);
             for hid in h.hedges_of(t) {
-                if hid == current {
-                    continue;
-                }
-                let d = delta(hid);
-                if d < best_delta {
-                    best_delta = d;
+                if hid != current && improves(h, &loads, hid, best, objective, &mut scratch) {
                     best = hid;
                 }
             }
@@ -110,58 +99,23 @@ pub fn refine_with(
     Ok(stats)
 }
 
-/// The historical lexicographic (makespan) descent.
-fn refine_lex(h: &Hypergraph, hm: &mut HyperMatching, max_passes: u32) -> Result<RefineStats> {
-    hm.validate(h)?;
-    let mut loads = hm.loads(h);
-    let mut scratch = LexScratch::default();
-    let mut stats = RefineStats::default();
-
-    for _ in 0..max_passes {
-        stats.passes += 1;
-        let mut moved_this_pass = false;
-        for t in 0..h.n_tasks() {
-            let current = hm.hedge_of[t as usize];
-            if h.deg_task(t) <= 1 {
-                continue;
-            }
-            // Remove t's contribution; candidates then compare fairly.
-            let w_cur = h.weight(current);
-            for &u in h.procs_of(current) {
-                loads[u as usize] -= w_cur;
-            }
-            let mut best = current;
-            for hid in h.hedges_of(t) {
-                if hid == best {
-                    continue;
-                }
-                let ord = scratch.cmp_candidates(
-                    &loads,
-                    h.procs_of(hid),
-                    h.weight(hid),
-                    h.procs_of(best),
-                    h.weight(best),
-                );
-                if ord == std::cmp::Ordering::Less {
-                    best = hid;
-                }
-            }
-            let w_new = h.weight(best);
-            for &u in h.procs_of(best) {
-                loads[u as usize] += w_new;
-            }
-            if best != current {
-                hm.hedge_of[t as usize] = best;
-                stats.moves += 1;
-                moved_this_pass = true;
-            }
-        }
-        if !moved_this_pass {
-            break;
-        }
+/// Whether placing a task on configuration `a` strictly beats placing it
+/// on `b`, over `loads` without the task.
+fn improves(
+    h: &Hypergraph,
+    loads: &[u64],
+    a: u32,
+    b: u32,
+    objective: Objective,
+    scratch: &mut LexScratch,
+) -> bool {
+    if objective.is_bottleneck() {
+        let (pins_a, pins_b) = (h.procs_of(a), h.procs_of(b));
+        scratch.cmp_candidates(loads, pins_a, h.weight(a), pins_b, h.weight(b)) == Ordering::Less
+    } else {
+        let key = Key::Marginal(objective);
+        key.of(loads, h.procs_of(a), h.weight(a)) < key.of(loads, h.procs_of(b), h.weight(b))
     }
-    debug_assert_eq!(loads, hm.loads(h), "incremental loads stay consistent");
-    Ok(stats)
 }
 
 /// Statistics of an iterated-local-search run.
@@ -257,6 +211,11 @@ pub fn iterated_refine_with(
 mod tests {
     use super::*;
     use crate::hyper::sgh::sorted_greedy_hyp;
+    use crate::solver::{Problem, SolverKind};
+
+    fn heuristic(kind: SolverKind, h: &Hypergraph) -> HyperMatching {
+        kind.solve(Problem::MultiProc(h)).unwrap().into_hyper().unwrap()
+    }
 
     fn weighted_case() -> Hypergraph {
         Hypergraph::from_hyperedges(
@@ -277,12 +236,12 @@ mod tests {
     #[test]
     fn never_increases_makespan() {
         let h = weighted_case();
-        for heuristic in crate::hyper::HyperHeuristic::ALL {
-            let mut hm = heuristic.run(&h).unwrap();
+        for kind in SolverKind::HYPER_HEURISTICS {
+            let mut hm = heuristic(kind, &h);
             let before = hm.makespan(&h);
             refine(&h, &mut hm, 32).unwrap();
             hm.validate(&h).unwrap();
-            assert!(hm.makespan(&h) <= before, "{}", heuristic.label());
+            assert!(hm.makespan(&h) <= before, "{}", kind.label());
         }
     }
 
@@ -328,16 +287,16 @@ mod tests {
     #[test]
     fn ils_never_loses_to_plain_refinement() {
         let h = weighted_case();
-        for heuristic in crate::hyper::HyperHeuristic::ALL {
-            let mut plain = heuristic.run(&h).unwrap();
+        for kind in SolverKind::HYPER_HEURISTICS {
+            let mut plain = heuristic(kind, &h);
             refine(&h, &mut plain, 32).unwrap();
-            let mut ils = heuristic.run(&h).unwrap();
+            let mut ils = heuristic(kind, &h);
             iterated_refine(&h, &mut ils, 8, 32).unwrap();
             ils.validate(&h).unwrap();
             assert!(
                 ils.makespan(&h) <= plain.makespan(&h),
                 "{}: ILS {} vs refine {}",
-                heuristic.label(),
+                kind.label(),
                 ils.makespan(&h),
                 plain.makespan(&h)
             );

@@ -1,13 +1,11 @@
 //! The unified solver registry: every semi-matching algorithm in the
 //! workspace behind one entry point.
 //!
-//! Historically each consumer (CLI, bench harness, scheduling policies,
-//! agreement tests) kept its own selector enum and `match` ladder over the
-//! algorithm set ([`crate::BiHeuristic`], [`crate::hyper::HyperHeuristic`],
-//! [`crate::exact::SearchStrategy`], the sched policies, the CLI's string
-//! matching). This module replaces all of that with a single [`SolverKind`]
-//! registry: name-based lookup ([`SolverKind::from_str`]), enumeration
-//! ([`SolverKind::ALL`] and the class subsets) and one
+//! [`SolverKind`] is the one algorithm selector: the CLI, bench harness,
+//! scheduling policies and agreement tests all pick algorithms through it,
+//! by name ([`SolverKind::from_str`]) or by enumeration
+//! ([`SolverKind::ALL`] and the class subsets such as
+//! [`SolverKind::BI_HEURISTICS`]), and run them through one
 //! [`solve(problem, kind)`](solve) dispatcher.
 //!
 //! For repeated traffic the registry exposes a warm path: the [`Solver`]
@@ -19,9 +17,10 @@
 //! The **cost model is a first-class axis**: every entry point takes (or
 //! defaults) an [`Objective`] — [`solve_with`], [`SolverKind::solve_with`],
 //! [`SolverKind::solve_in`], [`Solver::solve_with`] and [`solve_many`].
-//! Under [`Objective::Makespan`] every kind runs its historical paper
-//! algorithm; under a sum-type objective (flow time, `L_p`, total load)
-//! the greedy/refine/ILS families select by marginal objective cost, the
+//! Under [`Objective::Makespan`] every kind runs its paper algorithm;
+//! under a sum-type objective (flow time, `L_p`, total load) the
+//! greedy/refine/ILS families run the same selection loops keyed by the
+//! marginal objective cost, the
 //! exhaustive search branch-and-bounds on the exact objective score, and
 //! the exact `SINGLEPROC-UNIT` kinds append a cost-reducing-path descent
 //! so their answer is optimal for **every** symmetric convex objective
@@ -55,24 +54,22 @@ use semimatch_matching::SearchWorkspace;
 
 use crate::error::{CoreError, Result};
 use crate::exact::{
-    brute_force_multiproc, brute_force_multiproc_objective, brute_force_singleproc,
-    brute_force_singleproc_objective, cost_scaling_in, cost_scaling_seeded_in, exact_unit_in,
-    exact_unit_replicated_in, harvey_exact, hk_semi_in, mcf_in, mcf_objective_in, SearchStrategy,
+    brute_force_multiproc_objective, brute_force_singleproc_objective, cost_scaling_in,
+    cost_scaling_seeded_in, exact_unit_in, exact_unit_replicated_in, harvey_exact, hk_semi_in,
+    mcf_in, mcf_objective_in, SearchStrategy,
 };
-use crate::greedy::basic::greedy_in_order_with;
-use crate::greedy::double_sorted::double_sorted_with;
 use crate::greedy::expected::expected_greedy_with;
-use crate::greedy::tasks_by_degree as bi_tasks_by_degree;
-use crate::hyper::obj_greedy::{objective_expected_greedy_hyp, objective_greedy_hyp};
-use crate::hyper::HyperHeuristic;
-use crate::online::{online_schedule, OnlineRule};
+use crate::greedy::{greedy_in_order, tasks_by_degree, Key};
+use crate::hyper::egh::expected_greedy_hyp_with;
+use crate::hyper::evg::expected_vector_greedy_hyp;
+use crate::hyper::sgh::greedy_hyp;
+use crate::hyper::vgh::vector_greedy_hyp;
 use crate::problem::{HyperMatching, SemiMatching};
 use crate::refine::{iterated_refine_with, refine_with};
 use crate::streaming::{
     streaming_greedy_bipartite_two_pass_with, streaming_greedy_bipartite_with,
     streaming_greedy_hyper_two_pass_with, streaming_greedy_hyper_with,
 };
-use crate::BiHeuristic;
 
 /// The maximum-matching engine axis, re-exported so registry consumers have
 /// one import surface for every algorithm selector in the workspace.
@@ -293,11 +290,10 @@ registry! {
     /// Every semi-matching solver in the workspace, unified.
     ///
     /// This is the registry the CLI, bench harness, scheduling policies and
-    /// the agreement tests all dispatch through; the per-crate selector
-    /// enums ([`BiHeuristic`], [`HyperHeuristic`], [`SearchStrategy`])
-    /// survive only as internal implementation details behind
-    /// [`SolverKind::solve`]. `semimatch solvers` prints the table below as
-    /// the README solver map.
+    /// the agreement tests all dispatch through, and the only algorithm
+    /// selector: [`SearchStrategy`] survives as a parameter of the exact
+    /// unit solvers behind [`SolverKind::solve`]. `semimatch solvers`
+    /// prints the table below as the README solver map.
     #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
     pub enum SolverKind {
         // --- SINGLEPROC heuristics (§IV-B) ---
@@ -305,13 +301,13 @@ registry! {
         Basic => KindSpec {
             name: "basic", aliases: &[], label: "basic", paper: Some("§IV-B"),
             class: SolverClass::SingleProc, exact: false,
-            description: "basic-greedy, tasks by degree (Alg. 1)",
+            description: "basic-greedy, tasks in input order (Alg. 1)",
         },
         /// sorted-greedy.
         Sorted => KindSpec {
             name: "sorted", aliases: &[], label: "sorted", paper: Some("§IV-B"),
             class: SolverClass::SingleProc, exact: false,
-            description: "sorted-greedy, processors by load",
+            description: "sorted-greedy, tasks by non-decreasing degree",
         },
         /// double-sorted (Algorithm 2).
         DoubleSorted => KindSpec {
@@ -602,14 +598,15 @@ impl SolverKind {
     /// Runs this solver on `problem` optimizing `objective`, drawing all
     /// matching-engine scratch (flow arenas, BFS/DFS arrays) from `ws`.
     ///
-    /// Under [`Objective::Makespan`] every kind runs its historical paper
-    /// algorithm. Under a sum-type objective:
+    /// Under [`Objective::Makespan`] every kind runs its paper algorithm.
+    /// Under a sum-type objective:
     ///
     /// * the greedy families (bipartite and hypergraph, including
-    ///   [`SolverKind::Online`] and the two streaming kinds)
-    ///   select by **marginal objective cost** along their usual visit
-    ///   order and tie-breaks (the current-load pair SGH/VGH and the
-    ///   expected-load pair EGH/EVG each collapse to one marginal rule);
+    ///   [`SolverKind::Online`] and the two streaming kinds) run their
+    ///   usual loop, visit order and tie-breaks with the **marginal
+    ///   objective cost** as the key (the current-load pair SGH/VGH and
+    ///   the expected-load pair EGH/EVG each collapse to one marginal
+    ///   rule);
     /// * the refined/ILS kinds run their base heuristic and local search
     ///   with objective-aware move acceptance;
     /// * the exact `SINGLEPROC-UNIT` kinds solve for the optimal makespan
@@ -626,229 +623,113 @@ impl SolverKind {
         objective: Objective,
         ws: &mut SearchWorkspace,
     ) -> Result<Solution> {
-        if !objective.is_bottleneck() {
-            return self.solve_objective(problem, objective, ws);
-        }
-        match self {
-            SolverKind::Basic => {
-                Ok(Solution::SingleProc(BiHeuristic::Basic.run(self.bipartite(&problem)?)?))
-            }
-            SolverKind::Sorted => {
-                Ok(Solution::SingleProc(BiHeuristic::Sorted.run(self.bipartite(&problem)?)?))
-            }
-            SolverKind::DoubleSorted => {
-                Ok(Solution::SingleProc(BiHeuristic::DoubleSorted.run(self.bipartite(&problem)?)?))
+        use Solution::{MultiProc, SingleProc};
+        let makespan = objective.is_bottleneck();
+        Ok(match self {
+            SolverKind::Basic | SolverKind::Sorted | SolverKind::DoubleSorted => {
+                let g = self.bipartite(&problem)?;
+                let order = if self == SolverKind::Basic {
+                    (0..g.n_left()).collect()
+                } else {
+                    tasks_by_degree(g.n_left(), |v| g.deg_left(v))
+                };
+                let by_in_degree = self == SolverKind::DoubleSorted;
+                SingleProc(greedy_in_order(g, &order, objective, by_in_degree)?)
             }
             SolverKind::Expected => {
-                Ok(Solution::SingleProc(BiHeuristic::Expected.run(self.bipartite(&problem)?)?))
+                SingleProc(expected_greedy_with(self.bipartite(&problem)?, objective)?)
             }
             SolverKind::ExactIncremental => {
                 let g = self.bipartite(&problem)?;
-                Ok(Solution::SingleProc(
-                    exact_unit_in(g, SearchStrategy::Incremental, ws)?.solution,
-                ))
+                let sm = exact_unit_in(g, SearchStrategy::Incremental, ws)?.solution;
+                SingleProc(descend(g, sm, objective))
             }
             SolverKind::ExactBisection => {
                 let g = self.bipartite(&problem)?;
-                Ok(Solution::SingleProc(exact_unit_in(g, SearchStrategy::Bisection, ws)?.solution))
+                let sm = exact_unit_in(g, SearchStrategy::Bisection, ws)?.solution;
+                SingleProc(descend(g, sm, objective))
             }
             SolverKind::ExactReplicated => {
                 let g = self.bipartite(&problem)?;
-                let r = exact_unit_replicated_in(
-                    g,
-                    MatchingEngine::PushRelabel,
-                    SearchStrategy::Incremental,
-                    ws,
-                )?;
-                Ok(Solution::SingleProc(r.solution))
+                let engine = MatchingEngine::PushRelabel;
+                let r = exact_unit_replicated_in(g, engine, SearchStrategy::Incremental, ws)?;
+                SingleProc(descend(g, r.solution, objective))
             }
-            SolverKind::Harvey => {
-                Ok(Solution::SingleProc(harvey_exact(self.bipartite(&problem)?)?))
-            }
+            // Already a cost-reducing-path fixpoint: optimal for every
+            // symmetric convex objective as computed.
+            SolverKind::Harvey => SingleProc(harvey_exact(self.bipartite(&problem)?)?),
             SolverKind::HopcroftKarpSemi => {
-                Ok(Solution::SingleProc(hk_semi_in(self.bipartite(&problem)?, ws)?.solution))
+                let g = self.bipartite(&problem)?;
+                SingleProc(descend(g, hk_semi_in(g, ws)?.solution, objective))
             }
             SolverKind::CostScaling => {
-                Ok(Solution::SingleProc(cost_scaling_in(self.bipartite(&problem)?, ws)?.solution))
+                let g = self.bipartite(&problem)?;
+                SingleProc(descend(g, cost_scaling_in(g, ws)?.solution, objective))
             }
+            // The balanced flow is majorization-minimal as computed (no
+            // descent needed), and the weighted path handles total load.
             SolverKind::MinCostFlow => {
-                Ok(Solution::SingleProc(mcf_in(self.bipartite(&problem)?, ws)?.solution))
-            }
-            SolverKind::Sgh => {
-                Ok(Solution::MultiProc(HyperHeuristic::Sgh.run(self.hypergraph(&problem)?)?))
-            }
-            SolverKind::Vgh => {
-                Ok(Solution::MultiProc(HyperHeuristic::Vgh.run(self.hypergraph(&problem)?)?))
-            }
-            SolverKind::Egh => {
-                Ok(Solution::MultiProc(HyperHeuristic::Egh.run(self.hypergraph(&problem)?)?))
-            }
-            SolverKind::Evg => {
-                Ok(Solution::MultiProc(HyperHeuristic::Evg.run(self.hypergraph(&problem)?)?))
-            }
-            SolverKind::EvgRefined => {
-                let h = self.hypergraph(&problem)?;
-                let mut hm = HyperHeuristic::Evg.run(h)?;
-                refine_with(h, &mut hm, REFINE_PASSES, Objective::Makespan)?;
-                Ok(Solution::MultiProc(hm))
-            }
-            SolverKind::SghRefined => {
-                let h = self.hypergraph(&problem)?;
-                let mut hm = HyperHeuristic::Sgh.run(h)?;
-                refine_with(h, &mut hm, REFINE_PASSES, Objective::Makespan)?;
-                Ok(Solution::MultiProc(hm))
-            }
-            SolverKind::SghIls => {
-                let h = self.hypergraph(&problem)?;
-                let mut hm = HyperHeuristic::Sgh.run(h)?;
-                iterated_refine_with(h, &mut hm, ILS_KICKS, REFINE_PASSES, Objective::Makespan)?;
-                Ok(Solution::MultiProc(hm))
-            }
-            SolverKind::Online => Ok(Solution::MultiProc(online_schedule(
-                self.hypergraph(&problem)?,
-                OnlineRule::MinBottleneck,
-            )?)),
-            SolverKind::StreamingGreedy => match problem {
-                Problem::SingleProc(g) => Ok(Solution::SingleProc(
-                    streaming_greedy_bipartite_with(g, Objective::Makespan)?,
-                )),
-                Problem::MultiProc(h) => {
-                    Ok(Solution::MultiProc(streaming_greedy_hyper_with(h, Objective::Makespan)?))
-                }
-            },
-            SolverKind::StreamingTwoPass => match problem {
-                Problem::SingleProc(g) => Ok(Solution::SingleProc(
-                    streaming_greedy_bipartite_two_pass_with(g, Objective::Makespan)?,
-                )),
-                Problem::MultiProc(h) => Ok(Solution::MultiProc(
-                    streaming_greedy_hyper_two_pass_with(h, Objective::Makespan)?,
-                )),
-            },
-            SolverKind::BruteForce => match problem {
-                Problem::SingleProc(g) => {
-                    let (_, sm) = brute_force_singleproc(g, BRUTE_FORCE_BUDGET)?;
-                    Ok(Solution::SingleProc(sm))
-                }
-                Problem::MultiProc(h) => {
-                    let (_, hm) = brute_force_multiproc(h, BRUTE_FORCE_BUDGET)?;
-                    Ok(Solution::MultiProc(hm))
-                }
-            },
-        }
-    }
-
-    /// The sum-type-objective dispatch behind [`SolverKind::solve_in`].
-    fn solve_objective(
-        self,
-        problem: Problem<'_>,
-        objective: Objective,
-        ws: &mut SearchWorkspace,
-    ) -> Result<Solution> {
-        debug_assert!(!objective.is_bottleneck());
-        match self {
-            SolverKind::Basic => {
                 let g = self.bipartite(&problem)?;
-                let order: Vec<u32> = (0..g.n_left()).collect();
-                Ok(Solution::SingleProc(greedy_in_order_with(g, &order, objective)?))
+                SingleProc(if makespan {
+                    mcf_in(g, ws)?.solution
+                } else {
+                    mcf_objective_in(g, objective, ws)?
+                })
             }
-            SolverKind::Sorted => {
-                let g = self.bipartite(&problem)?;
-                let order = bi_tasks_by_degree(g);
-                Ok(Solution::SingleProc(greedy_in_order_with(g, &order, objective)?))
+            SolverKind::Vgh if makespan => {
+                MultiProc(vector_greedy_hyp(self.hypergraph(&problem)?)?)
             }
-            SolverKind::DoubleSorted => {
-                Ok(Solution::SingleProc(double_sorted_with(self.bipartite(&problem)?, objective)?))
+            SolverKind::Evg if makespan => {
+                MultiProc(expected_vector_greedy_hyp(self.hypergraph(&problem)?)?)
             }
-            SolverKind::Expected => Ok(Solution::SingleProc(expected_greedy_with(
-                self.bipartite(&problem)?,
-                objective,
-            )?)),
-            SolverKind::ExactIncremental
-            | SolverKind::ExactBisection
-            | SolverKind::ExactReplicated
-            | SolverKind::HopcroftKarpSemi
-            | SolverKind::CostScaling => {
-                // Makespan-exact first, then the cost-reducing-path descent:
-                // its fixpoint is simultaneously optimal for every symmetric
-                // convex objective (Harvey et al.).
-                let g = self.bipartite(&problem)?;
-                let Solution::SingleProc(sm) = self.solve_in(problem, Objective::Makespan, ws)?
-                else {
-                    unreachable!("SINGLEPROC problems yield SINGLEPROC solutions")
+            SolverKind::Sgh | SolverKind::Vgh => {
+                let key = Key::under(objective, Key::Current);
+                MultiProc(greedy_hyp(self.hypergraph(&problem)?, true, key)?)
+            }
+            SolverKind::Egh | SolverKind::Evg => {
+                MultiProc(expected_greedy_hyp_with(self.hypergraph(&problem)?, objective)?)
+            }
+            SolverKind::EvgRefined | SolverKind::SghRefined | SolverKind::SghIls => {
+                let h = self.hypergraph(&problem)?;
+                let base =
+                    if self == SolverKind::EvgRefined { SolverKind::Evg } else { SolverKind::Sgh };
+                let Some(mut hm) = base.solve_in(problem, objective, ws)?.into_hyper() else {
+                    unreachable!("MULTIPROC problems yield MULTIPROC solutions")
                 };
-                Ok(Solution::SingleProc(crate::exact::harvey::optimize(g, sm)))
+                if self == SolverKind::SghIls {
+                    iterated_refine_with(h, &mut hm, ILS_KICKS, REFINE_PASSES, objective)?;
+                } else {
+                    refine_with(h, &mut hm, REFINE_PASSES, objective)?;
+                }
+                MultiProc(hm)
             }
-            SolverKind::Harvey => {
-                // Already a cost-reducing-path fixpoint: optimal for every
-                // symmetric convex objective as computed.
-                Ok(Solution::SingleProc(harvey_exact(self.bipartite(&problem)?)?))
+            SolverKind::Online => {
+                let key = Key::under(objective, Key::Current);
+                MultiProc(greedy_hyp(self.hypergraph(&problem)?, false, key)?)
             }
-            SolverKind::MinCostFlow => {
-                // The balanced flow is majorization-minimal as computed (no
-                // descent needed), and the weighted path handles total load.
-                let g = self.bipartite(&problem)?;
-                Ok(Solution::SingleProc(mcf_objective_in(g, objective, ws)?))
-            }
-            SolverKind::Sgh | SolverKind::Vgh => Ok(Solution::MultiProc(objective_greedy_hyp(
-                self.hypergraph(&problem)?,
-                objective,
-                true,
-            )?)),
-            SolverKind::Egh | SolverKind::Evg => Ok(Solution::MultiProc(
-                objective_expected_greedy_hyp(self.hypergraph(&problem)?, objective)?,
-            )),
-            SolverKind::EvgRefined => {
-                let h = self.hypergraph(&problem)?;
-                let mut hm = objective_expected_greedy_hyp(h, objective)?;
-                refine_with(h, &mut hm, REFINE_PASSES, objective)?;
-                Ok(Solution::MultiProc(hm))
-            }
-            SolverKind::SghRefined => {
-                let h = self.hypergraph(&problem)?;
-                let mut hm = objective_greedy_hyp(h, objective, true)?;
-                refine_with(h, &mut hm, REFINE_PASSES, objective)?;
-                Ok(Solution::MultiProc(hm))
-            }
-            SolverKind::SghIls => {
-                let h = self.hypergraph(&problem)?;
-                let mut hm = objective_greedy_hyp(h, objective, true)?;
-                iterated_refine_with(h, &mut hm, ILS_KICKS, REFINE_PASSES, objective)?;
-                Ok(Solution::MultiProc(hm))
-            }
-            SolverKind::Online => Ok(Solution::MultiProc(objective_greedy_hyp(
-                self.hypergraph(&problem)?,
-                objective,
-                false,
-            )?)),
             SolverKind::StreamingGreedy => match problem {
                 Problem::SingleProc(g) => {
-                    Ok(Solution::SingleProc(streaming_greedy_bipartite_with(g, objective)?))
+                    SingleProc(streaming_greedy_bipartite_with(g, objective)?)
                 }
-                Problem::MultiProc(h) => {
-                    Ok(Solution::MultiProc(streaming_greedy_hyper_with(h, objective)?))
-                }
+                Problem::MultiProc(h) => MultiProc(streaming_greedy_hyper_with(h, objective)?),
             },
             SolverKind::StreamingTwoPass => match problem {
-                Problem::SingleProc(g) => Ok(Solution::SingleProc(
-                    streaming_greedy_bipartite_two_pass_with(g, objective)?,
-                )),
+                Problem::SingleProc(g) => {
+                    SingleProc(streaming_greedy_bipartite_two_pass_with(g, objective)?)
+                }
                 Problem::MultiProc(h) => {
-                    Ok(Solution::MultiProc(streaming_greedy_hyper_two_pass_with(h, objective)?))
+                    MultiProc(streaming_greedy_hyper_two_pass_with(h, objective)?)
                 }
             },
             SolverKind::BruteForce => match problem {
-                Problem::SingleProc(g) => {
-                    let (_, sm) =
-                        brute_force_singleproc_objective(g, BRUTE_FORCE_BUDGET, objective)?;
-                    Ok(Solution::SingleProc(sm))
-                }
+                Problem::SingleProc(g) => SingleProc(
+                    brute_force_singleproc_objective(g, BRUTE_FORCE_BUDGET, objective)?.1,
+                ),
                 Problem::MultiProc(h) => {
-                    let (_, hm) =
-                        brute_force_multiproc_objective(h, BRUTE_FORCE_BUDGET, objective)?;
-                    Ok(Solution::MultiProc(hm))
+                    MultiProc(brute_force_multiproc_objective(h, BRUTE_FORCE_BUDGET, objective)?.1)
                 }
             },
-        }
+        })
     }
 
     fn bipartite<'a>(self, problem: &Problem<'a>) -> Result<&'a Bipartite> {
@@ -869,6 +750,18 @@ impl SolverKind {
                 expected: "a hypergraph (MULTIPROC) instance",
             }),
         }
+    }
+}
+
+/// A makespan-optimal unit assignment, optimized for `objective`: under a
+/// sum objective, the Harvey–Ladner–Lovász–Tamir cost-reducing-path
+/// descent, whose fixpoint is optimal for every symmetric convex
+/// objective at once.
+fn descend(g: &Bipartite, sm: SemiMatching, objective: Objective) -> SemiMatching {
+    if objective.is_bottleneck() {
+        sm
+    } else {
+        crate::exact::harvey::optimize(g, sm)
     }
 }
 
@@ -1006,12 +899,7 @@ impl Solver for KindSolver {
         if self.kind == SolverKind::CostScaling {
             if let (Some(seed), Problem::SingleProc(g)) = (self.seed.take(), &problem) {
                 let r = cost_scaling_seeded_in(g, Some(&seed), &mut self.ws)?;
-                let sm = if objective.is_bottleneck() {
-                    r.solution
-                } else {
-                    crate::exact::harvey::optimize(g, r.solution)
-                };
-                return Ok(Solution::SingleProc(sm));
+                return Ok(Solution::SingleProc(descend(g, r.solution, objective)));
             }
         }
         self.seed = None;

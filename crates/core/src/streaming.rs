@@ -20,6 +20,7 @@
 use semimatch_graph::{Bipartite, Hypergraph};
 
 use crate::error::{CoreError, Result};
+use crate::greedy::Key;
 use crate::objective::Objective;
 use crate::problem::{HyperMatching, SemiMatching};
 
@@ -28,65 +29,21 @@ use crate::problem::{HyperMatching, SemiMatching};
 /// Processes edges in edge-id order with `O(n + p)` state. Ties keep the
 /// earlier (lower-id) edge, so the result is deterministic.
 pub fn streaming_greedy_bipartite(g: &Bipartite) -> Result<SemiMatching> {
-    let mut loads = vec![0u64; g.n_right() as usize];
-    let mut edge_of = vec![u32::MAX; g.n_left() as usize];
-    for e in 0..g.num_edges() as u32 {
-        let t = g.edge_left(e) as usize;
-        let p = g.edge_right(e) as usize;
-        let w = g.weight(e);
-        let cur = edge_of[t];
-        if cur == u32::MAX {
-            edge_of[t] = e;
-            loads[p] += w;
-            continue;
-        }
-        let (cp, cw) = (g.edge_right(cur) as usize, g.weight(cur));
-        // Compare resulting loads with the task's contribution removed.
-        let excl = |u: usize| loads[u] - if u == cp { cw } else { 0 };
-        if excl(p) + w < excl(cp) + cw {
-            loads[cp] -= cw;
-            loads[p] += w;
-            edge_of[t] = e;
-        }
-    }
-    if let Some(t) = edge_of.iter().position(|&e| e == u32::MAX) {
-        return Err(CoreError::UncoveredTask(t as u32));
-    }
-    Ok(SemiMatching { edge_of })
+    streaming_greedy_bipartite_with(g, Objective::Makespan)
 }
 
 /// Objective-aware one-pass streaming greedy over a bipartite edge
 /// stream: an assigned task switches to the streamed edge iff the switch
-/// strictly lowers its marginal cost under `objective` with its own
-/// contribution removed. [`Objective::Makespan`] delegates to the
-/// historical resulting-load rule.
+/// strictly lowers its key with its own contribution removed — the
+/// resulting load under [`Objective::Makespan`], the marginal cost under
+/// a sum objective.
 pub fn streaming_greedy_bipartite_with(
     g: &Bipartite,
     objective: Objective,
 ) -> Result<SemiMatching> {
-    if objective.is_bottleneck() {
-        return streaming_greedy_bipartite(g);
-    }
-    let mut loads = vec![0u64; g.n_right() as usize];
     let mut edge_of = vec![u32::MAX; g.n_left() as usize];
-    for e in 0..g.num_edges() as u32 {
-        let t = g.edge_left(e) as usize;
-        let p = g.edge_right(e) as usize;
-        let w = g.weight(e);
-        let cur = edge_of[t];
-        if cur == u32::MAX {
-            edge_of[t] = e;
-            loads[p] += w;
-            continue;
-        }
-        let (cp, cw) = (g.edge_right(cur) as usize, g.weight(cur));
-        let excl = |u: usize| loads[u] - if u == cp { cw } else { 0 };
-        if objective.marginal(excl(p), w) < objective.marginal(excl(cp), cw) {
-            loads[cp] -= cw;
-            loads[p] += w;
-            edge_of[t] = e;
-        }
-    }
+    let mut loads = vec![0u64; g.n_right() as usize];
+    pass_bipartite(g, objective, &mut edge_of, &mut loads, None);
     if let Some(t) = edge_of.iter().position(|&e| e == u32::MAX) {
         return Err(CoreError::UncoveredTask(t as u32));
     }
@@ -96,81 +53,17 @@ pub fn streaming_greedy_bipartite_with(
 /// One-pass streaming greedy over a hypergraph (`MULTIPROC`) hyperedge
 /// stream, processed in hyperedge-id order with `O(n + p)` state.
 pub fn streaming_greedy_hyper(h: &Hypergraph) -> Result<HyperMatching> {
-    let mut loads = vec![0u64; h.n_procs() as usize];
-    let mut hedge_of = vec![u32::MAX; h.n_tasks() as usize];
-    for hid in 0..h.n_hedges() {
-        let t = h.task_of(hid) as usize;
-        let w = h.weight(hid);
-        let cur = hedge_of[t];
-        if cur == u32::MAX {
-            hedge_of[t] = hid;
-            for &u in h.procs_of(hid) {
-                loads[u as usize] += w;
-            }
-            continue;
-        }
-        let cw = h.weight(cur);
-        let cur_pins = h.procs_of(cur);
-        // Loads with the task's current contribution removed.
-        let excl =
-            |u: u32| loads[u as usize] - if cur_pins.binary_search(&u).is_ok() { cw } else { 0 };
-        let key_new = h.procs_of(hid).iter().map(|&u| excl(u)).max().unwrap_or(0) + w;
-        let key_cur = cur_pins.iter().map(|&u| excl(u)).max().unwrap_or(0) + cw;
-        if key_new < key_cur {
-            for &u in cur_pins {
-                loads[u as usize] -= cw;
-            }
-            for &u in h.procs_of(hid) {
-                loads[u as usize] += w;
-            }
-            hedge_of[t] = hid;
-        }
-    }
-    if let Some(t) = hedge_of.iter().position(|&e| e == u32::MAX) {
-        return Err(CoreError::UncoveredTask(t as u32));
-    }
-    Ok(HyperMatching { hedge_of })
+    streaming_greedy_hyper_with(h, Objective::Makespan)
 }
 
 /// Objective-aware one-pass streaming greedy over a hyperedge stream:
-/// switch iff the streamed configuration's total marginal cost (own
-/// contribution removed) strictly beats the held one's.
-/// [`Objective::Makespan`] delegates to the historical bottleneck rule.
+/// switch iff the streamed configuration's key (own contribution removed)
+/// strictly beats the held one's — the resulting bottleneck under
+/// [`Objective::Makespan`], the total marginal cost under a sum objective.
 pub fn streaming_greedy_hyper_with(h: &Hypergraph, objective: Objective) -> Result<HyperMatching> {
-    if objective.is_bottleneck() {
-        return streaming_greedy_hyper(h);
-    }
-    let mut loads = vec![0u64; h.n_procs() as usize];
     let mut hedge_of = vec![u32::MAX; h.n_tasks() as usize];
-    for hid in 0..h.n_hedges() {
-        let t = h.task_of(hid) as usize;
-        let w = h.weight(hid);
-        let cur = hedge_of[t];
-        if cur == u32::MAX {
-            hedge_of[t] = hid;
-            for &u in h.procs_of(hid) {
-                loads[u as usize] += w;
-            }
-            continue;
-        }
-        let cw = h.weight(cur);
-        let cur_pins = h.procs_of(cur);
-        let excl =
-            |u: u32| loads[u as usize] - if cur_pins.binary_search(&u).is_ok() { cw } else { 0 };
-        let delta = |pins: &[u32], weight: u64| {
-            pins.iter()
-                .fold(0u128, |acc, &u| acc.saturating_add(objective.marginal(excl(u), weight)))
-        };
-        if delta(h.procs_of(hid), w) < delta(cur_pins, cw) {
-            for &u in cur_pins {
-                loads[u as usize] -= cw;
-            }
-            for &u in h.procs_of(hid) {
-                loads[u as usize] += w;
-            }
-            hedge_of[t] = hid;
-        }
-    }
+    let mut loads = vec![0u64; h.n_procs() as usize];
+    pass_hyper(h, objective, &mut hedge_of, &mut loads, None);
     if let Some(t) = hedge_of.iter().position(|&e| e == u32::MAX) {
         return Err(CoreError::UncoveredTask(t as u32));
     }
@@ -191,35 +84,11 @@ pub fn streaming_greedy_bipartite_two_pass_with(
     g: &Bipartite,
     objective: Objective,
 ) -> Result<SemiMatching> {
-    let sm = streaming_greedy_bipartite_with(g, objective)?;
-    let mut edge_of = sm.edge_of;
-    let mut loads = vec![0u64; g.n_right() as usize];
-    for &e in &edge_of {
-        loads[g.edge_right(e) as usize] += g.weight(e);
-    }
+    let mut sm = streaming_greedy_bipartite_with(g, objective)?;
+    let mut loads = sm.loads(g);
     let overloaded = overloaded_procs(&loads);
-    for e in 0..g.num_edges() as u32 {
-        let t = g.edge_left(e) as usize;
-        let cur = edge_of[t];
-        let (cp, cw) = (g.edge_right(cur) as usize, g.weight(cur));
-        if !overloaded[cp] {
-            continue;
-        }
-        let p = g.edge_right(e) as usize;
-        let w = g.weight(e);
-        let excl = |u: usize| loads[u] - if u == cp { cw } else { 0 };
-        let switches = if objective.is_bottleneck() {
-            excl(p) + w < excl(cp) + cw
-        } else {
-            objective.marginal(excl(p), w) < objective.marginal(excl(cp), cw)
-        };
-        if switches {
-            loads[cp] -= cw;
-            loads[p] += w;
-            edge_of[t] = e;
-        }
-    }
-    Ok(SemiMatching { edge_of })
+    pass_bipartite(g, objective, &mut sm.edge_of, &mut loads, Some(&overloaded));
+    Ok(sm)
 }
 
 /// Two-pass streaming greedy over a hyperedge stream: pass 1 is
@@ -231,48 +100,77 @@ pub fn streaming_greedy_hyper_two_pass_with(
     h: &Hypergraph,
     objective: Objective,
 ) -> Result<HyperMatching> {
-    let hm = streaming_greedy_hyper_with(h, objective)?;
-    let mut hedge_of = hm.hedge_of;
-    let mut loads = vec![0u64; h.n_procs() as usize];
-    for &hid in &hedge_of {
-        for &u in h.procs_of(hid) {
-            loads[u as usize] += h.weight(hid);
-        }
-    }
+    let mut hm = streaming_greedy_hyper_with(h, objective)?;
+    let mut loads = hm.loads(h);
     let overloaded = overloaded_procs(&loads);
+    pass_hyper(h, objective, &mut hm.hedge_of, &mut loads, Some(&overloaded));
+    Ok(hm)
+}
+
+/// One pass over the edge stream. A task not yet placed (`u32::MAX`)
+/// takes the streamed edge; a placed one switches to it iff that strictly
+/// lowers the key over the loads without the task. With `overloaded`
+/// (pass 2), only tasks on a flagged processor may switch.
+fn pass_bipartite(
+    g: &Bipartite,
+    objective: Objective,
+    edge_of: &mut [u32],
+    loads: &mut [u64],
+    overloaded: Option<&[bool]>,
+) {
+    let key = Key::under(objective, Key::Resulting);
+    for e in 0..g.num_edges() as u32 {
+        let t = g.edge_left(e) as usize;
+        let cur = edge_of[t];
+        let mut next = e;
+        if cur != u32::MAX {
+            let cp = g.edge_right(cur) as usize;
+            if overloaded.is_some_and(|o| !o[cp]) {
+                continue;
+            }
+            loads[cp] -= g.weight(cur);
+            let cost = |e: u32| key.of(loads, &[g.edge_right(e)], g.weight(e));
+            if cost(e) >= cost(cur) {
+                next = cur;
+            }
+        }
+        edge_of[t] = next;
+        loads[g.edge_right(next) as usize] += g.weight(next);
+    }
+}
+
+/// [`pass_bipartite`] over the hyperedge stream; with `overloaded`, only
+/// tasks whose configuration touches a flagged processor may switch.
+fn pass_hyper(
+    h: &Hypergraph,
+    objective: Objective,
+    hedge_of: &mut [u32],
+    loads: &mut [u64],
+    overloaded: Option<&[bool]>,
+) {
+    let key = Key::under(objective, Key::Resulting);
     for hid in 0..h.n_hedges() {
         let t = h.task_of(hid) as usize;
         let cur = hedge_of[t];
-        let cw = h.weight(cur);
-        let cur_pins = h.procs_of(cur);
-        if !cur_pins.iter().any(|&u| overloaded[u as usize]) {
-            continue;
-        }
-        let w = h.weight(hid);
-        let excl =
-            |u: u32| loads[u as usize] - if cur_pins.binary_search(&u).is_ok() { cw } else { 0 };
-        let switches = if objective.is_bottleneck() {
-            let key_new = h.procs_of(hid).iter().map(|&u| excl(u)).max().unwrap_or(0) + w;
-            let key_cur = cur_pins.iter().map(|&u| excl(u)).max().unwrap_or(0) + cw;
-            key_new < key_cur
-        } else {
-            let delta = |pins: &[u32], weight: u64| {
-                pins.iter()
-                    .fold(0u128, |acc, &u| acc.saturating_add(objective.marginal(excl(u), weight)))
-            };
-            delta(h.procs_of(hid), w) < delta(cur_pins, cw)
-        };
-        if switches {
+        let mut next = hid;
+        if cur != u32::MAX {
+            let cur_pins = h.procs_of(cur);
+            if overloaded.is_some_and(|o| !cur_pins.iter().any(|&u| o[u as usize])) {
+                continue;
+            }
             for &u in cur_pins {
-                loads[u as usize] -= cw;
+                loads[u as usize] -= h.weight(cur);
             }
-            for &u in h.procs_of(hid) {
-                loads[u as usize] += w;
+            let cost = |hid: u32| key.of(loads, h.procs_of(hid), h.weight(hid));
+            if cost(hid) >= cost(cur) {
+                next = cur;
             }
-            hedge_of[t] = hid;
+        }
+        hedge_of[t] = next;
+        for &u in h.procs_of(next) {
+            loads[u as usize] += h.weight(next);
         }
     }
-    Ok(HyperMatching { hedge_of })
 }
 
 /// Processors whose load sits strictly above the balanced ceiling

@@ -4,10 +4,9 @@
 
 use proptest::prelude::*;
 use semimatch_core::exact::{exact_unit, harvey_exact, SearchStrategy};
-use semimatch_core::hyper::HyperHeuristic;
 use semimatch_core::lower_bound::{lower_bound_multiproc, lower_bound_singleproc};
 use semimatch_core::refine::refine;
-use semimatch_core::BiHeuristic;
+use semimatch_core::{Problem, SolverKind};
 use semimatch_gen::hyper::{hyper_instance, HyperKind, HyperParams};
 use semimatch_gen::rng::Xoshiro256;
 use semimatch_gen::weights::{apply_weights, WeightScheme};
@@ -29,12 +28,13 @@ proptest! {
         let harvey = harvey_exact(&g).unwrap();
         prop_assert_eq!(exact.makespan, harvey.makespan(&g));
         prop_assert!(lb <= exact.makespan);
-        for h in BiHeuristic::ALL {
-            let m = h.run(&g).unwrap().makespan(&g);
-            prop_assert!(m >= exact.makespan, "{} beat the optimum", h.label());
+        let problem = Problem::SingleProc(&g);
+        for kind in SolverKind::BI_HEURISTICS {
+            let m = kind.solve(problem).unwrap().makespan(&problem).unwrap();
+            prop_assert!(m >= exact.makespan, "{} beat the optimum", kind.label());
             // The greedy family is never catastrophically off on these
             // benign random families (loose sanity bound).
-            prop_assert!(m <= 4 * exact.makespan + 4, "{} at {m} vs {}", h.label(),
+            prop_assert!(m <= 4 * exact.makespan + 4, "{} at {m} vs {}", kind.label(),
                 exact.makespan);
         }
     }
@@ -55,11 +55,11 @@ proptest! {
         let mut h = hyper_instance(params, &mut rng);
         apply_weights(&mut h, weights, &mut rng);
         let lb = lower_bound_multiproc(&h).unwrap();
-        for heuristic in HyperHeuristic::ALL {
-            let mut hm = heuristic.run(&h).unwrap();
+        for kind in SolverKind::HYPER_HEURISTICS {
+            let mut hm = kind.solve(Problem::MultiProc(&h)).unwrap().into_hyper().unwrap();
             hm.validate(&h).unwrap();
             let before = hm.makespan(&h);
-            prop_assert!(before >= lb, "{} below LB", heuristic.label());
+            prop_assert!(before >= lb, "{} below LB", kind.label());
             refine(&h, &mut hm, 32).unwrap();
             prop_assert!(hm.makespan(&h) <= before);
             prop_assert!(hm.makespan(&h) >= lb);
@@ -96,5 +96,79 @@ proptest! {
         // Incremental pays one oracle per unit of gap above the bound.
         let lb = 96u32.div_ceil(8);
         prop_assert_eq!(inc.oracle_calls as u64, inc.makespan - lb as u64 + 1);
+    }
+}
+
+/// Both tasks fit only on P0, whose load ends at exactly `u64::MAX` (the
+/// per-task maximum weights sum to `u64::MAX`, which the graph
+/// constructors accept). Every public greedy entry point must place both:
+/// a selection loop seeded with a `u64::MAX` sentinel never accepts the
+/// second task's key `(u64::MAX − 1) + 1` and used to report it uncovered
+/// (or, in LPT, panic).
+#[test]
+fn greedy_entry_points_fill_a_processor_to_u64_max() {
+    use semimatch_core::greedy::{
+        basic::basic_greedy, double_sorted::double_sorted, expected::expected_greedy,
+        lpt::lpt_greedy, sorted::sorted_greedy,
+    };
+    use semimatch_core::hyper::{egh, evg, sgh, vgh};
+    use semimatch_core::online::{online_schedule, OnlineRule};
+    use semimatch_core::streaming::{
+        streaming_greedy_bipartite, streaming_greedy_bipartite_two_pass_with,
+        streaming_greedy_bipartite_with, streaming_greedy_hyper,
+        streaming_greedy_hyper_two_pass_with, streaming_greedy_hyper_with,
+    };
+    use semimatch_core::{HyperMatching, Objective, SemiMatching};
+    use semimatch_graph::{Bipartite, Hypergraph};
+
+    let g = Bipartite::from_weighted_edges(2, 1, &[(0, 0), (1, 0)], &[u64::MAX - 1, 1]).unwrap();
+    let h = Hypergraph::from_hyperedges(2, 1, vec![(0, vec![0], u64::MAX - 1), (1, vec![0], 1)])
+        .unwrap();
+    type Entry<G, M> = (&'static str, fn(&G) -> semimatch_core::Result<M>);
+    let bipartite: [Entry<Bipartite, SemiMatching>; 6] = [
+        ("basic", basic_greedy),
+        ("sorted", sorted_greedy),
+        ("double-sorted", double_sorted),
+        ("expected", expected_greedy),
+        ("lpt", lpt_greedy),
+        ("streaming", streaming_greedy_bipartite),
+    ];
+    for (name, run) in bipartite {
+        let sm = run(&g).unwrap_or_else(|e| panic!("{name}: {e}"));
+        sm.validate(&g).unwrap();
+        assert_eq!(sm.makespan(&g), u64::MAX, "{name}");
+    }
+    let hyper: [Entry<Hypergraph, HyperMatching>; 12] = [
+        ("sgh", sgh::sorted_greedy_hyp),
+        ("sgh-resulting", sgh::sorted_greedy_hyp_resulting),
+        ("egh", egh::expected_greedy_hyp),
+        ("vgh", vgh::vector_greedy_hyp),
+        ("vgh-pinwise", vgh::vector_greedy_hyp_pinwise),
+        ("vgh-naive", vgh::vector_greedy_hyp_naive),
+        ("evg", evg::expected_vector_greedy_hyp),
+        ("evg-naive", evg::expected_vector_greedy_hyp_naive),
+        ("online-bottleneck", |h| online_schedule(h, OnlineRule::MinBottleneck)),
+        ("online-resulting", |h| online_schedule(h, OnlineRule::MinResulting)),
+        ("online-first-fit", |h| online_schedule(h, OnlineRule::FirstFit)),
+        ("streaming", streaming_greedy_hyper),
+    ];
+    for (name, run) in hyper {
+        let hm = run(&h).unwrap_or_else(|e| panic!("{name}: {e}"));
+        hm.validate(&h).unwrap();
+        assert_eq!(hm.makespan(&h), u64::MAX, "{name}");
+    }
+    for objective in Objective::REPORTED {
+        for sm in [
+            streaming_greedy_bipartite_with(&g, objective),
+            streaming_greedy_bipartite_two_pass_with(&g, objective),
+        ] {
+            assert_eq!(sm.unwrap().makespan(&g), u64::MAX, "streaming under {objective}");
+        }
+        for hm in [
+            streaming_greedy_hyper_with(&h, objective),
+            streaming_greedy_hyper_two_pass_with(&h, objective),
+        ] {
+            assert_eq!(hm.unwrap().makespan(&h), u64::MAX, "streaming under {objective}");
+        }
     }
 }

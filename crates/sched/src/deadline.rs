@@ -9,7 +9,7 @@
 //! `semimatch_core::exact::brute_force_multiproc` at small sizes).
 
 use semimatch_core::error::Result;
-use semimatch_core::hyper::HyperHeuristic;
+use semimatch_core::hyper::evg::expected_vector_greedy_hyp;
 use semimatch_core::lower_bound::lower_bound_multiproc;
 use semimatch_core::refine::refine;
 use semimatch_matching::capacitated::max_assignment;
@@ -65,7 +65,7 @@ pub fn meets_deadline(inst: &Instance, deadline: u64) -> Result<DeadlineVerdict>
         return Ok(DeadlineVerdict::Infeasible);
     }
     // …and witness from above.
-    let mut hm = HyperHeuristic::Evg.run(&h)?;
+    let mut hm = expected_vector_greedy_hyp(&h)?;
     refine(&h, &mut hm, 16)?;
     if hm.makespan(&h) <= deadline {
         return Ok(DeadlineVerdict::Feasible(Schedule::from_hyper_matching(&h, &hm)));

@@ -6,7 +6,7 @@
 //! ```
 
 use semimatch::core::exact::{exact_unit, harvey_exact, SearchStrategy};
-use semimatch::core::BiHeuristic;
+use semimatch::core::{Problem, SolverKind};
 use semimatch::gen::adversarial::{fig1, fig3, fig4, fig5};
 use semimatch::graph::Bipartite;
 
@@ -21,9 +21,10 @@ fn show(name: &str, g: &Bipartite) {
         exact.makespan,
         exact.oracle_calls
     );
-    for h in BiHeuristic::ALL {
-        let sm = h.run(g).unwrap();
-        print!(" {}={}", h.label(), sm.makespan(g));
+    let problem = Problem::SingleProc(g);
+    for kind in SolverKind::BI_HEURISTICS {
+        let m = kind.solve(problem).unwrap().makespan(&problem).unwrap();
+        print!(" {}={m}", kind.label());
     }
     println!();
 }

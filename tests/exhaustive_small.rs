@@ -10,9 +10,9 @@ use semimatch::core::exact::{
     brute_force_singleproc, exact_unit, exact_unit_replicated, harvey_exact, SearchStrategy,
 };
 use semimatch::core::lower_bound::lower_bound_singleproc;
-use semimatch::core::BiHeuristic;
 use semimatch::graph::Bipartite;
 use semimatch::matching::{certify_maximum, maximum_matching, Algorithm};
+use semimatch::solver::{Problem, SolverKind};
 
 /// Decodes bitmask `mask` into the 3×3 edge set.
 fn graph_from_mask(mask: u32) -> Bipartite {
@@ -78,12 +78,13 @@ fn all_3x3_heuristics_bounded() {
             continue;
         }
         let opt = exact_unit(&g, SearchStrategy::Bisection).unwrap().makespan;
-        for h in BiHeuristic::ALL {
-            let sm = h.run(&g).unwrap();
-            sm.validate(&g).unwrap();
-            let m = sm.makespan(&g);
-            assert!(m >= opt, "mask {mask} {}", h.label());
-            assert!(m <= 3 * opt, "mask {mask} {}: {m} vs opt {opt}", h.label());
+        let problem = Problem::SingleProc(&g);
+        for kind in SolverKind::BI_HEURISTICS {
+            let sol = kind.solve(problem).unwrap();
+            sol.validate(&problem).unwrap();
+            let m = sol.makespan(&problem).unwrap();
+            assert!(m >= opt, "mask {mask} {}", kind.label());
+            assert!(m <= 3 * opt, "mask {mask} {}: {m} vs opt {opt}", kind.label());
         }
     }
 }

@@ -4,14 +4,14 @@
 //! path a downstream user of the library (or the CLI) takes.
 
 use semimatch::core::analysis::LoadProfile;
-use semimatch::core::hyper::HyperHeuristic;
 use semimatch::core::lower_bound::lower_bound_multiproc;
 use semimatch::core::refine::{iterated_refine, refine};
 use semimatch::core::solution_io::{read_solution, write_solution};
 use semimatch::gen::params::{Config, Family};
 use semimatch::gen::weights::WeightScheme;
 use semimatch::graph::io::{read_hypergraph, write_hypergraph};
-use semimatch::graph::HypergraphStats;
+use semimatch::graph::{Hypergraph, HypergraphStats};
+use semimatch::solver::{Problem, SolverKind};
 
 fn tiny_grid() -> Vec<Config> {
     let mut out = Vec::new();
@@ -22,6 +22,11 @@ fn tiny_grid() -> Vec<Config> {
         }
     }
     out
+}
+
+fn makespan(kind: SolverKind, h: &Hypergraph) -> u64 {
+    let problem = Problem::MultiProc(h);
+    kind.solve(problem).unwrap().makespan(&problem).unwrap()
 }
 
 #[test]
@@ -40,11 +45,11 @@ fn full_pipeline_on_every_family() {
             let lb = lower_bound_multiproc(&h).unwrap();
             assert!(lb >= 1);
 
-            for heuristic in HyperHeuristic::ALL {
-                let mut hm = heuristic.run(&h).unwrap();
+            for kind in SolverKind::HYPER_HEURISTICS {
+                let mut hm = kind.solve(Problem::MultiProc(&h)).unwrap().into_hyper().unwrap();
                 hm.validate(&h).unwrap();
                 let before = hm.makespan(&h);
-                assert!(before >= lb, "{} {} below LB", cfg.name(), heuristic.label());
+                assert!(before >= lb, "{} {} below LB", cfg.name(), kind.label());
 
                 // Refinement chain never regresses.
                 refine(&h, &mut hm, 8).unwrap();
@@ -85,7 +90,7 @@ fn unit_hilo_families_tie_across_heuristics() {
     for i in 0..total {
         let h = cfg.instance(7, i);
         let makespans: Vec<u64> =
-            HyperHeuristic::ALL.iter().map(|heur| heur.run(&h).unwrap().makespan(&h)).collect();
+            SolverKind::HYPER_HEURISTICS.iter().map(|&kind| makespan(kind, &h)).collect();
         if makespans.windows(2).all(|w| w[0] == w[1]) {
             ties += 1;
         }
@@ -108,8 +113,8 @@ fn related_weights_order_evg_before_sgh() {
     let mut evg_total = 0u64;
     for i in 0..4 {
         let h = cfg.instance(11, i);
-        sgh_total += HyperHeuristic::Sgh.run(&h).unwrap().makespan(&h);
-        evg_total += HyperHeuristic::Evg.run(&h).unwrap().makespan(&h);
+        sgh_total += makespan(SolverKind::Sgh, &h);
+        evg_total += makespan(SolverKind::Evg, &h);
     }
     assert!(
         evg_total <= sgh_total,

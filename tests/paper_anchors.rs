@@ -3,24 +3,24 @@
 //! evaluation section on a scaled-down version of the experimental grid.
 
 use semimatch::core::exact::{exact_unit, SearchStrategy};
-use semimatch::core::hyper::HyperHeuristic;
 use semimatch::core::lower_bound::lower_bound_multiproc;
 use semimatch::core::quality::{mean_f64, ratio};
-use semimatch::core::BiHeuristic;
 use semimatch::gen::adversarial::{fig1, fig2, fig3, fig4, fig5};
 use semimatch::gen::params::{Config, Family};
 use semimatch::gen::weights::WeightScheme;
+use semimatch::solver::{Problem, SolverKind};
 
-fn makespan(h: BiHeuristic, g: &semimatch::graph::Bipartite) -> u64 {
-    h.run(g).unwrap().makespan(g)
+fn makespan<'a>(kind: SolverKind, problem: impl Into<Problem<'a>>) -> u64 {
+    let problem = problem.into();
+    kind.solve(problem).unwrap().makespan(&problem).unwrap()
 }
 
 #[test]
 fn fig1_basic_greedy_doubles_optimum() {
     let g = fig1();
     assert_eq!(exact_unit(&g, SearchStrategy::Bisection).unwrap().makespan, 1);
-    assert_eq!(makespan(BiHeuristic::Basic, &g), 2);
-    assert_eq!(makespan(BiHeuristic::Sorted, &g), 1);
+    assert_eq!(makespan(SolverKind::Basic, &g), 2);
+    assert_eq!(makespan(SolverKind::Sorted, &g), 1);
 }
 
 #[test]
@@ -32,11 +32,11 @@ fn fig3_sorted_greedy_reaches_k() {
             1,
             "optimal makespan is 1 (k = {k})"
         );
-        assert_eq!(makespan(BiHeuristic::Basic, &g), k as u64, "basic (k = {k})");
-        assert_eq!(makespan(BiHeuristic::Sorted, &g), k as u64, "sorted (k = {k})");
+        assert_eq!(makespan(SolverKind::Basic, &g), k as u64, "basic (k = {k})");
+        assert_eq!(makespan(SolverKind::Sorted, &g), k as u64, "sorted (k = {k})");
         // §IV-B3: breaking load ties by in-degree fixes this family.
-        assert_eq!(makespan(BiHeuristic::DoubleSorted, &g), 1, "double-sorted (k = {k})");
-        assert_eq!(makespan(BiHeuristic::Expected, &g), 1, "expected (k = {k})");
+        assert_eq!(makespan(SolverKind::DoubleSorted, &g), 1, "double-sorted (k = {k})");
+        assert_eq!(makespan(SolverKind::Expected, &g), 1, "expected (k = {k})");
     }
 }
 
@@ -44,14 +44,14 @@ fn fig3_sorted_greedy_reaches_k() {
 fn fig4_double_sorted_errs_expected_recovers() {
     let g = fig4();
     assert_eq!(exact_unit(&g, SearchStrategy::Bisection).unwrap().makespan, 1);
-    assert_eq!(makespan(BiHeuristic::Sorted, &g), 3);
+    assert_eq!(makespan(SolverKind::Sorted, &g), 3);
     // §IV-B3: processors tie on in-degree, so double-sorted errs like
     // sorted-greedy.
-    assert_eq!(makespan(BiHeuristic::DoubleSorted, &g), 3);
+    assert_eq!(makespan(SolverKind::DoubleSorted, &g), 3);
     // Reproduction note (see gen::adversarial::fig4): the paper claims 1;
     // the construction as described admits 2 under uniform tie-breaking.
     // The qualitative claim — expected beats double-sorted — holds.
-    assert_eq!(makespan(BiHeuristic::Expected, &g), 2);
+    assert_eq!(makespan(SolverKind::Expected, &g), 2);
 }
 
 #[test]
@@ -60,33 +60,31 @@ fn fig5_defeats_expected_greedy_too() {
     assert_eq!(exact_unit(&g, SearchStrategy::Bisection).unwrap().makespan, 1);
     // §IV-B4: all o-values tie at 3/2 and expected-greedy errs like the
     // others.
-    assert_eq!(makespan(BiHeuristic::Expected, &g), 3);
-    assert_eq!(makespan(BiHeuristic::DoubleSorted, &g), 3);
-    assert_eq!(makespan(BiHeuristic::Sorted, &g), 3);
+    assert_eq!(makespan(SolverKind::Expected, &g), 3);
+    assert_eq!(makespan(SolverKind::DoubleSorted, &g), 3);
+    assert_eq!(makespan(SolverKind::Sorted, &g), 3);
 }
 
 #[test]
 fn fig2_all_hyper_heuristics_optimal() {
     let h = fig2();
     let (opt, _) = semimatch::core::exact::brute_force_multiproc(&h, 100_000).unwrap();
-    for heuristic in HyperHeuristic::ALL {
-        let hm = heuristic.run(&h).unwrap();
-        assert_eq!(hm.makespan(&h), opt, "{}", heuristic.label());
+    for kind in SolverKind::HYPER_HEURISTICS {
+        assert_eq!(makespan(kind, &h), opt, "{}", kind.label());
     }
 }
 
 /// Median ratios of a scaled-down grid row (4 instances for speed).
 fn grid_ratios(family: Family, weights: WeightScheme) -> Vec<f64> {
     let sizes = [(640u32, 128u32), (1280, 128)];
-    let mut per_heuristic = vec![Vec::new(); HyperHeuristic::ALL.len()];
+    let mut per_heuristic = vec![Vec::new(); SolverKind::HYPER_HEURISTICS.len()];
     for (n, p) in sizes {
         let cfg = Config { family, n, p, dv: 5, dh: 10, weights };
         for i in 0..4u64 {
             let h = cfg.instance(42, i);
             let lb = lower_bound_multiproc(&h).unwrap();
-            for (j, heuristic) in HyperHeuristic::ALL.into_iter().enumerate() {
-                let m = heuristic.run(&h).unwrap().makespan(&h);
-                per_heuristic[j].push(ratio(m, lb));
+            for (j, kind) in SolverKind::HYPER_HEURISTICS.into_iter().enumerate() {
+                per_heuristic[j].push(ratio(makespan(kind, &h), lb));
             }
         }
     }
