@@ -162,11 +162,6 @@ mod tests {
     fn uncovered_task_errors() {
         let h = Hypergraph::from_hyperedges(1, 1, vec![]).unwrap();
         assert_eq!(expected_greedy_hyp(&h).unwrap_err(), CoreError::UncoveredTask(0));
-        let h = Hypergraph::from_hyperedges(2, 1, vec![(0, vec![0], 1)]).unwrap();
-        assert_eq!(
-            expected_greedy_hyp_with(&h, Objective::FlowTime).unwrap_err(),
-            CoreError::UncoveredTask(1)
-        );
     }
 
     #[test]

@@ -31,7 +31,11 @@ pub mod vgh;
 mod tests {
     use semimatch_graph::Hypergraph;
 
-    use crate::greedy::tasks_by_degree;
+    use super::{egh, sgh};
+    use crate::error::CoreError;
+    use crate::greedy::{tasks_by_degree, Key};
+    use crate::objective::Objective;
+    use crate::solver::SolverKind;
 
     #[test]
     fn order_is_stable_by_degree() {
@@ -46,5 +50,28 @@ mod tests {
         )
         .unwrap();
         assert_eq!(tasks_by_degree(h.n_tasks(), |t| h.deg_task(t)), vec![1, 3, 0, 2]);
+    }
+
+    #[test]
+    fn labels_match_paper_columns() {
+        let labels: Vec<_> = SolverKind::HYPER_HEURISTICS.iter().map(|k| k.label()).collect();
+        assert_eq!(labels, vec!["SGH", "VGH", "EGH", "EVG"]);
+    }
+
+    /// Both sum-objective loops, the SGH loop in either visit order and
+    /// the EGH loop, report the first uncovered task.
+    #[test]
+    fn uncovered_task_errors_under_flow_time() {
+        let h = Hypergraph::from_hyperedges(2, 1, vec![(0, vec![0], 1)]).unwrap();
+        for sorted in [false, true] {
+            assert_eq!(
+                sgh::greedy_hyp(&h, sorted, Key::Marginal(Objective::FlowTime)).unwrap_err(),
+                CoreError::UncoveredTask(1)
+            );
+        }
+        assert_eq!(
+            egh::expected_greedy_hyp_with(&h, Objective::FlowTime).unwrap_err(),
+            CoreError::UncoveredTask(1)
+        );
     }
 }

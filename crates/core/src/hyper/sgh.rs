@@ -123,12 +123,6 @@ mod tests {
         let h = Hypergraph::from_hyperedges(2, 1, vec![(0, vec![0], 1)]).unwrap();
         assert_eq!(sorted_greedy_hyp(&h).unwrap_err(), CoreError::UncoveredTask(1));
         assert_eq!(greedy_hyp(&h, false, Key::Current).unwrap_err(), CoreError::UncoveredTask(1));
-        for sorted in [false, true] {
-            assert_eq!(
-                greedy_hyp(&h, sorted, Key::Marginal(Objective::FlowTime)).unwrap_err(),
-                CoreError::UncoveredTask(1)
-            );
-        }
     }
 
     #[test]

@@ -100,4 +100,12 @@ mod tests {
             assert!(lb <= opt && opt <= m, "{}: lb {lb} opt {opt} makespan {m}", kind.label());
         }
     }
+
+    #[test]
+    fn labels_are_distinct() {
+        let mut labels: Vec<_> = SolverKind::BI_HEURISTICS.iter().map(|k| k.label()).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), 4);
+    }
 }
