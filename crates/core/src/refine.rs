@@ -61,6 +61,7 @@ pub fn refine_with(
     hm.validate(h)?;
     let mut loads = hm.loads(h);
     let mut scratch = LexScratch::default();
+    let marginal = (!objective.is_bottleneck()).then_some(Key::Marginal(objective));
     let mut stats = RefineStats::default();
     for _ in 0..max_passes {
         stats.passes += 1;
@@ -75,9 +76,23 @@ pub fn refine_with(
             for &u in h.procs_of(current) {
                 loads[u as usize] -= w_cur;
             }
+            // A sum objective keeps the incumbent's marginal key across the
+            // scan; the makespan compares load vectors pairwise.
             let mut best = current;
+            let mut best_key = marginal.map(|k| k.of(&loads, h.procs_of(current), w_cur));
             for hid in h.hedges_of(t) {
-                if hid != current && improves(h, &loads, hid, best, objective, &mut scratch) {
+                if hid == current {
+                    continue;
+                }
+                let (pins, w) = (h.procs_of(hid), h.weight(hid));
+                if let Some(k) = marginal {
+                    let key = Some(k.of(&loads, pins, w));
+                    if key < best_key {
+                        (best, best_key) = (hid, key);
+                    }
+                } else if scratch.cmp_candidates(&loads, pins, w, h.procs_of(best), h.weight(best))
+                    == Ordering::Less
+                {
                     best = hid;
                 }
             }
@@ -97,25 +112,6 @@ pub fn refine_with(
     }
     debug_assert_eq!(loads, hm.loads(h), "incremental loads stay consistent");
     Ok(stats)
-}
-
-/// Whether placing a task on configuration `a` strictly beats placing it
-/// on `b`, over `loads` without the task.
-fn improves(
-    h: &Hypergraph,
-    loads: &[u64],
-    a: u32,
-    b: u32,
-    objective: Objective,
-    scratch: &mut LexScratch,
-) -> bool {
-    if objective.is_bottleneck() {
-        let (pins_a, pins_b) = (h.procs_of(a), h.procs_of(b));
-        scratch.cmp_candidates(loads, pins_a, h.weight(a), pins_b, h.weight(b)) == Ordering::Less
-    } else {
-        let key = Key::Marginal(objective);
-        key.of(loads, h.procs_of(a), h.weight(a)) < key.of(loads, h.procs_of(b), h.weight(b))
-    }
 }
 
 /// Statistics of an iterated-local-search run.
