@@ -4,8 +4,8 @@
 //! [`Solver`] path is bit-for-bit equivalent to the stateless facade.
 
 use proptest::prelude::*;
-use semimatch::graph::{Bipartite, Hypergraph};
-use semimatch::solver::{solve, solve_many, Objective, Problem, Solver, SolverKind};
+use semimatch::graph::{Bipartite, BipartiteBuilder, Hypergraph, HypergraphBuilder};
+use semimatch::solver::{solve, solve_many, solve_with, Objective, Problem, Solver, SolverKind};
 
 /// Random unit-weight bipartite instances with every task covered (the
 /// precondition of the exact `SINGLEPROC-UNIT` kinds), small enough for
@@ -164,6 +164,103 @@ proptest! {
                 two.score(&h, objective) <= one.score(&h, objective),
                 "hyper second pass worsened {objective:?}"
             );
+        }
+    }
+}
+
+/// Random weighted bipartite instances of up to 9 tasks. A quarter of
+/// them may leave tasks uncovered, and weights are scaled by up to 2^40
+/// so the expected-load forecasts round.
+fn bipartite_maybe_uncovered() -> impl Strategy<Value = Bipartite> {
+    (0u32..10, 1u32..6, 0u32..41, 0usize..4).prop_flat_map(|(n, p, shift, covered)| {
+        let min_degree = covered.min(1);
+        proptest::collection::vec(
+            proptest::collection::btree_map(0..p, 1u64..=9, min_degree..=(p as usize).min(3)),
+            n as usize,
+        )
+        .prop_map(move |tasks| {
+            let mut b = BipartiteBuilder::new(n, p);
+            for (t, edges) in tasks.into_iter().enumerate() {
+                for (u, w) in edges {
+                    b.weighted_edge(t as u32, u, w << shift);
+                }
+            }
+            b.build().expect("distinct edges, positive weights")
+        })
+    })
+}
+
+/// `g` as a `MULTIPROC` instance: every edge becomes a one-processor
+/// configuration, so configuration ids coincide with edge ids.
+fn singleton_configs(g: &Bipartite) -> Hypergraph {
+    let mut b = HypergraphBuilder::with_capacity(g.n_left(), g.n_right(), g.num_edges());
+    for (_, v, u, w) in g.edges() {
+        b.weighted_config(v, vec![u], w);
+    }
+    b.build().expect("a valid graph lifts to a valid hypergraph")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `SINGLEPROC` is `MULTIPROC` with one-processor configurations: on
+    /// such an instance each bipartite heuristic and its hypergraph
+    /// generalization (basic/online, sorted/SGH, expected/EGH), and each
+    /// two-class kind on the two forms, pick the same ids or fail with
+    /// the same error, under every reported objective. The lower bounds
+    /// and scores agree too.
+    #[test]
+    fn singleton_hypergraph_agrees_with_its_bipartite_graph(g in bipartite_maybe_uncovered()) {
+        let h = singleton_configs(&g);
+        let (bi, hy) = (Problem::SingleProc(&g), Problem::MultiProc(&h));
+        let mut pairs = vec![
+            (SolverKind::Basic, SolverKind::Online),
+            (SolverKind::Sorted, SolverKind::Sgh),
+            (SolverKind::Expected, SolverKind::Egh),
+            (SolverKind::StreamingGreedy, SolverKind::StreamingGreedy),
+            (SolverKind::StreamingTwoPass, SolverKind::StreamingTwoPass),
+        ];
+        if g.n_left() <= 8 {
+            pairs.push((SolverKind::BruteForce, SolverKind::BruteForce));
+        }
+        for objective in Objective::REPORTED {
+            prop_assert_eq!(
+                bi.lower_bound(objective),
+                hy.lower_bound(objective),
+                "lower bounds differ under {}",
+                objective
+            );
+            for &(bk, hk) in &pairs {
+                match (solve_with(bi, bk, objective), solve_with(hy, hk, objective)) {
+                    (Ok(a), Ok(b)) => {
+                        let (sm, hm) = (a.as_semi().unwrap(), b.as_hyper().unwrap());
+                        prop_assert_eq!(
+                            &sm.edge_of,
+                            &hm.hedge_of,
+                            "{} and {} picked different ids under {}",
+                            bk,
+                            hk,
+                            objective
+                        );
+                        prop_assert_eq!(
+                            a.score(&bi, objective),
+                            b.score(&hy, objective),
+                            "{} and {} scored differently under {}",
+                            bk,
+                            hk,
+                            objective
+                        );
+                    }
+                    (a, b) => prop_assert_eq!(
+                        a.map(drop),
+                        b.map(drop),
+                        "{} and {} disagree on failure under {}",
+                        bk,
+                        hk,
+                        objective
+                    ),
+                }
+            }
         }
     }
 }
