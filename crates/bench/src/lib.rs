@@ -30,7 +30,7 @@ pub mod singleproc;
 use std::time::Instant;
 
 use rayon::prelude::*;
-use semimatch_core::lower_bound::{lower_bound_flowtime_multiproc, lower_bound_multiproc};
+use semimatch_core::lower_bound::{lower_bound_multiproc, lower_bound_objective};
 use semimatch_core::objective::Objective;
 use semimatch_core::quality::{mean_f64, median_f64, median_u64, ratio, score_ratio};
 use semimatch_core::solver::{KindSolver, Problem, Solver, SolverKind};
@@ -262,7 +262,7 @@ pub fn quality_row(cfg: &Config, opts: &Options) -> QualityRow {
                 let h = cfg.instance(opts.seed, i);
                 let problem = Problem::MultiProc(&h);
                 let lb = lower_bound_multiproc(&h).expect("generated instances are covered");
-                let flb = lower_bound_flowtime_multiproc(&h).expect("covered");
+                let flb = lower_bound_objective(&h, Objective::FlowTime).expect("covered");
                 let mut ratios = Vec::with_capacity(solvers.len());
                 let mut flow_ratios = Vec::with_capacity(solvers.len());
                 let mut times = Vec::with_capacity(solvers.len());

@@ -1,17 +1,20 @@
 //! Branch-and-bound exhaustive search — the ground truth for small
 //! instances (weighted, hypergraph, anything).
 //!
+//! Both searches are written once over [`Configs`], so they run on either
+//! class directly: a bipartite edge is a one-processor configuration.
 //! Tasks are assigned in order of fewest configurations first; the
-//! incumbent starts from SGH so pruning bites immediately. A node budget
+//! incumbent starts from the current-load greedy (SGH, or sorted-greedy
+//! on a bipartite instance) so pruning bites immediately. A node budget
 //! guards against accidental exponential blowups in tests.
 
-use semimatch_graph::{Bipartite, Hypergraph};
+use semimatch_graph::{Bipartite, Configs, Hypergraph};
 
 use crate::error::{CoreError, Result};
-use crate::greedy::{tasks_by_degree, Key};
-use crate::hyper::sgh::{greedy_hyp, sorted_greedy_hyp};
+use crate::greedy::{current_load, tasks_by_degree, Key};
+use crate::lower_bound::task_time;
 use crate::objective::{Objective, Score};
-use crate::problem::{HyperMatching, SemiMatching};
+use crate::problem::{loads_of, HyperMatching, SemiMatching};
 
 /// Exhaustive optimum of a `MULTIPROC` instance.
 ///
@@ -19,281 +22,178 @@ use crate::problem::{HyperMatching, SemiMatching};
 /// [`CoreError::BudgetExceeded`]. A few million is fine for ≤ ~20 tasks
 /// with a handful of configurations each.
 pub fn brute_force_multiproc(h: &Hypergraph, budget: u64) -> Result<(u64, HyperMatching)> {
-    for t in 0..h.n_tasks() {
-        if h.deg_task(t) == 0 {
-            return Err(CoreError::UncoveredTask(t));
-        }
-    }
-    // Incumbent: SGH gives a feasible upper bound for pruning.
-    let incumbent = sorted_greedy_hyp(h)?;
-    let mut best_makespan = incumbent.makespan(h);
-    let mut best = incumbent;
-    if h.n_tasks() == 0 {
-        return Ok((0, best));
-    }
+    let (makespan, hedge_of) = brute_force(h, budget, Objective::Makespan)?;
+    Ok((makespan.as_u64(), HyperMatching { hedge_of }))
+}
 
-    let order = tasks_by_degree(h.n_tasks(), |t| h.deg_task(t));
-    // Averaged-work bound: suffix_min_work[k] is the least total work the
-    // tasks order[k..] can still add; together with the work already placed
-    // it lower-bounds every completion's makespan by the residual Eq. 1.
-    let min_work: Vec<u64> = (0..h.n_tasks())
-        .map(|t| {
-            h.hedges_of(t)
-                .map(|hid| h.weight(hid) * h.hedge_size(hid) as u64)
-                .min()
-                .expect("covered")
-        })
-        .collect();
-    let mut suffix_min_work = vec![0u64; order.len() + 1];
-    for k in (0..order.len()).rev() {
-        suffix_min_work[k] = suffix_min_work[k + 1] + min_work[order[k] as usize];
-    }
-    let p = h.n_procs().max(1) as u64;
-
-    let mut loads = vec![0u64; h.n_procs() as usize];
-    let mut chosen = vec![0u32; h.n_tasks() as usize];
-    let mut nodes = 0u64;
-
-    #[allow(clippy::too_many_arguments)]
-    fn dfs(
-        h: &Hypergraph,
-        order: &[u32],
-        suffix_min_work: &[u64],
-        p: u64,
-        depth: usize,
-        placed_work: u64,
-        loads: &mut [u64],
-        chosen: &mut [u32],
-        best_makespan: &mut u64,
-        best: &mut HyperMatching,
-        nodes: &mut u64,
-        budget: u64,
-    ) -> Result<()> {
-        *nodes += 1;
-        if *nodes > budget {
-            return Err(CoreError::BudgetExceeded);
-        }
-        if depth == order.len() {
-            let makespan = loads.iter().copied().max().unwrap_or(0);
-            if makespan < *best_makespan {
-                *best_makespan = makespan;
-                best.hedge_of.copy_from_slice(chosen);
-            }
-            return Ok(());
-        }
-        let t = order[depth];
-        for hid in h.hedges_of(t) {
-            let w = h.weight(hid);
-            let work = w * h.hedge_size(hid) as u64;
-            // Bound 1: the partial makespan after this choice.
-            let mut peak = 0u64;
-            for &u in h.procs_of(hid) {
-                peak = peak.max(loads[u as usize] + w);
-            }
-            // Bound 2: averaged residual work (residual Eq. 1).
-            let avg = (placed_work + work + suffix_min_work[depth + 1]).div_ceil(p);
-            if peak.max(avg) >= *best_makespan {
-                continue; // cannot strictly improve
-            }
-            for &u in h.procs_of(hid) {
-                loads[u as usize] += w;
-            }
-            chosen[t as usize] = hid;
-            dfs(
-                h,
-                order,
-                suffix_min_work,
-                p,
-                depth + 1,
-                placed_work + work,
-                loads,
-                chosen,
-                best_makespan,
-                best,
-                nodes,
-                budget,
-            )?;
-            for &u in h.procs_of(hid) {
-                loads[u as usize] -= w;
-            }
-        }
-        Ok(())
-    }
-
-    dfs(
-        h,
-        &order,
-        &suffix_min_work,
-        p,
-        0,
-        0,
-        &mut loads,
-        &mut chosen,
-        &mut best_makespan,
-        &mut best,
-        &mut nodes,
-        budget,
-    )?;
-    Ok((best_makespan, best))
+/// Exhaustive optimum of a `SINGLEPROC` instance (weighted allowed).
+pub fn brute_force_singleproc(g: &Bipartite, budget: u64) -> Result<(u64, SemiMatching)> {
+    let (makespan, edge_of) = brute_force(g, budget, Objective::Makespan)?;
+    Ok((makespan.as_u64(), SemiMatching { edge_of }))
 }
 
 /// Exhaustive optimum of a `MULTIPROC` instance under an arbitrary
 /// [`Objective`] — the ground truth the flow-time and `L_p` tests compare
-/// against. [`Objective::Makespan`] delegates to [`brute_force_multiproc`]
-/// (which carries the stronger averaged-work bound); sum-type objectives
-/// run a branch-and-bound over the exact partial score, pruned by the
-/// residual minimum work (each hyperedge's marginal cost is at least its
-/// total work `w_h · |h ∩ V2|`, so the cheapest completion of the
-/// remaining tasks costs at least their summed minimum works).
+/// against. [`Objective::Makespan`] runs the makespan search of
+/// [`brute_force_multiproc`] (which carries the stronger averaged-work
+/// bound); sum-type objectives run a branch-and-bound over the exact
+/// partial score, pruned by the residual minimum work.
 pub fn brute_force_multiproc_objective(
     h: &Hypergraph,
     budget: u64,
     objective: Objective,
 ) -> Result<(Score, HyperMatching)> {
-    if objective.is_bottleneck() {
-        let (m, hm) = brute_force_multiproc(h, budget)?;
-        return Ok((Score(m as u128), hm));
-    }
-    for t in 0..h.n_tasks() {
-        if h.deg_task(t) == 0 {
-            return Err(CoreError::UncoveredTask(t));
-        }
-    }
-    // Incumbent: the objective-aware greedy gives a feasible upper bound.
-    let incumbent = greedy_hyp(h, true, Key::Marginal(objective))?;
-    let mut best_score = incumbent.score(h, objective);
-    let mut best = incumbent;
-    if h.n_tasks() == 0 {
-        return Ok((Score(0), best));
-    }
-
-    let order = tasks_by_degree(h.n_tasks(), |t| h.deg_task(t));
-    let min_work: Vec<u128> = (0..h.n_tasks())
-        .map(|t| {
-            h.hedges_of(t)
-                .map(|hid| h.weight(hid) as u128 * h.hedge_size(hid) as u128)
-                .min()
-                .expect("covered")
-        })
-        .collect();
-    let mut suffix_min_work = vec![0u128; order.len() + 1];
-    for k in (0..order.len()).rev() {
-        suffix_min_work[k] = suffix_min_work[k + 1] + min_work[order[k] as usize];
-    }
-
-    let mut loads = vec![0u64; h.n_procs() as usize];
-    let mut chosen = vec![0u32; h.n_tasks() as usize];
-    let mut nodes = 0u64;
-
-    #[allow(clippy::too_many_arguments)]
-    fn dfs(
-        h: &Hypergraph,
-        objective: Objective,
-        order: &[u32],
-        suffix_min_work: &[u128],
-        depth: usize,
-        partial: u128,
-        loads: &mut [u64],
-        chosen: &mut [u32],
-        best_score: &mut Score,
-        best: &mut HyperMatching,
-        nodes: &mut u64,
-        budget: u64,
-    ) -> Result<()> {
-        *nodes += 1;
-        if *nodes > budget {
-            return Err(CoreError::BudgetExceeded);
-        }
-        if depth == order.len() {
-            if Score(partial) < *best_score {
-                *best_score = Score(partial);
-                best.hedge_of.copy_from_slice(chosen);
-            }
-            return Ok(());
-        }
-        let t = order[depth];
-        for hid in h.hedges_of(t) {
-            let w = h.weight(hid);
-            let delta = Key::Marginal(objective).of(loads, h.procs_of(hid), w);
-            // Prune: exact partial score plus the residual work floor.
-            let floor = partial.saturating_add(delta).saturating_add(suffix_min_work[depth + 1]);
-            if Score(floor) >= *best_score {
-                continue; // cannot strictly improve
-            }
-            for &u in h.procs_of(hid) {
-                loads[u as usize] += w;
-            }
-            chosen[t as usize] = hid;
-            dfs(
-                h,
-                objective,
-                order,
-                suffix_min_work,
-                depth + 1,
-                partial + delta,
-                loads,
-                chosen,
-                best_score,
-                best,
-                nodes,
-                budget,
-            )?;
-            for &u in h.procs_of(hid) {
-                loads[u as usize] -= w;
-            }
-        }
-        Ok(())
-    }
-
-    dfs(
-        h,
-        objective,
-        &order,
-        &suffix_min_work,
-        0,
-        0,
-        &mut loads,
-        &mut chosen,
-        &mut best_score,
-        &mut best,
-        &mut nodes,
-        budget,
-    )?;
-    Ok((best_score, best))
+    let (score, hedge_of) = brute_force(h, budget, objective)?;
+    Ok((score, HyperMatching { hedge_of }))
 }
 
-/// [`brute_force_multiproc_objective`] for `SINGLEPROC` instances, by
-/// lifting every edge to a singleton configuration.
+/// [`brute_force_multiproc_objective`] for `SINGLEPROC` instances.
 pub fn brute_force_singleproc_objective(
     g: &Bipartite,
     budget: u64,
     objective: Objective,
 ) -> Result<(Score, SemiMatching)> {
-    let (score, hm) = brute_force_multiproc_objective(&lift(g), budget, objective)?;
-    let sm = SemiMatching { edge_of: hm.hedge_of };
-    debug_assert!(sm.validate(g).is_ok());
-    Ok((score, sm))
+    let (score, edge_of) = brute_force(g, budget, objective)?;
+    Ok((score, SemiMatching { edge_of }))
 }
 
-/// Lifts a bipartite instance to singleton hyperedges; hyperedge ids
-/// coincide with edge ids because both are grouped by task in insertion
-/// order.
-fn lift(g: &Bipartite) -> Hypergraph {
-    let mut b =
-        semimatch_graph::HypergraphBuilder::with_capacity(g.n_left(), g.n_right(), g.num_edges());
-    for (_, v, u, w) in g.edges() {
-        b.weighted_config(v, vec![u], w);
+/// The exhaustive optimum under `objective` and the chosen configuration
+/// of each task. Under the makespan, a choice is pruned when the partial
+/// makespan or the averaged residual work (residual Eq. 1) reaches the
+/// incumbent; under a sum objective, when the exact partial score plus
+/// the residual minimum work does.
+pub(crate) fn brute_force<G: Configs>(
+    g: &G,
+    budget: u64,
+    objective: Objective,
+) -> Result<(Score, Vec<u32>)> {
+    // Incumbent: the current-load greedy under the objective's key (SGH
+    // under the makespan) gives a feasible upper bound for pruning. It
+    // visits uncovered tasks first, so it reports the lowest one.
+    let best = current_load(g, true, Key::under(objective, Key::Current), |_| 0)?;
+    let best_score = objective.evaluate(&loads_of(g, &best)).0;
+    if g.n_tasks() == 0 {
+        return Ok((Score(best_score), best));
     }
-    b.build().expect("lifting a valid graph is valid")
+    let order = tasks_by_degree(g);
+    let mut suffix_min_work = vec![0u128; order.len() + 1];
+    for k in (0..order.len()).rev() {
+        suffix_min_work[k] = suffix_min_work[k + 1] + task_time(g, order[k])?;
+    }
+    let mut search = Search {
+        g,
+        order,
+        suffix_min_work,
+        loads: vec![0; g.n_procs() as usize],
+        chosen: vec![0; g.n_tasks() as usize],
+        best,
+        best_score,
+        nodes: 0,
+        budget,
+    };
+    if objective.is_bottleneck() {
+        search.makespan(0, 0)?;
+    } else {
+        search.objective(objective, 0, 0)?;
+    }
+    Ok((Score(search.best_score), search.best))
 }
 
-/// Exhaustive optimum of a `SINGLEPROC` instance (weighted allowed), by
-/// lifting every edge to a singleton configuration.
-pub fn brute_force_singleproc(g: &Bipartite, budget: u64) -> Result<(u64, SemiMatching)> {
-    let (makespan, hm) = brute_force_multiproc(&lift(g), budget)?;
-    let sm = SemiMatching { edge_of: hm.hedge_of };
-    debug_assert!(sm.validate(g).is_ok());
-    Ok((makespan, sm))
+/// The depth-first search state of both strategies.
+struct Search<'a, G> {
+    g: &'a G,
+    /// Tasks by non-decreasing degree: the assignment order.
+    order: Vec<u32>,
+    /// `suffix_min_work[k]` is the least total work `Σ time_t` the tasks
+    /// `order[k..]` can still add.
+    suffix_min_work: Vec<u128>,
+    loads: Vec<u64>,
+    chosen: Vec<u32>,
+    /// The incumbent and its score.
+    best: Vec<u32>,
+    best_score: u128,
+    nodes: u64,
+    budget: u64,
+}
+
+impl<G: Configs> Search<'_, G> {
+    /// Counts a search node against the budget.
+    fn visit(&mut self) -> Result<()> {
+        self.nodes += 1;
+        if self.nodes > self.budget {
+            return Err(CoreError::BudgetExceeded);
+        }
+        Ok(())
+    }
+
+    /// Keeps the complete assignment `chosen` if it scores below the
+    /// incumbent.
+    fn offer(&mut self, score: u128) {
+        if score < self.best_score {
+            self.best_score = score;
+            self.best.copy_from_slice(&self.chosen);
+        }
+    }
+
+    /// Adds (`add`) or removes configuration `c` of task `t`.
+    fn place(&mut self, t: u32, c: u32, add: bool) {
+        self.chosen[t as usize] = c;
+        let w = self.g.weight(c);
+        for &u in self.g.pins(c) {
+            let load = &mut self.loads[u as usize];
+            *load = if add { *load + w } else { *load - w };
+        }
+    }
+
+    /// Makespan search from `depth`, with `placed_work` already placed.
+    fn makespan(&mut self, depth: usize, placed_work: u128) -> Result<()> {
+        self.visit()?;
+        if depth == self.order.len() {
+            self.offer(u128::from(self.loads.iter().copied().max().unwrap_or(0)));
+            return Ok(());
+        }
+        let (g, t) = (self.g, self.order[depth]);
+        let p = u128::from(g.n_procs().max(1));
+        for c in g.configs(t) {
+            let w = g.weight(c);
+            let work = u128::from(w) * g.pins(c).len() as u128;
+            // Bound 1: the partial makespan after this choice.
+            let peak = g.pins(c).iter().map(|&u| self.loads[u as usize] + w).max().unwrap_or(0);
+            // Bound 2: averaged residual work (residual Eq. 1).
+            let avg = (placed_work + work + self.suffix_min_work[depth + 1]).div_ceil(p);
+            if u128::from(peak).max(avg) >= self.best_score {
+                continue; // cannot strictly improve
+            }
+            self.place(t, c, true);
+            self.makespan(depth + 1, placed_work + work)?;
+            self.place(t, c, false);
+        }
+        Ok(())
+    }
+
+    /// Sum-objective search from `depth`, with exact partial score
+    /// `partial`: each configuration's marginal cost is at least its work
+    /// `w_c · |c|`, so the remaining tasks add at least their minimum work.
+    fn objective(&mut self, objective: Objective, depth: usize, partial: u128) -> Result<()> {
+        self.visit()?;
+        if depth == self.order.len() {
+            self.offer(partial);
+            return Ok(());
+        }
+        let (g, t) = (self.g, self.order[depth]);
+        for c in g.configs(t) {
+            let delta = Key::Marginal(objective).of(&self.loads, g.pins(c), g.weight(c));
+            let floor =
+                partial.saturating_add(delta).saturating_add(self.suffix_min_work[depth + 1]);
+            if floor >= self.best_score {
+                continue; // cannot strictly improve
+            }
+            self.place(t, c, true);
+            self.objective(objective, depth + 1, partial + delta)?;
+            self.place(t, c, false);
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -396,6 +296,24 @@ mod tests {
         let h = Hypergraph::from_hyperedges(18, 2, hedges).unwrap();
         let (opt, _) = brute_force_multiproc(&h, 1_000).unwrap();
         assert_eq!(opt, 9);
+    }
+
+    /// Regression: the makespan search took `w_h · |h|` and its residual
+    /// sums in `u64`, which overflowed (a debug panic, a weaker bound in
+    /// release) although every processor load fits.
+    #[test]
+    fn makespan_search_work_is_exact_beyond_u64() {
+        let all = vec![0, 1, 2, 3];
+        let one = Hypergraph::from_hyperedges(1, 4, vec![(0, all.clone(), 1 << 63)]).unwrap();
+        let four =
+            Hypergraph::from_hyperedges(4, 4, (0..4).map(|t| (t, all.clone(), 1 << 61)).collect())
+                .unwrap();
+        for h in [one, four] {
+            assert_eq!(brute_force_multiproc(&h, 1_000).unwrap().0, 1 << 63);
+            let problem = crate::solver::Problem::MultiProc(&h);
+            let sol = crate::solver::SolverKind::BruteForce.solve(problem).unwrap();
+            assert_eq!(sol.makespan(&problem).unwrap(), 1 << 63);
+        }
     }
 
     #[test]

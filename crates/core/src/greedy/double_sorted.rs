@@ -3,8 +3,7 @@
 use semimatch_graph::Bipartite;
 
 use crate::error::Result;
-use crate::greedy::{greedy_in_order, tasks_by_degree};
-use crate::objective::Objective;
+use crate::greedy::{current_load, Key};
 use crate::problem::SemiMatching;
 
 /// Double-sorted (Algorithm 2): like sorted-greedy, but among processors
@@ -19,7 +18,8 @@ use crate::problem::SemiMatching;
 /// (`<`), keeping the first minimum; `benches/adversarial.rs` and the
 /// `figures` binary confirm the §IV-B3 behaviour under this reading.
 pub fn double_sorted(g: &Bipartite) -> Result<SemiMatching> {
-    greedy_in_order(g, &tasks_by_degree(g.n_left(), |v| g.deg_left(v)), Objective::Makespan, true)
+    let edge_of = current_load(g, true, Key::Current, |e| g.deg_right(g.edge_right(e)))?;
+    Ok(SemiMatching { edge_of })
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
-//! Algorithm 3: expected-greedy with load prediction.
+//! Algorithm 3: expected-greedy with load prediction, and the
+//! expected-load loop it shares with its hypergraph form (Algorithm 5).
 
-use semimatch_graph::Bipartite;
+use semimatch_graph::{Bipartite, Configs};
 
 use crate::error::{CoreError, Result};
 use crate::greedy::tasks_by_degree;
@@ -17,56 +18,69 @@ use crate::problem::SemiMatching;
 /// edges contribute `w(e)/d_v`, matching the hypergraph generalization
 /// (Algorithm 5).
 pub fn expected_greedy(g: &Bipartite) -> Result<SemiMatching> {
-    expected_greedy_with(g, Objective::Makespan)
+    Ok(SemiMatching { edge_of: expected_greedy_with(g, Objective::Makespan)? })
 }
 
-/// Objective-aware expected-greedy: for non-makespan objectives the
-/// selection key is the marginal cost of the edge evaluated on the
-/// *expected* loads (`objective.marginal_f64(o(u), w(e))`), so the
-/// forecast drives the same cost model the caller asked for. Under
-/// [`Objective::Makespan`] the key reduces to the paper's `min o(u)`
-/// criterion (identical tie-breaking).
-pub(crate) fn expected_greedy_with(g: &Bipartite, objective: Objective) -> Result<SemiMatching> {
-    let makespan = objective.is_bottleneck();
-    let mut o = vec![0.0f64; g.n_right() as usize];
-    for v in 0..g.n_left() {
-        let dv = g.deg_left(v) as f64;
-        for e in g.edge_range(v) {
-            o[g.edge_right(e) as usize] += g.weight(e) as f64 / dv;
+/// The initial forecast `o(u)` of Algorithms 3 and 5: every task spreads
+/// `w_c / d_t` over the processors of each of its `d_t` configurations.
+pub(crate) fn expected_loads<G: Configs>(g: &G) -> Vec<f64> {
+    let mut o = vec![0.0f64; g.n_procs() as usize];
+    for t in 0..g.n_tasks() {
+        let dt = g.degree(t) as f64;
+        for c in g.configs(t) {
+            let share = g.weight(c) as f64 / dt;
+            for &u in g.pins(c) {
+                o[u as usize] += share;
+            }
         }
     }
-    let mut edge_of = vec![0u32; g.n_left() as usize];
-    for v in tasks_by_degree(g.n_left(), |v| g.deg_left(v)) {
-        let dv = g.deg_left(v) as f64;
+    o
+}
+
+/// The expected-load loop of expected-greedy and EGH: visits tasks by
+/// non-decreasing degree and picks the configuration of smallest key over
+/// the expected loads `o(u)` (ties keep the lowest id), then collapses
+/// the task's forecast: the chosen configuration gets its full weight,
+/// the others are withdrawn. Under [`Objective::Makespan`] the key is
+/// `max_{u∈c} o(u)`; under a sum objective it is the total marginal cost
+/// `Σ_{u∈c} marginal(o(u), w_c)`, so the forecast drives the cost model
+/// the caller asked for. Returns the chosen configuration of each task.
+pub(crate) fn expected_greedy_with<G: Configs>(g: &G, objective: Objective) -> Result<Vec<u32>> {
+    let mut o = expected_loads(g);
+    let mut chosen = vec![0u32; g.n_tasks() as usize];
+    for t in tasks_by_degree(g) {
+        let dt = g.degree(t) as f64;
         // First-candidate seeding: an all-infinite (overflowed) key set
-        // must still pick an edge, not error the task as uncovered.
-        let mut best: Option<u32> = None;
-        let mut min_key = f64::INFINITY;
-        for e in g.edge_range(v) {
-            let u = g.edge_right(e);
-            let key = if makespan {
-                o[u as usize]
+        // must still pick a configuration, not error as uncovered.
+        let mut best: Option<(f64, u32)> = None;
+        for c in g.configs(t) {
+            let expected = g.pins(c).iter().map(|&u| o[u as usize]);
+            let key = if objective.is_bottleneck() {
+                expected.fold(f64::NEG_INFINITY, f64::max)
             } else {
-                objective.marginal_f64(o[u as usize], g.weight(e) as f64)
+                let w = g.weight(c) as f64;
+                expected.map(|l| objective.marginal_f64(l, w)).sum()
             };
-            if best.is_none() || key < min_key {
-                min_key = key;
-                best = Some(e);
+            if best.is_none_or(|(min, _)| key < min) {
+                best = Some((key, c));
             }
         }
-        let e = best.ok_or(CoreError::UncoveredTask(v))?;
-        edge_of[v as usize] = e;
-        // Collapse: the chosen processor gets the full weight, every other
-        // candidate loses this task's expected contribution.
-        let w = g.weight(e) as f64;
-        o[g.edge_right(e) as usize] += w - w / dv;
-        for e2 in g.edge_range(v) {
-            if e2 != e {
-                o[g.edge_right(e2) as usize] -= g.weight(e2) as f64 / dv;
+        let (_, c) = best.ok_or(CoreError::UncoveredTask(t))?;
+        chosen[t as usize] = c;
+        let w = g.weight(c) as f64;
+        for &u in g.pins(c) {
+            o[u as usize] += w - w / dt;
+        }
+        for other in g.configs(t) {
+            if other != c {
+                let share = g.weight(other) as f64 / dt;
+                for &u in g.pins(other) {
+                    o[u as usize] -= share;
+                }
             }
         }
     }
-    Ok(SemiMatching { edge_of })
+    Ok(chosen)
 }
 
 #[cfg(test)]

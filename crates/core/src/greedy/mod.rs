@@ -10,10 +10,16 @@
 //! | [`double_sorted::double_sorted`] | non-decreasing degree | min load | min processor in-degree (first on full tie) |
 //! | [`expected::expected_greedy`] | non-decreasing degree | min *expected* load `o(u)` | first |
 //!
-//! The first three share one selection loop. Under a sum objective the
-//! registry runs the same loops with the marginal cost `cost(l(u) + w(e)) −
-//! cost(l(u))` (for expected-greedy: over `o(u)`) as the criterion, keeping
-//! each heuristic's order and tie-break.
+//! An edge is a one-processor configuration ([`Configs`]), so each
+//! heuristic is a one-line forwarder to a loop written once for both
+//! classes: the first three to the current-load loop that also runs SGH
+//! and the online dispatcher (double-sorted passes the processor
+//! in-degree as its tie-break), expected-greedy to the expected-load loop
+//! that also runs EGH (Algorithm 5 is Algorithm 3's forecast over
+//! configurations). Under a sum objective the registry runs the same
+//! loops with the marginal cost `cost(l(u) + w(e)) − cost(l(u))` (for
+//! expected-greedy: over `o(u)`) as the criterion, keeping each
+//! heuristic's order and tie-break.
 //!
 //! The paper presents them for unit weights; the implementations accept
 //! weighted instances by accumulating `w(e)` (they specialize to the
@@ -26,11 +32,10 @@ pub mod expected;
 pub mod lpt;
 pub mod sorted;
 
-use semimatch_graph::Bipartite;
+use semimatch_graph::Configs;
 
 use crate::error::{CoreError, Result};
 use crate::objective::Objective;
-use crate::problem::SemiMatching;
 
 /// What a load-driven greedy minimizes when it places weight `w` on the
 /// processors `pins`. Every selection loop scans its candidates in id order
@@ -74,56 +79,60 @@ impl Key {
     }
 }
 
-/// The tasks `0..n` ordered by non-decreasing `degree`; stable (ties keep
-/// input order), via counting sort. Serves both problem classes.
-pub(crate) fn tasks_by_degree(n: u32, degree: impl Fn(u32) -> u32) -> Vec<u32> {
-    let max_deg = (0..n).map(&degree).max().unwrap_or(0) as usize;
+/// The tasks of `g` ordered by non-decreasing degree; stable (ties keep
+/// input order), via counting sort.
+pub(crate) fn tasks_by_degree<G: Configs>(g: &G) -> Vec<u32> {
+    let n = g.n_tasks();
+    let max_deg = (0..n).map(|t| g.degree(t)).max().unwrap_or(0) as usize;
     let mut count = vec![0usize; max_deg + 2];
     for t in 0..n {
-        count[degree(t) as usize + 1] += 1;
+        count[g.degree(t) as usize + 1] += 1;
     }
     for i in 0..max_deg + 1 {
         count[i + 1] += count[i];
     }
     let mut order = vec![0u32; n as usize];
     for t in 0..n {
-        let d = degree(t) as usize;
+        let d = g.degree(t) as usize;
         order[count[d]] = t;
         count[d] += 1;
     }
     order
 }
 
-/// The selection loop of basic-, sorted- and double-sorted greedy: visits
-/// tasks along `order` and gives each the incident edge with the smallest
-/// key — the current load under the makespan, the marginal cost under a
-/// sum objective. Ties go to the processor of smallest in-degree when
-/// `by_in_degree` (double-sorted), then to the first (smallest-id) edge.
-pub(crate) fn greedy_in_order(
-    g: &Bipartite,
-    order: &[u32],
-    objective: Objective,
-    by_in_degree: bool,
-) -> Result<SemiMatching> {
-    let key = Key::under(objective, Key::Current);
-    let mut loads = vec![0u64; g.n_right() as usize];
-    let mut edge_of = vec![0u32; g.n_left() as usize];
-    for &v in order {
-        let e = g
-            .edge_range(v)
-            .min_by_key(|&e| {
-                let u = g.edge_right(e);
-                (key.of(&loads, &[u], g.weight(e)), if by_in_degree { g.deg_right(u) } else { 0 })
-            })
-            .ok_or(CoreError::UncoveredTask(v))?;
-        edge_of[v as usize] = e;
-        loads[g.edge_right(e) as usize] += g.weight(e);
+/// The current-load selection loop of basic-, sorted- and double-sorted
+/// greedy, SGH, its resulting-load ablation and the online dispatcher:
+/// visits tasks in id order, or by non-decreasing degree when `sorted`,
+/// gives each the configuration with the smallest `(key, tie)` over the
+/// current loads (equal pairs keep the lowest id), and charges its weight
+/// to its processors. Returns the chosen configuration of each task.
+pub(crate) fn current_load<G: Configs>(
+    g: &G,
+    sorted: bool,
+    key: Key,
+    tie: impl Fn(u32) -> u32,
+) -> Result<Vec<u32>> {
+    let order = if sorted { tasks_by_degree(g) } else { (0..g.n_tasks()).collect() };
+    let mut loads = vec![0u64; g.n_procs() as usize];
+    let mut chosen = vec![0u32; g.n_tasks() as usize];
+    for t in order {
+        let c = g
+            .configs(t)
+            .min_by_key(|&c| (key.of(&loads, g.pins(c), g.weight(c)), tie(c)))
+            .ok_or(CoreError::UncoveredTask(t))?;
+        chosen[t as usize] = c;
+        let w = g.weight(c);
+        for &u in g.pins(c) {
+            loads[u as usize] += w;
+        }
     }
-    Ok(SemiMatching { edge_of })
+    Ok(chosen)
 }
 
 #[cfg(test)]
 mod tests {
+    use semimatch_graph::Bipartite;
+
     use super::*;
 
     #[test]
@@ -132,18 +141,18 @@ mod tests {
             Bipartite::from_edges(4, 3, &[(0, 0), (0, 1), (1, 0), (2, 0), (2, 1), (2, 2), (3, 1)])
                 .unwrap();
         // degrees: 2, 1, 3, 1 → order: 1, 3 (deg 1, input order), 0, 2.
-        assert_eq!(tasks_by_degree(g.n_left(), |v| g.deg_left(v)), vec![1, 3, 0, 2]);
+        assert_eq!(tasks_by_degree(&g), vec![1, 3, 0, 2]);
     }
 
     #[test]
     fn degree_order_handles_isolated() {
         let g = Bipartite::from_edges(3, 1, &[(1, 0)]).unwrap();
-        assert_eq!(tasks_by_degree(g.n_left(), |v| g.deg_left(v)), vec![0, 2, 1]);
+        assert_eq!(tasks_by_degree(&g), vec![0, 2, 1]);
     }
 
     #[test]
     fn empty() {
         let g = Bipartite::from_edges(0, 0, &[]).unwrap();
-        assert!(tasks_by_degree(g.n_left(), |v| g.deg_left(v)).is_empty());
+        assert!(tasks_by_degree(&g).is_empty());
     }
 }

@@ -2,8 +2,8 @@
 
 use semimatch_graph::Hypergraph;
 
-use crate::error::{CoreError, Result};
-use crate::greedy::tasks_by_degree;
+use crate::error::Result;
+use crate::greedy::expected::expected_greedy_with;
 use crate::objective::Objective;
 use crate::problem::HyperMatching;
 
@@ -13,68 +13,16 @@ use crate::problem::HyperMatching;
 /// `d_v` configurations. Selecting a hyperedge collapses the distribution:
 /// the chosen one contributes its full weight, the others are withdrawn.
 /// `O(Σ_h |h|)` (each hyperedge's pins are touched a constant number of
-/// times).
+/// times). Expected-greedy (Algorithm 3) is the same loop on
+/// one-processor configurations.
 pub fn expected_greedy_hyp(h: &Hypergraph) -> Result<HyperMatching> {
-    expected_greedy_hyp_with(h, Objective::Makespan)
-}
-
-/// Objective-aware EGH: under a sum objective a configuration's key is
-/// its total marginal cost over the expected loads,
-/// `Σ_{u∈h} marginal(o(u), w_h)`, to which EGH and EVG collapse. Under
-/// [`Objective::Makespan`] the key is Algorithm 5's `max_{u∈h} o(u)`.
-pub(crate) fn expected_greedy_hyp_with(
-    h: &Hypergraph,
-    objective: Objective,
-) -> Result<HyperMatching> {
-    let mut o = vec![0.0f64; h.n_procs() as usize];
-    for v in 0..h.n_tasks() {
-        let dv = h.deg_task(v) as f64;
-        for hid in h.hedges_of(v) {
-            let share = h.weight(hid) as f64 / dv;
-            for &u in h.procs_of(hid) {
-                o[u as usize] += share;
-            }
-        }
-    }
-    let mut hedge_of = vec![0u32; h.n_tasks() as usize];
-    for v in tasks_by_degree(h.n_tasks(), |t| h.deg_task(t)) {
-        let dv = h.deg_task(v) as f64;
-        // First-candidate seeding: an all-infinite (overflowed) key set
-        // must still pick a configuration, not error as uncovered.
-        let mut best: Option<(f64, u32)> = None;
-        for hid in h.hedges_of(v) {
-            let expected = h.procs_of(hid).iter().map(|&u| o[u as usize]);
-            let key = if objective.is_bottleneck() {
-                expected.fold(f64::NEG_INFINITY, f64::max)
-            } else {
-                let w = h.weight(hid) as f64;
-                expected.map(|l| objective.marginal_f64(l, w)).sum()
-            };
-            if best.is_none_or(|(min, _)| key < min) {
-                best = Some((key, hid));
-            }
-        }
-        let (_, hid) = best.ok_or(CoreError::UncoveredTask(v))?;
-        hedge_of[v as usize] = hid;
-        let w = h.weight(hid) as f64;
-        for &u in h.procs_of(hid) {
-            o[u as usize] += w - w / dv;
-        }
-        for other in h.hedges_of(v) {
-            if other != hid {
-                let share = h.weight(other) as f64 / dv;
-                for &u in h.procs_of(other) {
-                    o[u as usize] -= share;
-                }
-            }
-        }
-    }
-    Ok(HyperMatching { hedge_of })
+    Ok(HyperMatching { hedge_of: expected_greedy_with(h, Objective::Makespan)? })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::CoreError;
 
     #[test]
     fn final_expected_loads_match_actual() {
@@ -153,7 +101,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let hm = expected_greedy_hyp_with(&h, Objective::FlowTime).unwrap();
+        let hm = HyperMatching { hedge_of: expected_greedy_with(&h, Objective::FlowTime).unwrap() };
         hm.validate(&h).unwrap();
         assert_eq!(hm.hedge_of[0], 1, "expected marginal sends T0 to P1");
     }

@@ -3,6 +3,7 @@
 use semimatch_graph::Hypergraph;
 
 use crate::error::{CoreError, Result};
+use crate::greedy::expected::expected_loads;
 use crate::greedy::tasks_by_degree;
 use crate::hyper::lex::cmp_sorted_desc;
 use crate::problem::HyperMatching;
@@ -21,16 +22,7 @@ use crate::problem::HyperMatching;
 /// on `U`: cost `O(d_v Σ_{h∋v} |h| log)` per task, the complexity the
 /// paper quotes for the list-based variant.
 pub fn expected_vector_greedy_hyp(h: &Hypergraph) -> Result<HyperMatching> {
-    let mut o = vec![0.0f64; h.n_procs() as usize];
-    for v in 0..h.n_tasks() {
-        let dv = h.deg_task(v) as f64;
-        for hid in h.hedges_of(v) {
-            let share = h.weight(hid) as f64 / dv;
-            for &u in h.procs_of(hid) {
-                o[u as usize] += share;
-            }
-        }
-    }
+    let mut o = expected_loads(h);
     let mut hedge_of = vec![0u32; h.n_tasks() as usize];
     // Scratch buffers reused across tasks.
     let mut union: Vec<u32> = Vec::new();
@@ -38,7 +30,7 @@ pub fn expected_vector_greedy_hyp(h: &Hypergraph) -> Result<HyperMatching> {
     let mut cand_vec: Vec<f64> = Vec::new();
     let mut best_vec: Vec<f64> = Vec::new();
 
-    for v in tasks_by_degree(h.n_tasks(), |t| h.deg_task(t)) {
+    for v in tasks_by_degree(h) {
         if h.deg_task(v) == 0 {
             return Err(CoreError::UncoveredTask(v));
         }
@@ -101,18 +93,9 @@ pub fn expected_vector_greedy_hyp(h: &Hypergraph) -> Result<HyperMatching> {
 /// Naive reference: materializes the full tentative `o`-vector (length
 /// `|V2|`) per candidate. `O(Σ_v d_v |V2| log |V2|)`.
 pub fn expected_vector_greedy_hyp_naive(h: &Hypergraph) -> Result<HyperMatching> {
-    let mut o = vec![0.0f64; h.n_procs() as usize];
-    for v in 0..h.n_tasks() {
-        let dv = h.deg_task(v) as f64;
-        for hid in h.hedges_of(v) {
-            let share = h.weight(hid) as f64 / dv;
-            for &u in h.procs_of(hid) {
-                o[u as usize] += share;
-            }
-        }
-    }
+    let mut o = expected_loads(h);
     let mut hedge_of = vec![0u32; h.n_tasks() as usize];
-    for v in tasks_by_degree(h.n_tasks(), |t| h.deg_task(t)) {
+    for v in tasks_by_degree(h) {
         if h.deg_task(v) == 0 {
             return Err(CoreError::UncoveredTask(v));
         }

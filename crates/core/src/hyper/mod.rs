@@ -13,13 +13,18 @@
 //! sketched at the end of §IV-D3; both are exposed and property-tested
 //! equal.
 //!
+//! SGH and EGH are the loops of sorted- and expected-greedy, written once
+//! over [`semimatch_graph::Configs`]: a bipartite edge is a
+//! one-processor configuration, so the `SINGLEPROC` heuristics run the
+//! same code on singletons. The current-load loop also serves
+//! [`crate::online`] (input order) and the
+//! [`sgh::sorted_greedy_hyp_resulting`] ablation (resulting bottleneck).
+//!
 //! Under a sum-type objective (flow time, `L_p`, total load) a bottleneck
 //! key no longer ranks the myopically best choice; the registry then runs
 //! the SGH loop (for SGH and VGH) and the EGH loop (for EGH and EVG) with
 //! the total marginal cost `Σ_{u∈h} (cost(l(u) + w_h) − cost(l(u)))` as the
-//! key, over the current and the expected loads respectively. The SGH
-//! loop also serves [`crate::online`] (input order) and the
-//! [`sgh::sorted_greedy_hyp_resulting`] ablation (resulting bottleneck).
+//! key, over the current and the expected loads respectively.
 
 pub mod egh;
 pub mod evg;
@@ -31,9 +36,9 @@ pub mod vgh;
 mod tests {
     use semimatch_graph::Hypergraph;
 
-    use super::{egh, sgh};
     use crate::error::CoreError;
-    use crate::greedy::{tasks_by_degree, Key};
+    use crate::greedy::expected::expected_greedy_with;
+    use crate::greedy::{current_load, tasks_by_degree, Key};
     use crate::objective::Objective;
     use crate::solver::SolverKind;
 
@@ -49,7 +54,7 @@ mod tests {
             ],
         )
         .unwrap();
-        assert_eq!(tasks_by_degree(h.n_tasks(), |t| h.deg_task(t)), vec![1, 3, 0, 2]);
+        assert_eq!(tasks_by_degree(&h), vec![1, 3, 0, 2]);
     }
 
     #[test]
@@ -65,12 +70,12 @@ mod tests {
         let h = Hypergraph::from_hyperedges(2, 1, vec![(0, vec![0], 1)]).unwrap();
         for sorted in [false, true] {
             assert_eq!(
-                sgh::greedy_hyp(&h, sorted, Key::Marginal(Objective::FlowTime)).unwrap_err(),
+                current_load(&h, sorted, Key::Marginal(Objective::FlowTime), |_| 0).unwrap_err(),
                 CoreError::UncoveredTask(1)
             );
         }
         assert_eq!(
-            egh::expected_greedy_hyp_with(&h, Objective::FlowTime).unwrap_err(),
+            expected_greedy_with(&h, Objective::FlowTime).unwrap_err(),
             CoreError::UncoveredTask(1)
         );
     }

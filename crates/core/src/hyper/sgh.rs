@@ -1,59 +1,37 @@
-//! Algorithm 4: sorted-greedy-hyp (SGH), and the current-load selection
-//! loop it shares with the online dispatcher and the sum objectives.
+//! Algorithm 4: sorted-greedy-hyp (SGH).
 
 use semimatch_graph::Hypergraph;
 
-use crate::error::{CoreError, Result};
-use crate::greedy::{tasks_by_degree, Key};
+use crate::error::Result;
+use crate::greedy::{current_load, Key};
 use crate::problem::HyperMatching;
 
 /// Sorted-greedy-hyp (Algorithm 4): visit tasks by non-decreasing number
 /// of configurations; pick the hyperedge minimizing `max_{u∈h} l(u)` over
 /// the *current* loads (ties keep the first candidate), then charge `w_h`
-/// to every processor of the hyperedge. `O(Σ_h |h|)`.
+/// to every processor of the hyperedge. `O(Σ_h |h|)`. Sorted-greedy is
+/// the same loop on one-processor configurations.
 pub fn sorted_greedy_hyp(h: &Hypergraph) -> Result<HyperMatching> {
-    greedy_hyp(h, true, Key::Current)
+    Ok(HyperMatching { hedge_of: current_load(h, true, Key::Current, |_| 0)? })
 }
 
 /// Ablation variant: minimizes the *resulting* bottleneck
 /// `max_{u∈h} l(u) + w_h` instead of the current one. Not in the paper;
 /// benchmarked in `benches/ablation.rs` to quantify the difference.
 pub fn sorted_greedy_hyp_resulting(h: &Hypergraph) -> Result<HyperMatching> {
-    greedy_hyp(h, true, Key::Resulting)
-}
-
-/// The current-load hypergraph greedy: visits tasks by non-decreasing
-/// configuration count when `sorted` (Algorithm 4), else in input order
-/// (the online discipline), gives each the configuration with the
-/// smallest `key` over the current loads (ties keep the lowest hyperedge
-/// id), and charges `w_h` to its processors. Under a sum objective the
-/// registry passes the marginal-cost key, to which SGH and VGH collapse.
-pub(crate) fn greedy_hyp(h: &Hypergraph, sorted: bool, key: Key) -> Result<HyperMatching> {
-    let mut loads = vec![0u64; h.n_procs() as usize];
-    let mut hedge_of = vec![0u32; h.n_tasks() as usize];
-    let order: Vec<u32> = if sorted {
-        tasks_by_degree(h.n_tasks(), |t| h.deg_task(t))
-    } else {
-        (0..h.n_tasks()).collect()
-    };
-    for v in order {
-        let hid = h
-            .hedges_of(v)
-            .min_by_key(|&hid| key.of(&loads, h.procs_of(hid), h.weight(hid)))
-            .ok_or(CoreError::UncoveredTask(v))?;
-        hedge_of[v as usize] = hid;
-        let w = h.weight(hid);
-        for &u in h.procs_of(hid) {
-            loads[u as usize] += w;
-        }
-    }
-    Ok(HyperMatching { hedge_of })
+    Ok(HyperMatching { hedge_of: current_load(h, true, Key::Resulting, |_| 0)? })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::CoreError;
     use crate::objective::Objective;
+
+    /// The current-load loop on `h` by degree under `key`.
+    fn hyp_loop(h: &Hypergraph, sorted: bool, key: Key) -> Result<HyperMatching> {
+        Ok(HyperMatching { hedge_of: current_load(h, sorted, key, |_| 0)? })
+    }
 
     /// T0 is forced onto P0 (w3). T1 then chooses {P0} w1 (marginal flow
     /// cost 4) or the wide {P1..P7} w1 (marginal flow cost 7): flow time
@@ -67,7 +45,7 @@ mod tests {
             vec![(0, vec![0], 3), (1, vec![0], 1), (1, vec![1, 2, 3, 4, 5, 6, 7], 1)],
         )
         .unwrap();
-        let flow = greedy_hyp(&h, true, Key::Marginal(Objective::FlowTime)).unwrap();
+        let flow = hyp_loop(&h, true, Key::Marginal(Objective::FlowTime)).unwrap();
         flow.validate(&h).unwrap();
         assert_eq!(flow.hedge_of[1], 1, "flow time stacks P0 to 4");
         let sgh = sorted_greedy_hyp(&h).unwrap();
@@ -81,7 +59,7 @@ mod tests {
         // {P0} w4 is 4 units of work; {P1,P2} w3 is 6.
         let h =
             Hypergraph::from_hyperedges(1, 3, vec![(0, vec![0], 4), (0, vec![1, 2], 3)]).unwrap();
-        let hm = greedy_hyp(&h, true, Key::Marginal(Objective::WeightedLoad)).unwrap();
+        let hm = hyp_loop(&h, true, Key::Marginal(Objective::WeightedLoad)).unwrap();
         assert_eq!(hm.hedge_of[0], 0);
     }
 
@@ -122,7 +100,7 @@ mod tests {
     fn uncovered_task_errors() {
         let h = Hypergraph::from_hyperedges(2, 1, vec![(0, vec![0], 1)]).unwrap();
         assert_eq!(sorted_greedy_hyp(&h).unwrap_err(), CoreError::UncoveredTask(1));
-        assert_eq!(greedy_hyp(&h, false, Key::Current).unwrap_err(), CoreError::UncoveredTask(1));
+        assert_eq!(hyp_loop(&h, false, Key::Current).unwrap_err(), CoreError::UncoveredTask(1));
     }
 
     #[test]
@@ -136,7 +114,7 @@ mod tests {
             vec![(0, vec![0], 1), (0, vec![1], 1), (1, vec![0], 1)],
         )
         .unwrap();
-        assert_eq!(greedy_hyp(&h, false, Key::Current).unwrap().makespan(&h), 2);
+        assert_eq!(hyp_loop(&h, false, Key::Current).unwrap().makespan(&h), 2);
         assert_eq!(sorted_greedy_hyp(&h).unwrap().makespan(&h), 1);
     }
 

@@ -21,7 +21,7 @@ pub fn vector_greedy_hyp(h: &Hypergraph) -> Result<HyperMatching> {
     let mut loads = vec![0u64; h.n_procs() as usize];
     let mut hedge_of = vec![0u32; h.n_tasks() as usize];
     let mut scratch = LexScratch::default();
-    for v in tasks_by_degree(h.n_tasks(), |t| h.deg_task(t)) {
+    for v in tasks_by_degree(h) {
         let mut candidates = h.hedges_of(v);
         let mut best = candidates.next().ok_or(CoreError::UncoveredTask(v))?;
         for hid in candidates {
@@ -62,7 +62,7 @@ pub fn vector_greedy_hyp_pinwise(h: &Hypergraph) -> Result<HyperMatching> {
     let mut hedge_of = vec![0u32; h.n_tasks() as usize];
     let mut best_key: Vec<u64> = Vec::new();
     let mut cand_key: Vec<u64> = Vec::new();
-    for v in tasks_by_degree(h.n_tasks(), |t| h.deg_task(t)) {
+    for v in tasks_by_degree(h) {
         let mut best: Option<u32> = None;
         for hid in h.hedges_of(v) {
             cand_key.clear();
@@ -94,7 +94,7 @@ pub fn vector_greedy_hyp_pinwise(h: &Hypergraph) -> Result<HyperMatching> {
 pub fn vector_greedy_hyp_naive(h: &Hypergraph) -> Result<HyperMatching> {
     let mut loads = vec![0u64; h.n_procs() as usize];
     let mut hedge_of = vec![0u32; h.n_tasks() as usize];
-    for v in tasks_by_degree(h.n_tasks(), |t| h.deg_task(t)) {
+    for v in tasks_by_degree(h) {
         let mut best: Option<(u32, Vec<u64>)> = None;
         for hid in h.hedges_of(v) {
             let vec = full_sorted_vector(&loads, h.procs_of(hid), h.weight(hid));

@@ -15,26 +15,34 @@
 //!
 //! ## Algorithms
 //!
+//! `SINGLEPROC` is `MULTIPROC` with one-processor configurations, so each
+//! algorithm the two classes share is written once, generic over
+//! [`semimatch_graph::Configs`]; the per-class functions below are
+//! one-line forwarders to it.
+//!
 //! * exact (`SINGLEPROC-UNIT`): [`exact::exact_unit`] (matching-based,
 //!   §IV-A) and [`exact::harvey_exact`] (cost-reducing paths) —
 //!   independent and cross-checked;
-//! * exact (anything, small): [`exact::brute_force_multiproc`];
-//! * bipartite heuristics (§IV-B): [`greedy::basic::basic_greedy`],
-//!   [`greedy::sorted::sorted_greedy`],
-//!   [`greedy::double_sorted::double_sorted`],
-//!   [`greedy::expected::expected_greedy`];
-//! * hypergraph heuristics (§IV-D): [`hyper::sgh`], [`hyper::egh`],
-//!   [`hyper::vgh`], [`hyper::evg`];
-//! * the lower bound of §IV-C: [`lower_bound::lower_bound_multiproc`],
-//!   extended to flow time and the other sum objectives
-//!   ([`lower_bound::lower_bound_objective_multiproc`]);
+//! * exact (anything, small): the branch-and-bound searches behind
+//!   [`exact::brute_force_multiproc`] and [`exact::brute_force_singleproc`];
+//! * greedy heuristics (§IV-B, §IV-D): one current-load loop serves
+//!   [`greedy::basic::basic_greedy`], [`greedy::sorted::sorted_greedy`],
+//!   [`greedy::double_sorted::double_sorted`], [`hyper::sgh`] and the
+//!   [`online`] dispatcher; one expected-load loop serves
+//!   [`greedy::expected::expected_greedy`] and [`hyper::egh`]; the vector
+//!   heuristics [`hyper::vgh`] and [`hyper::evg`] are hypergraph-only;
+//! * the lower bound of §IV-C for either class
+//!   ([`lower_bound::lower_bound_multiproc`],
+//!   [`lower_bound::lower_bound_singleproc`]), extended to flow time and
+//!   the other sum objectives ([`lower_bound::lower_bound_objective`]);
 //! * beyond the paper: first-class cost models ([`objective`]: makespan,
 //!   flow time, `L_p` norms, total load — the axis every solver entry
 //!   point accepts), local-search [`refine`] and iterated local search
-//!   with objective-aware move acceptance, one-pass [`streaming`] greedy
-//!   (Konrad–Rosén), the Graham LPT baseline ([`greedy::lpt`]),
-//!   load-profile [`analysis`], and solution serialization
-//!   ([`solution_io`]).
+//!   with objective-aware move acceptance, one-pass streaming greedy
+//!   (Konrad–Rosén; [`SolverKind::StreamingGreedy`] and
+//!   [`SolverKind::StreamingTwoPass`]), the Graham LPT baseline
+//!   ([`greedy::lpt`]), load-profile [`analysis`], and solution
+//!   serialization ([`solution_io`]).
 //!
 //! ```
 //! use semimatch_graph::Hypergraph;
@@ -68,7 +76,7 @@ pub mod reduction;
 pub mod refine;
 pub mod solution_io;
 pub mod solver;
-pub mod streaming;
+mod streaming;
 
 pub use error::{CoreError, Result};
 pub use objective::{Objective, Score};

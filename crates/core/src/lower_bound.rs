@@ -10,20 +10,21 @@
 //!
 //! We additionally take the maximum with two trivial bounds — some task
 //! must pay at least its cheapest per-processor time, and loads are
-//! integral — and report `⌈·⌉` since all weights are integers.
+//! integral — and report `⌈·⌉` since all weights are integers. The bound
+//! is written once over [`Configs`]: on a bipartite instance every
+//! configuration is one processor, so `time_i = min_e w(e)`.
 //!
 //! The same counting argument lower-bounds every sum-type
 //! [`Objective`]: any semi-matching occupies at least
 //! `W = Σ_i time_i` units of total processor time, and a convex
 //! per-processor cost summed over `p` processors is minimized by the
-//! balanced load vector spreading `W` — see
-//! [`lower_bound_objective_multiproc`] and the `SINGLEPROC`
-//! specialization. For [`Objective::FlowTime`] this is the natural
-//! flow-time analogue of Eq. 1.
+//! balanced load vector spreading `W` — see [`lower_bound_objective`].
+//! For [`Objective::FlowTime`] this is the natural flow-time analogue of
+//! Eq. 1.
 
 #![deny(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)]
 
-use semimatch_graph::{Bipartite, Hypergraph};
+use semimatch_graph::{Bipartite, Configs, Hypergraph};
 
 use crate::error::{CoreError, Result};
 use crate::objective::{balanced_score, Objective, Score};
@@ -31,8 +32,46 @@ use crate::objective::{balanced_score, Objective, Score};
 /// The paper's Eq. 1 for `MULTIPROC`, as an exact rational `⌈Σ time_i / p⌉`,
 /// combined with the single-task bound `max_i min_h w_h`.
 pub fn lower_bound_multiproc(h: &Hypergraph) -> Result<u64> {
-    let (total, single_task) = multiproc_work(h)?;
-    let p = h.n_procs().max(1) as u128;
+    eq1(h)
+}
+
+/// The same bound for `SINGLEPROC`: `time_i = min_e w(e)`.
+pub fn lower_bound_singleproc(g: &Bipartite) -> Result<u64> {
+    eq1(g)
+}
+
+/// Lower bound on the optimal score under any [`Objective`], for either
+/// class.
+///
+/// [`Objective::Makespan`] is Eq. 1. For the sum-type objectives, every
+/// semi-matching occupies at least `W = Σ_i time_i` units of total
+/// processor time (each task's cheapest configuration by `w_h · |h|`),
+/// and the convex per-processor cost summed over `p` processors is
+/// minimized by the balanced spread of `W` — so
+/// `balanced_score(objective, W, p)` is a valid floor, with the flow-time
+/// case doubling as the repository's flow-time lower bound.
+pub fn lower_bound_objective<G: Configs>(g: &G, objective: Objective) -> Result<Score> {
+    if objective.is_bottleneck() {
+        return Ok(Score(u128::from(eq1(g)?)));
+    }
+    let (total, _) = work(g)?;
+    Ok(balanced_score(objective, total, u64::from(g.n_procs().max(1))))
+}
+
+/// The least total processor time `time_t = min_c w_c · |c|` task `t` can
+/// occupy. The product is taken in `u128`: `w_c · |c|` can exceed `u64`
+/// even when every processor load fits.
+pub(crate) fn task_time<G: Configs>(g: &G, t: u32) -> Result<u128> {
+    g.configs(t)
+        .map(|c| u128::from(g.weight(c)) * g.pins(c).len() as u128)
+        .min()
+        .ok_or(CoreError::UncoveredTask(t))
+}
+
+/// Eq. 1: `max(⌈Σ_i time_i / p⌉, max_i min_c w_c)`.
+fn eq1<G: Configs>(g: &G) -> Result<u64> {
+    let (total, single_task) = work(g)?;
+    let p = u128::from(g.n_procs().max(1));
     // Saturate rather than truncate: `total` is a u128 sum of per-task times,
     // so the averaged bound can exceed u64 on adversarial inputs; u64::MAX is
     // still a valid makespan floor (the PR 5 overflow class).
@@ -40,96 +79,16 @@ pub fn lower_bound_multiproc(h: &Hypergraph) -> Result<u64> {
     Ok(averaged.max(single_task))
 }
 
-/// Eq. 1 as a real number (no ceiling), for reporting.
-pub fn lower_bound_multiproc_f64(h: &Hypergraph) -> Result<f64> {
-    Ok(multiproc_work(h)?.0 as f64 / h.n_procs().max(1) as f64)
-}
-
-/// `(Σ_i time_i, max_i min_h w_h)` with `time_i = min_h w_h · |h|`. Each
-/// product is taken in `u128`: `w_h · |h|` can exceed `u64` even when every
-/// processor load fits.
-fn multiproc_work(h: &Hypergraph) -> Result<(u128, u64)> {
+/// `(Σ_i time_i, max_i min_c w_c)`.
+fn work<G: Configs>(g: &G) -> Result<(u128, u64)> {
     let mut total: u128 = 0;
     let mut single_task = 0u64;
-    for t in 0..h.n_tasks() {
-        let range = h.hedges_of(t);
-        if range.is_empty() {
-            return Err(CoreError::UncoveredTask(t));
-        }
-        let mut best_time = u128::MAX;
-        let mut best_weight = u64::MAX;
-        for hid in range {
-            best_time = best_time.min(h.weight(hid) as u128 * h.hedge_size(hid) as u128);
-            best_weight = best_weight.min(h.weight(hid));
-        }
-        total += best_time;
-        single_task = single_task.max(best_weight);
+    for t in 0..g.n_tasks() {
+        total += task_time(g, t)?;
+        let cheapest = g.configs(t).map(|c| g.weight(c)).min().expect("covered");
+        single_task = single_task.max(cheapest);
     }
     Ok((total, single_task))
-}
-
-/// Lower bound on the optimal `MULTIPROC` score under any [`Objective`].
-///
-/// [`Objective::Makespan`] delegates to [`lower_bound_multiproc`]
-/// (Eq. 1). For the sum-type objectives, every semi-matching occupies at
-/// least `W = Σ_i time_i` units of total processor time (each task's
-/// cheapest configuration by `w_h · |h ∩ V2|`), and the convex
-/// per-processor cost summed over `p` processors is minimized by the
-/// balanced spread of `W` — so `balanced_score(objective, W, p)` is a
-/// valid floor, with the flow-time case doubling as the repository's
-/// flow-time lower bound.
-pub fn lower_bound_objective_multiproc(h: &Hypergraph, objective: Objective) -> Result<Score> {
-    if objective.is_bottleneck() {
-        return Ok(Score(lower_bound_multiproc(h)? as u128));
-    }
-    let (total, _) = multiproc_work(h)?;
-    Ok(balanced_score(objective, total, h.n_procs().max(1) as u64))
-}
-
-/// [`lower_bound_objective_multiproc`] specialized to `SINGLEPROC`
-/// (`time_i = min_e w(e)`, and one edge loads exactly one processor).
-pub fn lower_bound_objective_singleproc(g: &Bipartite, objective: Objective) -> Result<Score> {
-    if objective.is_bottleneck() {
-        return Ok(Score(lower_bound_singleproc(g)? as u128));
-    }
-    let mut total: u128 = 0;
-    for t in 0..g.n_left() {
-        let range = g.edge_range(t);
-        if range.is_empty() {
-            return Err(CoreError::UncoveredTask(t));
-        }
-        total += range.map(|e| g.weight(e)).min().expect("non-empty") as u128;
-    }
-    Ok(balanced_score(objective, total, g.n_right().max(1) as u64))
-}
-
-/// The flow-time analogue of Eq. 1 for `MULTIPROC`:
-/// `Σ_u l(u)(l(u)+1)/2` of the balanced spread of the cheapest total work.
-pub fn lower_bound_flowtime_multiproc(h: &Hypergraph) -> Result<Score> {
-    lower_bound_objective_multiproc(h, Objective::FlowTime)
-}
-
-/// The flow-time analogue of Eq. 1 for `SINGLEPROC`.
-pub fn lower_bound_flowtime_singleproc(g: &Bipartite) -> Result<Score> {
-    lower_bound_objective_singleproc(g, Objective::FlowTime)
-}
-
-/// The same bound specialized to `SINGLEPROC`: `time_i = min_e w(e)`.
-pub fn lower_bound_singleproc(g: &Bipartite) -> Result<u64> {
-    let mut total: u128 = 0;
-    let mut single_task = 0u64;
-    for t in 0..g.n_left() {
-        let range = g.edge_range(t);
-        if range.is_empty() {
-            return Err(CoreError::UncoveredTask(t));
-        }
-        let best = range.map(|e| g.weight(e)).min().expect("non-empty");
-        total += best as u128;
-        single_task = single_task.max(best);
-    }
-    let p = g.n_right().max(1) as u128;
-    // Saturate rather than truncate — same argument as the MULTIPROC bound.
-    Ok(u64::try_from(total.div_ceil(p)).unwrap_or(u64::MAX).max(single_task))
 }
 
 #[cfg(test)]
@@ -159,8 +118,6 @@ mod tests {
         let h = Hypergraph::from_hyperedges(1, 3, vec![(0, vec![0], 6), (0, vec![0, 1, 2], 3)])
             .unwrap();
         assert_eq!(lower_bound_multiproc(&h).unwrap(), 3);
-        let f = lower_bound_multiproc_f64(&h).unwrap();
-        assert!((f - 2.0).abs() < 1e-12);
     }
 
     /// Regression: `w_h · |h|` overflowed `u64` here (a debug panic, a
@@ -170,11 +127,7 @@ mod tests {
         let w = 1u64 << 63;
         let h = Hypergraph::from_hyperedges(1, 4, vec![(0, vec![0, 1, 2, 3], w)]).unwrap();
         assert_eq!(lower_bound_multiproc(&h).unwrap(), w);
-        assert_eq!(lower_bound_multiproc_f64(&h).unwrap(), w as f64);
-        assert_eq!(
-            lower_bound_objective_multiproc(&h, Objective::WeightedLoad).unwrap().0,
-            4 * w as u128
-        );
+        assert_eq!(lower_bound_objective(&h, Objective::WeightedLoad).unwrap().0, 4 * w as u128);
     }
 
     #[test]
@@ -215,7 +168,7 @@ mod tests {
     fn empty_instance() {
         let h = Hypergraph::from_hyperedges(0, 4, vec![]).unwrap();
         assert_eq!(lower_bound_multiproc(&h).unwrap(), 0);
-        assert_eq!(lower_bound_flowtime_multiproc(&h).unwrap(), Score(0));
+        assert_eq!(lower_bound_objective(&h, Objective::FlowTime).unwrap(), Score(0));
     }
 
     /// The degenerate corners of the balanced-spread bound: zero tasks,
@@ -229,29 +182,21 @@ mod tests {
         let empty_h = Hypergraph::from_hyperedges(0, 0, vec![]).unwrap();
         let no_task_h = Hypergraph::from_hyperedges(0, 2, vec![]).unwrap();
         for obj in Objective::REPORTED {
-            assert_eq!(lower_bound_objective_singleproc(&empty_g, obj).unwrap(), Score(0), "{obj}");
-            assert_eq!(
-                lower_bound_objective_singleproc(&no_task_g, obj).unwrap(),
-                Score(0),
-                "{obj}"
-            );
-            assert_eq!(lower_bound_objective_multiproc(&empty_h, obj).unwrap(), Score(0), "{obj}");
-            assert_eq!(
-                lower_bound_objective_multiproc(&no_task_h, obj).unwrap(),
-                Score(0),
-                "{obj}"
-            );
+            assert_eq!(lower_bound_objective(&empty_g, obj).unwrap(), Score(0), "{obj}");
+            assert_eq!(lower_bound_objective(&no_task_g, obj).unwrap(), Score(0), "{obj}");
+            assert_eq!(lower_bound_objective(&empty_h, obj).unwrap(), Score(0), "{obj}");
+            assert_eq!(lower_bound_objective(&no_task_h, obj).unwrap(), Score(0), "{obj}");
         }
         let uncovered_g = Bipartite::from_edges(1, 0, &[]).unwrap();
         let uncovered_h = Hypergraph::from_hyperedges(1, 0, vec![]).unwrap();
         for obj in Objective::REPORTED {
             assert_eq!(
-                lower_bound_objective_singleproc(&uncovered_g, obj).unwrap_err(),
+                lower_bound_objective(&uncovered_g, obj).unwrap_err(),
                 CoreError::UncoveredTask(0),
                 "{obj}"
             );
             assert_eq!(
-                lower_bound_objective_multiproc(&uncovered_h, obj).unwrap_err(),
+                lower_bound_objective(&uncovered_h, obj).unwrap_err(),
                 CoreError::UncoveredTask(0),
                 "{obj}"
             );
@@ -263,10 +208,10 @@ mod tests {
         // 5 unit tasks, 2 processors → balanced loads (3, 2) → 6 + 3 = 9.
         let g =
             Bipartite::from_edges(5, 2, &[(0, 0), (1, 0), (2, 1), (3, 1), (4, 0), (4, 1)]).unwrap();
-        assert_eq!(lower_bound_flowtime_singleproc(&g).unwrap(), Score(9));
+        assert_eq!(lower_bound_objective(&g, Objective::FlowTime).unwrap(), Score(9));
         // The makespan arm delegates to Eq. 1.
         assert_eq!(
-            lower_bound_objective_singleproc(&g, Objective::Makespan).unwrap(),
+            lower_bound_objective(&g, Objective::Makespan).unwrap(),
             Score(lower_bound_singleproc(&g).unwrap() as u128)
         );
     }
@@ -287,7 +232,7 @@ mod tests {
         )
         .unwrap();
         for obj in Objective::REPORTED {
-            let lb = lower_bound_objective_multiproc(&h, obj).unwrap();
+            let lb = lower_bound_objective(&h, obj).unwrap();
             for c0 in [0u32, 1] {
                 for c2 in [3u32, 4] {
                     let hm = HyperMatching { hedge_of: vec![c0, 2, c2] };
@@ -300,8 +245,14 @@ mod tests {
     #[test]
     fn objective_bound_rejects_uncovered_tasks() {
         let h = Hypergraph::from_hyperedges(2, 1, vec![(0, vec![0], 1)]).unwrap();
-        assert_eq!(lower_bound_flowtime_multiproc(&h).unwrap_err(), CoreError::UncoveredTask(1));
+        assert_eq!(
+            lower_bound_objective(&h, Objective::FlowTime).unwrap_err(),
+            CoreError::UncoveredTask(1)
+        );
         let g = Bipartite::from_edges(2, 1, &[(0, 0)]).unwrap();
-        assert_eq!(lower_bound_flowtime_singleproc(&g).unwrap_err(), CoreError::UncoveredTask(1));
+        assert_eq!(
+            lower_bound_objective(&g, Objective::FlowTime).unwrap_err(),
+            CoreError::UncoveredTask(1)
+        );
     }
 }

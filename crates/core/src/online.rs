@@ -8,8 +8,7 @@
 //! for the offline heuristics.
 
 use crate::error::Result;
-use crate::greedy::Key;
-use crate::hyper::sgh::greedy_hyp;
+use crate::greedy::{current_load, Key};
 use crate::problem::HyperMatching;
 use semimatch_graph::Hypergraph;
 
@@ -43,7 +42,7 @@ pub fn online_schedule(h: &Hypergraph, rule: OnlineRule) -> Result<HyperMatching
         OnlineRule::MinResulting => Key::Resulting,
         OnlineRule::FirstFit => Key::FirstFit,
     };
-    greedy_hyp(h, false, key)
+    Ok(HyperMatching { hedge_of: current_load(h, false, key, |_| 0)? })
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! [`SemiMatching::score`] / [`HyperMatching::score`] and a
 //! [`crate::objective::Objective`].
 
-use semimatch_graph::{Bipartite, EdgeId, Hypergraph};
+use semimatch_graph::{Bipartite, Configs, EdgeId, Hypergraph};
 
 use crate::error::{CoreError, Result};
 use crate::objective::{Objective, Score};
@@ -51,11 +51,7 @@ impl SemiMatching {
 
     /// Per-processor loads.
     pub fn loads(&self, g: &Bipartite) -> Vec<u64> {
-        let mut loads = vec![0u64; g.n_right() as usize];
-        for &e in &self.edge_of {
-            loads[g.edge_right(e) as usize] += g.weight(e);
-        }
-        loads
+        loads_of(g, &self.edge_of)
     }
 
     /// The solution's cost under `objective`.
@@ -71,19 +67,7 @@ impl SemiMatching {
 
     /// Checks that every task is allocated one of **its own** edges.
     pub fn validate(&self, g: &Bipartite) -> Result<()> {
-        if self.edge_of.len() != g.n_left() as usize {
-            return Err(CoreError::LengthMismatch {
-                expected: g.n_left() as usize,
-                got: self.edge_of.len(),
-            });
-        }
-        for (t, &e) in self.edge_of.iter().enumerate() {
-            let range = g.edge_range(t as u32);
-            if !(range.start..range.end).contains(&e) {
-                return Err(CoreError::ForeignAllocation { task: t as u32, alloc: e });
-            }
-        }
-        Ok(())
+        validate_of(g, &self.edge_of)
     }
 }
 
@@ -98,14 +82,7 @@ impl HyperMatching {
     /// Per-processor loads: each chosen hyperedge adds its weight `w_h` to
     /// **every** processor it contains (§II-B).
     pub fn loads(&self, h: &Hypergraph) -> Vec<u64> {
-        let mut loads = vec![0u64; h.n_procs() as usize];
-        for &hid in &self.hedge_of {
-            let w = h.weight(hid);
-            for &p in h.procs_of(hid) {
-                loads[p as usize] += w;
-            }
-        }
-        loads
+        loads_of(h, &self.hedge_of)
     }
 
     /// The solution's cost under `objective`.
@@ -121,24 +98,42 @@ impl HyperMatching {
 
     /// Checks that every task is allocated one of its own hyperedges.
     pub fn validate(&self, h: &Hypergraph) -> Result<()> {
-        if self.hedge_of.len() != h.n_tasks() as usize {
-            return Err(CoreError::LengthMismatch {
-                expected: h.n_tasks() as usize,
-                got: self.hedge_of.len(),
-            });
-        }
-        for (t, &hid) in self.hedge_of.iter().enumerate() {
-            if hid >= h.n_hedges() || h.task_of(hid) != t as u32 {
-                return Err(CoreError::ForeignAllocation { task: t as u32, alloc: hid });
-            }
-        }
-        Ok(())
+        validate_of(h, &self.hedge_of)
     }
 
     /// The allocated processor set of `task` (the paper's `alloc(i)`).
     pub fn alloc<'h>(&self, h: &'h Hypergraph, task: u32) -> &'h [u32] {
         h.procs_of(self.hedge_of[task as usize])
     }
+}
+
+/// The loads of `chosen` (one configuration per task): each adds its
+/// weight to every processor it contains.
+pub(crate) fn loads_of<G: Configs>(g: &G, chosen: &[u32]) -> Vec<u64> {
+    let mut loads = vec![0u64; g.n_procs() as usize];
+    for &c in chosen {
+        let w = g.weight(c);
+        for &u in g.pins(c) {
+            loads[u as usize] += w;
+        }
+    }
+    loads
+}
+
+/// Checks that `chosen` gives every task one of its own configurations.
+fn validate_of<G: Configs>(g: &G, chosen: &[u32]) -> Result<()> {
+    if chosen.len() != g.n_tasks() as usize {
+        return Err(CoreError::LengthMismatch {
+            expected: g.n_tasks() as usize,
+            got: chosen.len(),
+        });
+    }
+    for (t, &c) in (0..).zip(chosen) {
+        if !g.configs(t).contains(&c) {
+            return Err(CoreError::ForeignAllocation { task: t, alloc: c });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -30,8 +30,8 @@
 //! Fakcharoenphol–Laekhanukit–Nanongkai's faster semi-matching algorithms
 //! (which optimize exactly the flow-time objective above) and
 //! Katrenič–Semanišin's Hopcroft–Karp generalization slot into the same
-//! problem interface — so the registry (and the `Solver` seam in
-//! particular) is also where future backends land.
+//! problem interface — so they are registry kinds (`cost-scaling`,
+//! `hk-semi`) like the paper's own algorithms.
 //!
 //! ```
 //! use semimatch_graph::Hypergraph;
@@ -53,23 +53,19 @@ use semimatch_graph::{Bipartite, Hypergraph};
 use semimatch_matching::SearchWorkspace;
 
 use crate::error::{CoreError, Result};
+use crate::exact::brute_force::brute_force;
 use crate::exact::{
-    brute_force_multiproc_objective, brute_force_singleproc_objective, cost_scaling_in,
-    cost_scaling_seeded_in, exact_unit_in, exact_unit_replicated_in, harvey_exact, hk_semi_in,
-    mcf_in, mcf_objective_in, SearchStrategy,
+    cost_scaling_in, cost_scaling_seeded_in, exact_unit_in, exact_unit_replicated_in, harvey_exact,
+    hk_semi_in, mcf_in, mcf_objective_in, SearchStrategy,
 };
 use crate::greedy::expected::expected_greedy_with;
-use crate::greedy::{greedy_in_order, tasks_by_degree, Key};
-use crate::hyper::egh::expected_greedy_hyp_with;
+use crate::greedy::{current_load, Key};
 use crate::hyper::evg::expected_vector_greedy_hyp;
-use crate::hyper::sgh::greedy_hyp;
 use crate::hyper::vgh::vector_greedy_hyp;
+use crate::lower_bound::lower_bound_objective;
 use crate::problem::{HyperMatching, SemiMatching};
 use crate::refine::{iterated_refine_with, refine_with};
-use crate::streaming::{
-    streaming_greedy_bipartite_two_pass_with, streaming_greedy_bipartite_with,
-    streaming_greedy_hyper_two_pass_with, streaming_greedy_hyper_with,
-};
+use crate::streaming::streaming_greedy;
 
 /// The maximum-matching engine axis, re-exported so registry consumers have
 /// one import surface for every algorithm selector in the workspace.
@@ -130,12 +126,8 @@ impl Problem<'_> {
     /// makespan, the balanced-spread work bound for the sum objectives).
     pub fn lower_bound(&self, objective: Objective) -> Result<Score> {
         match self {
-            Problem::SingleProc(g) => {
-                crate::lower_bound::lower_bound_objective_singleproc(g, objective)
-            }
-            Problem::MultiProc(h) => {
-                crate::lower_bound::lower_bound_objective_multiproc(h, objective)
-            }
+            Problem::SingleProc(g) => lower_bound_objective(*g, objective),
+            Problem::MultiProc(h) => lower_bound_objective(*h, objective),
         }
     }
 }
@@ -628,17 +620,16 @@ impl SolverKind {
         Ok(match self {
             SolverKind::Basic | SolverKind::Sorted | SolverKind::DoubleSorted => {
                 let g = self.bipartite(&problem)?;
-                let order = if self == SolverKind::Basic {
-                    (0..g.n_left()).collect()
-                } else {
-                    tasks_by_degree(g.n_left(), |v| g.deg_left(v))
-                };
+                let key = Key::under(objective, Key::Current);
                 let by_in_degree = self == SolverKind::DoubleSorted;
-                SingleProc(greedy_in_order(g, &order, objective, by_in_degree)?)
+                let tie = |e| if by_in_degree { g.deg_right(g.edge_right(e)) } else { 0 };
+                SingleProc(SemiMatching {
+                    edge_of: current_load(g, self != SolverKind::Basic, key, tie)?,
+                })
             }
-            SolverKind::Expected => {
-                SingleProc(expected_greedy_with(self.bipartite(&problem)?, objective)?)
-            }
+            SolverKind::Expected => SingleProc(SemiMatching {
+                edge_of: expected_greedy_with(self.bipartite(&problem)?, objective)?,
+            }),
             SolverKind::ExactIncremental => {
                 let g = self.bipartite(&problem)?;
                 let sm = exact_unit_in(g, SearchStrategy::Incremental, ws)?.solution;
@@ -682,13 +673,16 @@ impl SolverKind {
             SolverKind::Evg if makespan => {
                 MultiProc(expected_vector_greedy_hyp(self.hypergraph(&problem)?)?)
             }
-            SolverKind::Sgh | SolverKind::Vgh => {
+            SolverKind::Sgh | SolverKind::Vgh | SolverKind::Online => {
                 let key = Key::under(objective, Key::Current);
-                MultiProc(greedy_hyp(self.hypergraph(&problem)?, true, key)?)
+                let sorted = self != SolverKind::Online;
+                MultiProc(HyperMatching {
+                    hedge_of: current_load(self.hypergraph(&problem)?, sorted, key, |_| 0)?,
+                })
             }
-            SolverKind::Egh | SolverKind::Evg => {
-                MultiProc(expected_greedy_hyp_with(self.hypergraph(&problem)?, objective)?)
-            }
+            SolverKind::Egh | SolverKind::Evg => MultiProc(HyperMatching {
+                hedge_of: expected_greedy_with(self.hypergraph(&problem)?, objective)?,
+            }),
             SolverKind::EvgRefined | SolverKind::SghRefined | SolverKind::SghIls => {
                 let h = self.hypergraph(&problem)?;
                 let base =
@@ -703,31 +697,24 @@ impl SolverKind {
                 }
                 MultiProc(hm)
             }
-            SolverKind::Online => {
-                let key = Key::under(objective, Key::Current);
-                MultiProc(greedy_hyp(self.hypergraph(&problem)?, false, key)?)
+            SolverKind::StreamingGreedy | SolverKind::StreamingTwoPass => {
+                let two_pass = self == SolverKind::StreamingTwoPass;
+                match problem {
+                    Problem::SingleProc(g) => SingleProc(SemiMatching {
+                        edge_of: streaming_greedy(g, objective, two_pass)?,
+                    }),
+                    Problem::MultiProc(h) => MultiProc(HyperMatching {
+                        hedge_of: streaming_greedy(h, objective, two_pass)?,
+                    }),
+                }
             }
-            SolverKind::StreamingGreedy => match problem {
-                Problem::SingleProc(g) => {
-                    SingleProc(streaming_greedy_bipartite_with(g, objective)?)
-                }
-                Problem::MultiProc(h) => MultiProc(streaming_greedy_hyper_with(h, objective)?),
-            },
-            SolverKind::StreamingTwoPass => match problem {
-                Problem::SingleProc(g) => {
-                    SingleProc(streaming_greedy_bipartite_two_pass_with(g, objective)?)
-                }
-                Problem::MultiProc(h) => {
-                    MultiProc(streaming_greedy_hyper_two_pass_with(h, objective)?)
-                }
-            },
             SolverKind::BruteForce => match problem {
-                Problem::SingleProc(g) => SingleProc(
-                    brute_force_singleproc_objective(g, BRUTE_FORCE_BUDGET, objective)?.1,
-                ),
-                Problem::MultiProc(h) => {
-                    MultiProc(brute_force_multiproc_objective(h, BRUTE_FORCE_BUDGET, objective)?.1)
-                }
+                Problem::SingleProc(g) => SingleProc(SemiMatching {
+                    edge_of: brute_force(g, BRUTE_FORCE_BUDGET, objective)?.1,
+                }),
+                Problem::MultiProc(h) => MultiProc(HyperMatching {
+                    hedge_of: brute_force(h, BRUTE_FORCE_BUDGET, objective)?.1,
+                }),
             },
         })
     }
@@ -813,11 +800,9 @@ pub fn solve_with(
 /// Where [`solve`] is the stateless facade, a `Solver` is the warm path:
 /// the object owns its [`SearchWorkspace`] (visited stamps, BFS/DFS arrays,
 /// flow residual arena), so consecutive [`Solver::solve`] calls on
-/// same-shaped instances perform no scratch allocation. This is also the
-/// seam where future backends (cost-scaling flow, streaming, serving)
-/// land: they implement `Solver` and plug into every consumer —
-/// the CLI batch mode, the bench sweeps, the scheduling policies — without
-/// touching the dispatch sites.
+/// same-shaped instances perform no scratch allocation. [`KindSolver`] is
+/// its one implementation; consumers (the CLI batch mode, the bench
+/// sweeps, the scheduling policies) hold it through the trait.
 pub trait Solver {
     /// The registry entry this solver implements.
     fn kind(&self) -> SolverKind;
@@ -831,21 +816,6 @@ pub trait Solver {
     /// solver's internal scratch.
     fn solve(&mut self, problem: Problem<'_>) -> Result<Solution> {
         self.solve_with(problem, Objective::Makespan)
-    }
-
-    /// Solves `problem` optimizing `objective`, writing over `out`.
-    ///
-    /// The default implementation replaces `*out` wholesale (dropping its
-    /// old buffers); backends that can rebuild a solution in place override
-    /// this to keep the output allocation alive too.
-    fn solve_into(
-        &mut self,
-        problem: Problem<'_>,
-        objective: Objective,
-        out: &mut Solution,
-    ) -> Result<()> {
-        *out = self.solve_with(problem, objective)?;
-        Ok(())
     }
 
     /// Pre-sizes internal scratch for `problem`'s dimensions, so the first
@@ -1169,18 +1139,6 @@ mod tests {
                 assert_eq!(warm, cold, "{kind} diverged under workspace reuse");
             }
         }
-    }
-
-    #[test]
-    fn solve_into_overwrites_previous_solution() {
-        let g = bipartite();
-        let problem = Problem::SingleProc(&g);
-        let mut s = SolverKind::ExactBisection.solver();
-        let mut out = s.solve(problem).unwrap();
-        let expected = out.clone();
-        s.solve_into(problem, Objective::Makespan, &mut out).unwrap();
-        assert_eq!(out, expected);
-        out.validate(&problem).unwrap();
     }
 
     #[test]

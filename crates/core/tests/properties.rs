@@ -113,11 +113,6 @@ fn greedy_entry_points_fill_a_processor_to_u64_max() {
     };
     use semimatch_core::hyper::{egh, evg, sgh, vgh};
     use semimatch_core::online::{online_schedule, OnlineRule};
-    use semimatch_core::streaming::{
-        streaming_greedy_bipartite, streaming_greedy_bipartite_two_pass_with,
-        streaming_greedy_bipartite_with, streaming_greedy_hyper,
-        streaming_greedy_hyper_two_pass_with, streaming_greedy_hyper_with,
-    };
     use semimatch_core::{HyperMatching, Objective, SemiMatching};
     use semimatch_graph::{Bipartite, Hypergraph};
 
@@ -125,20 +120,19 @@ fn greedy_entry_points_fill_a_processor_to_u64_max() {
     let h = Hypergraph::from_hyperedges(2, 1, vec![(0, vec![0], u64::MAX - 1), (1, vec![0], 1)])
         .unwrap();
     type Entry<G, M> = (&'static str, fn(&G) -> semimatch_core::Result<M>);
-    let bipartite: [Entry<Bipartite, SemiMatching>; 6] = [
+    let bipartite: [Entry<Bipartite, SemiMatching>; 5] = [
         ("basic", basic_greedy),
         ("sorted", sorted_greedy),
         ("double-sorted", double_sorted),
         ("expected", expected_greedy),
         ("lpt", lpt_greedy),
-        ("streaming", streaming_greedy_bipartite),
     ];
     for (name, run) in bipartite {
         let sm = run(&g).unwrap_or_else(|e| panic!("{name}: {e}"));
         sm.validate(&g).unwrap();
         assert_eq!(sm.makespan(&g), u64::MAX, "{name}");
     }
-    let hyper: [Entry<Hypergraph, HyperMatching>; 12] = [
+    let hyper: [Entry<Hypergraph, HyperMatching>; 11] = [
         ("sgh", sgh::sorted_greedy_hyp),
         ("sgh-resulting", sgh::sorted_greedy_hyp_resulting),
         ("egh", egh::expected_greedy_hyp),
@@ -150,7 +144,6 @@ fn greedy_entry_points_fill_a_processor_to_u64_max() {
         ("online-bottleneck", |h| online_schedule(h, OnlineRule::MinBottleneck)),
         ("online-resulting", |h| online_schedule(h, OnlineRule::MinResulting)),
         ("online-first-fit", |h| online_schedule(h, OnlineRule::FirstFit)),
-        ("streaming", streaming_greedy_hyper),
     ];
     for (name, run) in hyper {
         let hm = run(&h).unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -158,17 +151,12 @@ fn greedy_entry_points_fill_a_processor_to_u64_max() {
         assert_eq!(hm.makespan(&h), u64::MAX, "{name}");
     }
     for objective in Objective::REPORTED {
-        for sm in [
-            streaming_greedy_bipartite_with(&g, objective),
-            streaming_greedy_bipartite_two_pass_with(&g, objective),
-        ] {
-            assert_eq!(sm.unwrap().makespan(&g), u64::MAX, "streaming under {objective}");
-        }
-        for hm in [
-            streaming_greedy_hyper_with(&h, objective),
-            streaming_greedy_hyper_two_pass_with(&h, objective),
-        ] {
-            assert_eq!(hm.unwrap().makespan(&h), u64::MAX, "streaming under {objective}");
+        for kind in [SolverKind::StreamingGreedy, SolverKind::StreamingTwoPass] {
+            for problem in [Problem::SingleProc(&g), Problem::MultiProc(&h)] {
+                let sol = kind.solve_with(problem, objective).unwrap();
+                sol.validate(&problem).unwrap();
+                assert_eq!(sol.makespan(&problem).unwrap(), u64::MAX, "{kind} under {objective}");
+            }
         }
     }
 }

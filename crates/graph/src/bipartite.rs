@@ -10,6 +10,7 @@
 //! algorithms can scan either side without pointer chasing, following the
 //! flat-array guidance of the Rust performance book.
 
+use crate::configs::Configs;
 use crate::error::{check_load_bound, GraphError, Result};
 
 /// Identifier of an edge: its position in the forward CSR `adj` array.
@@ -323,6 +324,34 @@ impl Bipartite {
             return Err(GraphError::Parse { line: 0, msg: "transpose edge count mismatch".into() });
         }
         Ok(())
+    }
+}
+
+/// Each edge is the one-processor configuration `{p}` of its task.
+impl Configs for Bipartite {
+    #[inline]
+    fn n_tasks(&self) -> u32 {
+        self.n_left
+    }
+
+    #[inline]
+    fn n_procs(&self) -> u32 {
+        self.n_right
+    }
+
+    #[inline]
+    fn configs(&self, t: u32) -> std::ops::Range<u32> {
+        self.edge_range(t)
+    }
+
+    #[inline]
+    fn pins(&self, e: EdgeId) -> &[u32] {
+        std::slice::from_ref(&self.adj[e as usize])
+    }
+
+    #[inline]
+    fn weight(&self, e: EdgeId) -> u64 {
+        self.weights[e as usize]
     }
 }
 

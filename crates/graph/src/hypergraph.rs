@@ -9,6 +9,7 @@
 //! The structure is stored as two CSR maps: task → hyperedges and
 //! hyperedge → processors ("pins"), plus the owner task of each hyperedge.
 
+use crate::configs::Configs;
 use crate::error::{check_load_bound, GraphError, Result};
 
 /// A bipartite hypergraph with one weight per hyperedge.
@@ -286,6 +287,33 @@ impl Hypergraph {
             }
         }
         Ok(())
+    }
+}
+
+impl Configs for Hypergraph {
+    #[inline]
+    fn n_tasks(&self) -> u32 {
+        self.n_tasks
+    }
+
+    #[inline]
+    fn n_procs(&self) -> u32 {
+        self.n_procs
+    }
+
+    #[inline]
+    fn configs(&self, t: u32) -> std::ops::Range<u32> {
+        self.hedges_of(t)
+    }
+
+    #[inline]
+    fn pins(&self, h: u32) -> &[u32] {
+        self.procs_of(h)
+    }
+
+    #[inline]
+    fn weight(&self, h: u32) -> u64 {
+        self.weights[h as usize]
     }
 }
 

@@ -17,6 +17,11 @@
 //! the algorithm crates never chase pointers. Construction validates all
 //! structural invariants and returns [`GraphError`] on malformed input.
 //!
+//! `SINGLEPROC` is `MULTIPROC` with one-processor configurations, and the
+//! [`Configs`] trait reads both types that way: a hyperedge is a
+//! configuration, and so is a bipartite edge `(t, p)`, as the singleton
+//! `{p}`. Algorithms written once over [`Configs`] run on either class.
+//!
 //! ```
 //! use semimatch_graph::{Bipartite, Hypergraph};
 //!
@@ -31,12 +36,18 @@
 //! )
 //! .unwrap();
 //! assert_eq!(h.deg_task(0), 2);
+//!
+//! // Both read as configurations; an edge pins one processor.
+//! use semimatch_graph::Configs;
+//! assert_eq!(g.pins(1), &[1]);
+//! assert_eq!(h.pins(1), &[1, 2]);
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod bipartite;
 pub mod builder;
+pub mod configs;
 pub mod dot;
 pub mod error;
 pub mod hypergraph;
@@ -45,6 +56,7 @@ pub mod stats;
 
 pub use bipartite::{Bipartite, EdgeId};
 pub use builder::{BipartiteBuilder, HypergraphBuilder};
+pub use configs::Configs;
 pub use error::{GraphError, Result};
 pub use hypergraph::Hypergraph;
 pub use stats::{BipartiteStats, HypergraphStats};

@@ -18,7 +18,7 @@ use std::process::ExitCode;
 
 use semimatch::core::lower_bound::{lower_bound_multiproc, lower_bound_singleproc};
 use semimatch::core::objective::Objective;
-use semimatch::core::quality::score_ratio;
+use semimatch::core::quality::{ratio, score_ratio};
 use semimatch::core::refine::refine_with;
 use semimatch::gen::params::{Config, Family};
 use semimatch::gen::rng::Xoshiro256;
@@ -617,7 +617,7 @@ fn solve_bipartite(
     println!("solver:    {} ({})", kind.name(), kind.description());
     println!("objective: {objective}");
     println!("lower bound: {lb}");
-    println!("makespan:    {m}  (ratio {:.3})", m as f64 / lb as f64);
+    println!("makespan:    {m}  (ratio {:.3})", ratio(m, lb));
     if !objective.is_bottleneck() {
         let olb = problem.lower_bound(objective).map_err(|e| e.to_string())?;
         let score = sol.score(&problem, objective).map_err(|e| e.to_string())?;
@@ -656,7 +656,7 @@ fn solve_hypergraph(
     println!("solver:    {} ({})", kind.name(), kind.description());
     println!("objective: {objective}");
     println!("lower bound: {lb}");
-    println!("makespan:    {base}  (ratio {:.3})", base as f64 / lb as f64);
+    println!("makespan:    {base}  (ratio {:.3})", ratio(base, lb));
     let olb = if objective.is_bottleneck() {
         None
     } else {
@@ -670,7 +670,7 @@ fn solve_hypergraph(
     if let Some((stats, m, score)) = refined {
         println!(
             "refined:     {m}  (ratio {:.3}; {} moves in {} passes)",
-            m as f64 / lb as f64,
+            ratio(m, lb),
             stats.moves,
             stats.passes
         );
@@ -707,7 +707,7 @@ fn verify(positional: &[&str]) -> Result<(), String> {
         format!(
             "makespan: {} (lower bound {lb}, ratio {:.3})",
             hm.makespan(&h),
-            hm.makespan(&h) as f64 / lb as f64
+            ratio(hm.makespan(&h), lb)
         ),
         profile.summary(),
     ]);

@@ -616,3 +616,28 @@ fn serve_subcommand_reports_tenant_gaps_and_sheds_nothing() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// An instance without tasks has makespan 0 over lower bound 0: every
+/// ratio the reports print reads as a perfect 1.000, never `NaN`.
+#[test]
+fn empty_instances_print_finite_ratios() {
+    let dir = tmp_dir("empty");
+    let (bg, hg, sol) = (dir.join("empty.bg"), dir.join("empty.hg"), dir.join("empty.sol"));
+    std::fs::write(&bg, "0 1 0\n").unwrap();
+    std::fs::write(&hg, "0 1 0\n").unwrap();
+    std::fs::write(&sol, "% semimatch solution\n0\n").unwrap();
+    let (bg, hg, sol) = (bg.to_str().unwrap(), hg.to_str().unwrap(), sol.to_str().unwrap());
+    for args in [
+        vec!["solve", bg],
+        vec!["solve", hg],
+        vec!["solve", hg, "--refine", "4"],
+        vec!["verify", hg, sol],
+    ] {
+        let out = semimatch(&args);
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        let text = stdout(&out);
+        assert!(text.contains("ratio 1.000"), "{args:?}: {text}");
+        assert!(!text.contains("NaN"), "{args:?}: {text}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

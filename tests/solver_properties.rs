@@ -142,28 +142,17 @@ proptest! {
         g in weighted_bipartite(),
         h in weighted_hypergraph(),
     ) {
-        use semimatch::core::streaming::{
-            streaming_greedy_bipartite_two_pass_with, streaming_greedy_bipartite_with,
-            streaming_greedy_hyper_two_pass_with, streaming_greedy_hyper_with,
-        };
-        for objective in Objective::REPORTED {
-            let one = streaming_greedy_bipartite_with(&g, objective).unwrap();
-            let two = streaming_greedy_bipartite_two_pass_with(&g, objective).unwrap();
-            one.validate(&g).unwrap();
-            two.validate(&g).unwrap();
-            prop_assert!(
-                two.score(&g, objective) <= one.score(&g, objective),
-                "bipartite second pass worsened {objective:?}"
-            );
-
-            let one = streaming_greedy_hyper_with(&h, objective).unwrap();
-            let two = streaming_greedy_hyper_two_pass_with(&h, objective).unwrap();
-            one.validate(&h).unwrap();
-            two.validate(&h).unwrap();
-            prop_assert!(
-                two.score(&h, objective) <= one.score(&h, objective),
-                "hyper second pass worsened {objective:?}"
-            );
+        for (class, problem) in [("bipartite", Problem::SingleProc(&g)), ("hyper", Problem::MultiProc(&h))] {
+            for objective in Objective::REPORTED {
+                let one = solve_with(problem, SolverKind::StreamingGreedy, objective).unwrap();
+                let two = solve_with(problem, SolverKind::StreamingTwoPass, objective).unwrap();
+                one.validate(&problem).unwrap();
+                two.validate(&problem).unwrap();
+                prop_assert!(
+                    two.score(&problem, objective).unwrap() <= one.score(&problem, objective).unwrap(),
+                    "{class} second pass worsened {objective:?}"
+                );
+            }
         }
     }
 }
