@@ -74,7 +74,7 @@ fn eq1<G: Configs>(g: &G) -> Result<u64> {
     let p = u128::from(g.n_procs().max(1));
     // Saturate rather than truncate: `total` is a u128 sum of per-task times,
     // so the averaged bound can exceed u64 on adversarial inputs; u64::MAX is
-    // still a valid makespan floor (the PR 5 overflow class).
+    // still a valid makespan floor.
     let averaged = u64::try_from(total.div_ceil(p)).unwrap_or(u64::MAX);
     Ok(averaged.max(single_task))
 }
@@ -85,7 +85,8 @@ fn work<G: Configs>(g: &G) -> Result<(u128, u64)> {
     let mut single_task = 0u64;
     for t in 0..g.n_tasks() {
         total += task_time(g, t)?;
-        let cheapest = g.configs(t).map(|c| g.weight(c)).min().expect("covered");
+        let cheapest =
+            g.configs(t).map(|c| g.weight(c)).min().expect("task_time rejects uncovered tasks");
         single_task = single_task.max(cheapest);
     }
     Ok((total, single_task))
