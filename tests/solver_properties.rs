@@ -142,14 +142,16 @@ proptest! {
         g in weighted_bipartite(),
         h in weighted_hypergraph(),
     ) {
-        for (class, problem) in [("bipartite", Problem::SingleProc(&g)), ("hyper", Problem::MultiProc(&h))] {
+        let problems = [("bipartite", Problem::SingleProc(&g)), ("hyper", Problem::MultiProc(&h))];
+        for (class, problem) in problems {
             for objective in Objective::REPORTED {
                 let one = solve_with(problem, SolverKind::StreamingGreedy, objective).unwrap();
                 let two = solve_with(problem, SolverKind::StreamingTwoPass, objective).unwrap();
                 one.validate(&problem).unwrap();
                 two.validate(&problem).unwrap();
+                let (one, two) = (one.score(&problem, objective), two.score(&problem, objective));
                 prop_assert!(
-                    two.score(&problem, objective).unwrap() <= one.score(&problem, objective).unwrap(),
+                    two.unwrap() <= one.unwrap(),
                     "{class} second pass worsened {objective:?}"
                 );
             }
