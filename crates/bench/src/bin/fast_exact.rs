@@ -175,8 +175,7 @@ fn main() {
          Warm-started probing is {warm_speedup:.2}× over the cold \
          rebuild-per-probe ablation on the same search.\n\n\
          Score-identity of every exact kind — including `mcf` on weighted \
-         total-load instances — is enforced by `tests/exact_agreement.rs`; \
-         thread-count determinism by `tests/parallel_determinism.rs`.\n",
+         total-load instances — is enforced by `tests/exact_agreement.rs`.\n",
         opts.seed,
         cold.checksum,
         markdown_table(

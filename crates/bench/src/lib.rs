@@ -20,10 +20,9 @@
 //!
 //! The harness follows the paper's protocol: median over the instances for
 //! quality columns, mean wall-clock seconds for time rows. Instances fan
-//! out across rayon's work-stealing pool, and the large exact backends
-//! (hk-semi phase extraction, cost-scaling capacity probes) additionally
-//! parallelize *inside* a solve — so per-solver wall-clock columns are
-//! measured under whatever pool the harness pinned.
+//! out across rayon's work-stealing pool; every solver runs sequentially
+//! inside a solve, so the pool size sets how many instances run at once,
+//! not how a solve runs.
 
 pub mod singleproc;
 

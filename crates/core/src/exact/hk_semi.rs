@@ -9,7 +9,8 @@
 //! engine itself lives in [`semimatch_matching::semi`] (it is a phase
 //! search over the shared [`SearchWorkspace`] substrate, exactly like the
 //! matching engines); this module adapts it to the registry's problem
-//! types and preconditions.
+//! types and preconditions. The engine is sequential and does not read
+//! the pool size, so every pool runs the same phases.
 //!
 //! Under sum objectives the registry appends the Harvey cost-reducing
 //! descent to the bottleneck-optimal result, the same composition the
@@ -17,17 +18,11 @@
 
 use semimatch_graph::Bipartite;
 use semimatch_matching::semi::optimal_semi_assignment_in;
-use semimatch_matching::semi_par::optimal_semi_assignment_par;
 use semimatch_matching::SearchWorkspace;
 
 use crate::error::Result;
 use crate::exact::unit::{check_instance, ExactResult};
 use crate::problem::SemiMatching;
-
-/// Below this many tasks the parallel engine's atomic scratch allocation
-/// and claim traffic outweigh the extraction parallelism; the sequential
-/// warm path wins.
-const PAR_TASK_THRESHOLD: u32 = 2048;
 
 /// Exact optimum via generalized Hopcroft–Karp phases, throwaway scratch.
 ///
@@ -46,15 +41,7 @@ pub fn hk_semi(g: &Bipartite) -> Result<ExactResult> {
 /// matching oracle to count).
 pub fn hk_semi_in(g: &Bipartite, ws: &mut SearchWorkspace) -> Result<ExactResult> {
     check_instance(g)?;
-    // On large instances with a multi-threaded pool, extract each phase's
-    // load-reducing paths in parallel across the pool's workers. Both
-    // engines terminate with the same optimality certificate, so the
-    // makespan is bit-identical either way.
-    let a = if rayon::current_num_threads() > 1 && g.n_left() >= PAR_TASK_THRESHOLD {
-        optimal_semi_assignment_par(g)
-    } else {
-        optimal_semi_assignment_in(g, ws)
-    };
+    let a = optimal_semi_assignment_in(g, ws);
     let solution = SemiMatching::from_procs(g, &a.task_to_proc)?;
     Ok(ExactResult { makespan: a.max_load() as u64, solution, oracle_calls: a.phases })
 }

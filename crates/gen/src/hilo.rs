@@ -33,7 +33,11 @@ pub fn hilo(n: u32, p: u32, g: u32, d: u32) -> Bipartite {
     );
     assert!(d > 0, "degree parameter must be positive");
     let pg = p / g; // processors per group
-    let mut builder = BipartiteBuilder::with_capacity(n, p, (n as usize) * 2 * (d as usize + 1));
+
+    // Each task takes at most min(d + 1, p/g) processors in each of two
+    // groups; a huge `d` must not size the reservation.
+    let per_task = (d as usize).saturating_add(1).min(pg as usize).saturating_mul(2);
+    let mut builder = BipartiteBuilder::with_capacity(n, p, (n as usize).saturating_mul(per_task));
     let base = n / g;
     let extra = n % g;
     let mut v = 0u32; // global V1 index

@@ -40,7 +40,6 @@ pub mod matching;
 pub mod push_relabel;
 pub mod replicate;
 pub mod semi;
-pub mod semi_par;
 pub mod workspace;
 
 pub use capacitated::{feasible, max_assignment, max_assignment_with_capacities, Assignment};
@@ -48,7 +47,6 @@ pub use cover::{certify_maximum, koenig_cover, VertexCover};
 pub use flow::FlowNetwork;
 pub use matching::{Matching, NONE};
 pub use semi::{optimal_semi_assignment, optimal_semi_assignment_in, SemiAssignment};
-pub use semi_par::optimal_semi_assignment_par;
 pub use workspace::SearchWorkspace;
 
 /// Selector for the maximum-matching engines.

@@ -107,10 +107,6 @@ catalog! {
         "augmenting (cost-reducing) paths applied";
     HK_SEMI_BFS_LEVELS: Decl<counter> = "hk_semi.bfs_levels",
         "BFS levels built across all phases";
-    HK_SEMI_PAR_CAS_FAILURES: Decl<counter> = "hk_semi.par.cas_failures",
-        "lost claim CAS races in the parallel path flipper";
-    HK_SEMI_PAR_FALLBACK_ROUNDS: Decl<counter> = "hk_semi.par.fallback_rounds",
-        "parallel rounds that fell back to sequential flipping";
     FLOW_AUGMENTATIONS: Decl<counter> = "flow.augmentations",
         "Dinic blocking-flow augmentations";
     FLOW_DINIC_PHASES: Decl<counter> = "flow.dinic_phases",

@@ -306,6 +306,43 @@ fn huge_shard_count_exits_0_or_2() {
     assert!(matches!(out.status.code(), Some(0 | 2)), "exit {:?}: {err}", out.status.code());
 }
 
+/// HiLo gives a task at most min(d + 1, p/g) processors in each of two
+/// groups, so a huge `--d` must neither size the edge reservation nor
+/// change the instance: with p/g = 4, `--d u32::MAX` writes `--d 3`'s file.
+#[test]
+fn huge_hilo_degree_builds_the_capped_instance() {
+    let dir = tmp_dir("huge-hilo");
+    let mut written = Vec::new();
+    for d in ["4294967295", "3"] {
+        let bg = dir.join(format!("d{d}.bg"));
+        let args = ["--gen", "hilo", "--n", "10", "--p", "8", "--g", "2", "--d", d];
+        let out = semimatch(
+            &[&["generate-bipartite"], &args[..], &["--out", bg.to_str().unwrap()]].concat(),
+        );
+        assert!(out.status.success(), "--d {d}: {out:?}");
+        written.push(std::fs::read_to_string(&bg).unwrap());
+    }
+    assert_eq!(written[0], written[1]);
+    let hg = dir.join("hlf.hg");
+    let out = semimatch(&[
+        "generate",
+        "--family",
+        "HLF",
+        "--n",
+        "64",
+        "--p",
+        "32",
+        "--dv",
+        "2",
+        "--dh",
+        "4294967295",
+        "--out",
+        hg.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "HLF --dh u32::MAX: {out:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn exact_strategies_agree_via_cli() {
     let dir = tmp_dir("exact");
