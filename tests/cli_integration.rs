@@ -312,34 +312,19 @@ fn huge_shard_count_exits_0_or_2() {
 #[test]
 fn huge_hilo_degree_builds_the_capped_instance() {
     let dir = tmp_dir("huge-hilo");
-    let mut written = Vec::new();
-    for d in ["4294967295", "3"] {
-        let bg = dir.join(format!("d{d}.bg"));
-        let args = ["--gen", "hilo", "--n", "10", "--p", "8", "--g", "2", "--d", d];
-        let out = semimatch(
-            &[&["generate-bipartite"], &args[..], &["--out", bg.to_str().unwrap()]].concat(),
-        );
-        assert!(out.status.success(), "--d {d}: {out:?}");
-        written.push(std::fs::read_to_string(&bg).unwrap());
+    for (file, cmd) in [
+        ("max.bg", "generate-bipartite --gen hilo --n 10 --p 8 --g 2 --d 4294967295"),
+        ("three.bg", "generate-bipartite --gen hilo --n 10 --p 8 --g 2 --d 3"),
+        ("max.hg", "generate --family HLF --n 64 --p 32 --dv 2 --dh 4294967295"),
+    ] {
+        let path = dir.join(file);
+        let mut args: Vec<&str> = cmd.split_whitespace().collect();
+        args.extend(["--out", path.to_str().unwrap()]);
+        let out = semimatch(&args);
+        assert!(out.status.success(), "{cmd}: {out:?}");
     }
-    assert_eq!(written[0], written[1]);
-    let hg = dir.join("hlf.hg");
-    let out = semimatch(&[
-        "generate",
-        "--family",
-        "HLF",
-        "--n",
-        "64",
-        "--p",
-        "32",
-        "--dv",
-        "2",
-        "--dh",
-        "4294967295",
-        "--out",
-        hg.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "HLF --dh u32::MAX: {out:?}");
+    let read = |file| std::fs::read_to_string(dir.join(file)).unwrap();
+    assert_eq!(read("max.bg"), read("three.bg"));
     std::fs::remove_dir_all(&dir).ok();
 }
 
