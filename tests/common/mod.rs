@@ -1,10 +1,33 @@
-//! Shared proptest strategies for the integration suite.
+//! Shared instance builders and proptest strategies for the integration
+//! suite.
 // Each integration-test binary compiles this module separately and uses a
 // different subset of the strategies.
 #![allow(dead_code)]
 
 use proptest::prelude::*;
+use semimatch::gen::rng::Xoshiro256;
 use semimatch::graph::{Bipartite, Hypergraph};
+
+/// A tall covered unit instance: each of the `n` tasks is eligible on
+/// one to three distinct processors out of `p`, drawn from `seed`.
+pub fn tall_bipartite(n: u32, p: u32, seed: u64) -> Bipartite {
+    let mut rng = Xoshiro256::seed_from_u64(seed);
+    let lists: Vec<Vec<u32>> = (0..n)
+        .map(|_| {
+            let deg = 1 + rng.below(3) as usize;
+            let mut procs: Vec<u32> = Vec::with_capacity(deg);
+            while procs.len() < deg {
+                let q = rng.below(p as u64) as u32;
+                if !procs.contains(&q) {
+                    procs.push(q);
+                }
+            }
+            procs.sort_unstable();
+            procs
+        })
+        .collect();
+    Bipartite::from_adjacency(n, p, &lists).expect("sets are duplicate-free")
+}
 
 /// Random bipartite graph in which **every task has at least one edge**
 /// (schedulable instances), with unit weights.

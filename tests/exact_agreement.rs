@@ -5,11 +5,10 @@
 
 mod common;
 
-use common::{covered_bipartite, covered_weighted_bipartite};
+use common::{covered_bipartite, covered_weighted_bipartite, tall_bipartite};
 use proptest::prelude::*;
 use semimatch::core::exact::{exact_unit, SearchStrategy};
 use semimatch::core::lower_bound::lower_bound_singleproc;
-use semimatch::gen::rng::Xoshiro256;
 use semimatch::graph::Bipartite;
 use semimatch::solver::{solve, solve_with, Objective, Problem, SolverKind};
 
@@ -199,24 +198,7 @@ fn exact_kinds_agree_on_paper_anchors() {
 /// ⌈n/p⌉ = 171 here, so `cost-scaling` makes no probe.
 #[test]
 fn tall_instance_fast_exact_kinds_hit_the_bisection_optimum() {
-    let n = 4096u32;
-    let p = 24u32;
-    let mut rng = Xoshiro256::seed_from_u64(0x5eed_7a11);
-    let lists: Vec<Vec<u32>> = (0..n)
-        .map(|_| {
-            let deg = 1 + rng.below(3) as usize;
-            let mut procs: Vec<u32> = Vec::with_capacity(deg);
-            while procs.len() < deg {
-                let q = rng.below(p as u64) as u32;
-                if !procs.contains(&q) {
-                    procs.push(q);
-                }
-            }
-            procs.sort_unstable();
-            procs
-        })
-        .collect();
-    let g = Bipartite::from_adjacency(n, p, &lists).unwrap();
+    let g = tall_bipartite(4096, 24, 0x5eed_7a11);
     let problem = Problem::SingleProc(&g);
 
     let opt = solve(problem, SolverKind::ExactBisection).unwrap().makespan(&problem).unwrap();

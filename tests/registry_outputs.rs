@@ -4,7 +4,14 @@
 //! error)` is folded into one FNV-1a digest, so any change to a
 //! selection rule, a tie-break or an error path shows up as a digest
 //! mismatch. A refactor of the solvers must leave the digest unchanged.
+//!
+//! A second digest pins the `hk-semi` engine's assignment, phase count
+//! and flip count on tall instances with `p² ≤ m` processors squared
+//! against edges, a shape none of the registry instances has.
 
+mod common;
+
+use common::tall_bipartite;
 use semimatch::core::refine::{iterated_refine_with, refine_with};
 use semimatch::core::HyperMatching;
 use semimatch::gen::adversarial::{fig2, fig3, fig4};
@@ -14,11 +21,16 @@ use semimatch::gen::params::{Config, Family};
 use semimatch::gen::rng::Xoshiro256;
 use semimatch::gen::weights::{apply_random_edge_weights, WeightScheme};
 use semimatch::graph::{Bipartite, Hypergraph};
+use semimatch::matching::{optimal_semi_assignment_in, SearchWorkspace};
 use semimatch::solver::{Objective, Problem, Solution, SolverKind};
 
 /// The digest of every output below, recorded before the solver
 /// registry's selection loops were merged.
 const PINNED: u64 = 0x8656_2602_4832_8c1c;
+
+/// The digest of the `hk-semi` engine's outputs on the tall instances of
+/// [`tall_hk_semi_outputs_match_the_pinned_digest`].
+const PINNED_TALL_HK_SEMI: u64 = 0xc911_647d_2f6e_82fc;
 
 /// Instances with at most this many tasks also run the exhaustive search.
 const BRUTE_FORCE_MAX_TASKS: u32 = 12;
@@ -160,4 +172,32 @@ fn every_kind_output_matches_the_pinned_digest() {
         }
     }
     assert_eq!(fnv.0, PINNED, "digest {:#018x} differs from the pinned outputs", fnv.0);
+}
+
+/// HiLo and FewgManyg at n = 4096, p = 32, g = 16, d = 6 and the
+/// `exact_agreement` tall shape (n = 4096, p = 24), three seeds each,
+/// solved through one shared workspace.
+#[test]
+fn tall_hk_semi_outputs_match_the_pinned_digest() {
+    let mut graphs = Vec::new();
+    for seed in 1..=3 {
+        graphs.push(hilo_permuted(4096, 32, 16, 6, &mut Xoshiro256::seed_from_u64(seed)));
+        graphs.push(fewg_manyg(4096, 32, 16, 6, &mut Xoshiro256::seed_from_u64(seed)));
+        graphs.push(tall_bipartite(4096, 24, 0x5eed_7a11 + seed - 1));
+    }
+    let mut ws = SearchWorkspace::new();
+    let mut fnv = Fnv(0xcbf2_9ce4_8422_2325);
+    for g in &graphs {
+        let p = g.n_right() as usize;
+        assert!(p * p <= g.num_edges(), "{p} processors, {} edges", g.num_edges());
+        let a = optimal_semi_assignment_in(g, &mut ws);
+        fnv.ids(&a.task_to_proc);
+        fnv.bytes(&a.phases.to_le_bytes());
+        fnv.bytes(&a.flips.to_le_bytes());
+    }
+    assert_eq!(
+        fnv.0, PINNED_TALL_HK_SEMI,
+        "digest {:#018x} differs from the pinned outputs",
+        fnv.0
+    );
 }
