@@ -10,7 +10,10 @@
 //! search over the shared [`SearchWorkspace`] substrate, exactly like the
 //! matching engines); this module adapts it to the registry's problem
 //! types and preconditions. The engine is sequential and does not read
-//! the pool size, so every pool runs the same phases.
+//! the pool size, so every pool runs the same phases. On instances with
+//! `p² ≤ m` (processors squared against edges) its phases read
+//! processor-pair task counts in place of rescanning task lists; the
+//! counts change no phase, flip or assignment.
 //!
 //! Under sum objectives the registry appends the Harvey cost-reducing
 //! descent to the bottleneck-optimal result, the same composition the

@@ -21,9 +21,25 @@
 //! and their tasks have no edges leaving the set, so every assignment
 //! loads some reachable processor to at least `L`.
 //!
+//! On tall instances each processor holds many tasks whose edges name
+//! only a few processors, so rescanning task lists dominates. When the
+//! `p × p` table is no larger than the edge list (`p² ≤ m`), the descent
+//! keeps **processor-pair task counts**: row `u`, column `x` counts the
+//! tasks now on `u` that are adjacent to `x`. A row is filled by the
+//! BFS's own task scan the second time the BFS dequeues its processor
+//! (filling on the first scan costs more than it saves on dense tall
+//! instances), and from then on every flip keeps it exact at `O(deg)` per
+//! moved task. A filled row stands in for the task scan in the BFS, whose
+//! levels depend only on the processor graph. In the DFS it dead-marks a
+//! processor whose row names no live processor one level down, without
+//! walking its tasks: dead marks only grow within a phase, so that walk
+//! would have found nothing. Every other DFS step walks the task list in
+//! the same order as without the table, so the table changes no phase,
+//! flip or assignment. With `p² > m` no row is ever filled.
+//!
 //! All scratch (level arrays, intrusive per-processor task lists, BFS
-//! queue, DFS stack, per-task edge cursors) lives in the shared
-//! [`SearchWorkspace`], so warm repeated solves allocate only the
+//! queue, DFS stack, per-task edge cursors, pair counts) lives in the
+//! shared [`SearchWorkspace`], so warm repeated solves allocate only the
 //! returned assignment.
 
 use semimatch_graph::Bipartite;
@@ -31,6 +47,10 @@ use semimatch_obs::{self as obs, catalog as metric};
 
 use crate::matching::NONE;
 use crate::workspace::SearchWorkspace;
+
+/// BFS scans of a processor's task list after which its row of pair
+/// counts is filled and kept: the second scan fills it.
+const FILLED_ROW_SCANS: u32 = 2;
 
 /// A complete task→processor assignment produced by the phase descent.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -74,6 +94,12 @@ pub fn optimal_semi_assignment_in(g: &Bipartite, ws: &mut SearchWorkspace) -> Se
     ws.reserve(g.n_left(), g.n_right());
     ws.labels[..n2].fill(0); // per-processor loads
     ws.list_head[..n2].fill(NONE);
+    ws.pair_row_scans[..n2].fill(0);
+    // The pair-count table is kept when it is no larger than the edge list.
+    let pair_table = n2.saturating_mul(n2) <= g.num_edges();
+    if pair_table {
+        ws.reserve_pair_counts(n2);
+    }
 
     // Greedy seed: each task takes its currently least-loaded eligible
     // processor. On tall (n ≫ p) instances this already sits within one
@@ -124,18 +150,29 @@ pub fn optimal_semi_assignment_in(g: &Bipartite, ws: &mut SearchWorkspace) -> Se
             if du >= found_level {
                 break;
             }
+            let row = u as usize * n2;
+            if ws.pair_row_scans[u as usize] == FILLED_ROW_SCANS {
+                for x in 0..n2 {
+                    if ws.pair_counts[row + x] != 0 {
+                        reach(ws, x as u32, du, l_max, &mut found_level);
+                    }
+                }
+                continue;
+            }
+            if pair_table {
+                ws.pair_row_scans[u as usize] += 1;
+            }
+            let fill = ws.pair_row_scans[u as usize] == FILLED_ROW_SCANS;
+            if fill {
+                ws.pair_counts[row..row + n2].fill(0);
+            }
             let mut t = ws.list_head[u as usize];
             while t != NONE {
                 for &w in g.neighbors(t) {
-                    if ws.rdist[w as usize] != u32::MAX {
-                        continue;
+                    if fill {
+                        ws.pair_counts[row + w as usize] += 1;
                     }
-                    ws.rdist[w as usize] = du + 1;
-                    if ws.labels[w as usize] + 2 <= l_max {
-                        found_level = du + 1; // shortest paths end here
-                    } else {
-                        ws.queue.push(w);
-                    }
+                    reach(ws, w, du, l_max, &mut found_level);
                 }
                 t = ws.list_next[t as usize];
             }
@@ -159,6 +196,7 @@ pub fn optimal_semi_assignment_in(g: &Bipartite, ws: &mut SearchWorkspace) -> Se
                 flips += 1;
             }
         }
+        debug_assert_eq!(check_pair_rows(g, ws), Ok(()), "after phase {phases}");
     }
 
     if obs::enabled() {
@@ -173,6 +211,34 @@ pub fn optimal_semi_assignment_in(g: &Bipartite, ws: &mut SearchWorkspace) -> Se
     SemiAssignment { task_to_proc, loads, phases, flips }
 }
 
+/// BFS step from a processor at level `du` onto processor `w`: a first
+/// visit puts `w` at level `du + 1`, then either records that level as
+/// the one where shortest paths end (`w` has load `≤ l_max − 2`) or
+/// enqueues `w`.
+fn reach(ws: &mut SearchWorkspace, w: u32, du: u32, l_max: u32, found_level: &mut u32) {
+    if ws.rdist[w as usize] != u32::MAX {
+        return;
+    }
+    ws.rdist[w as usize] = du + 1;
+    if ws.labels[w as usize] + 2 <= l_max {
+        *found_level = du + 1; // shortest paths end here
+    } else {
+        ws.queue.push(w);
+    }
+}
+
+/// Whether processor `u` has a filled row of pair counts that names no
+/// live (not dead-marked) processor one level below `u`. Its task walk
+/// would then find no next step.
+fn row_is_dead_end(ws: &SearchWorkspace, p: usize, u: u32, dead: u32) -> bool {
+    if ws.pair_row_scans[u as usize] != FILLED_ROW_SCANS {
+        return false;
+    }
+    let next = ws.rdist[u as usize] + 1;
+    let row = &ws.pair_counts[u as usize * p..][..p];
+    !row.iter().enumerate().any(|(x, &c)| c != 0 && ws.rdist[x] == next && ws.visited[x] != dead)
+}
+
 /// One source's DFS through the level graph. Flips and returns `true` on
 /// reaching a processor of load `≤ l_max − 2`; dead-marks every processor
 /// it exhausts. Cycle-free because levels strictly increase along edges.
@@ -184,7 +250,12 @@ fn phase_dfs(
     l_max: u32,
     dead: u32,
 ) -> bool {
+    let p = g.n_right() as usize;
     ws.stack.clear();
+    if row_is_dead_end(ws, p, src, dead) {
+        ws.visited[src as usize] = dead;
+        return false;
+    }
     let h = ws.list_head[src as usize];
     if h != NONE {
         ws.lookahead[h as usize] = 0;
@@ -224,8 +295,12 @@ fn phase_dfs(
         let w = next_proc;
         ws.pred[w as usize] = tcur;
         if ws.labels[w as usize] + 2 <= l_max {
-            flip_path(ws, task_to_proc, w);
+            flip_path(g, ws, task_to_proc, w);
             return true;
+        }
+        if row_is_dead_end(ws, p, w, dead) {
+            ws.visited[w as usize] = dead;
+            continue;
         }
         let h = ws.list_head[w as usize];
         if h != NONE {
@@ -238,8 +313,9 @@ fn phase_dfs(
 
 /// Flips the discovered path: every task on it moves one processor
 /// forward, shifting one unit of load from the level-0 source onto the
-/// target `w`.
-fn flip_path(ws: &mut SearchWorkspace, task_to_proc: &mut [u32], mut w: u32) {
+/// target `w`. Filled rows of pair counts follow their tasks.
+fn flip_path(g: &Bipartite, ws: &mut SearchWorkspace, task_to_proc: &mut [u32], mut w: u32) {
+    let p = g.n_right() as usize;
     loop {
         let t = ws.pred[w as usize];
         let u = task_to_proc[t as usize];
@@ -248,11 +324,50 @@ fn flip_path(ws: &mut SearchWorkspace, task_to_proc: &mut [u32], mut w: u32) {
         task_to_proc[t as usize] = w;
         ws.labels[u as usize] -= 1;
         ws.labels[w as usize] += 1;
+        let from_filled = ws.pair_row_scans[u as usize] == FILLED_ROW_SCANS;
+        let to_filled = ws.pair_row_scans[w as usize] == FILLED_ROW_SCANS;
+        for &x in g.neighbors(t) {
+            if from_filled {
+                ws.pair_counts[u as usize * p + x as usize] -= 1;
+            }
+            if to_filled {
+                ws.pair_counts[w as usize * p + x as usize] += 1;
+            }
+        }
         if ws.rdist[u as usize] == 0 {
             return; // reached the source
         }
         w = u;
     }
+}
+
+/// Recounts every filled row of pair counts from its processor's task
+/// list and reports the first entry that disagrees. The descent checks it
+/// after every phase in debug builds.
+fn check_pair_rows(g: &Bipartite, ws: &SearchWorkspace) -> Result<(), String> {
+    let p = g.n_right() as usize;
+    let mut recount = vec![0u32; p];
+    for u in 0..p {
+        if ws.pair_row_scans[u] != FILLED_ROW_SCANS {
+            continue;
+        }
+        recount.fill(0);
+        let mut t = ws.list_head[u];
+        while t != NONE {
+            for &x in g.neighbors(t) {
+                recount[x as usize] += 1;
+            }
+            t = ws.list_next[t as usize];
+        }
+        let row = &ws.pair_counts[u * p..][..p];
+        if let Some(x) = (0..p).find(|&x| row[x] != recount[x]) {
+            return Err(format!(
+                "row {u} counts {} tasks adjacent to processor {x}, its task list {}",
+                row[x], recount[x]
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Pushes task `t` onto processor `u`'s intrusive assigned list.
@@ -320,7 +435,11 @@ mod tests {
 
     #[test]
     fn agrees_with_capacitated_search_on_random_instances() {
-        // Deterministic pseudo-random sweep sharing one workspace.
+        // Deterministic pseudo-random sweep sharing one workspace. The
+        // last 40 cases are tall (p² ≤ m), and the second half of their
+        // tasks may use only the first half of the processors, so the
+        // greedy seed piles load there and the descent runs many phases:
+        // rows of pair counts get filled, then follow later flips.
         let mut ws = SearchWorkspace::new();
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut next = move || {
@@ -329,13 +448,19 @@ mod tests {
             state ^= state << 17;
             state
         };
-        for case in 0..60 {
-            let n = 1 + (next() % 14) as u32;
-            let p = 1 + (next() % 6) as u32;
+        let mut filled_cases = 0;
+        for case in 0..100 {
+            let tall = case >= 60;
+            let (n, p) = if tall {
+                (64 + (next() % 256) as u32, 2 + (next() % 7) as u32)
+            } else {
+                (1 + (next() % 14) as u32, 1 + (next() % 6) as u32)
+            };
             let mut edges = Vec::new();
             for t in 0..n {
-                let deg = 1 + next() % p.min(4) as u64;
-                let mut procs: Vec<u32> = (0..p).collect();
+                let eligible = if tall && t >= n / 2 { p / 2 } else { p };
+                let deg = 1 + next() % eligible.min(4) as u64;
+                let mut procs: Vec<u32> = (0..eligible).collect();
                 for i in (1..procs.len()).rev() {
                     procs.swap(i, next() as usize % (i + 1));
                 }
@@ -353,7 +478,12 @@ mod tests {
             }
             assert_eq!(loads, a.loads, "case {case}: stale loads");
             assert_eq!(a.max_load(), reference_opt(&g), "case {case}: suboptimal bottleneck");
+            if ws.pair_row_scans[..p as usize].contains(&FILLED_ROW_SCANS) {
+                assert!((p * p) as usize <= g.num_edges(), "case {case}: a row filled with p² > m");
+                filled_cases += u32::from(tall);
+            }
         }
+        assert!(filled_cases >= 30, "only {filled_cases} tall cases filled a row");
     }
 
     #[test]

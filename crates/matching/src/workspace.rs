@@ -79,6 +79,18 @@ pub struct SearchWorkspace {
     pub(crate) list_next: Vec<u32>,
     /// Reverse links of [`Self::list_next`], for `O(1)` removal.
     pub(crate) list_prev: Vec<u32>,
+    /// Processor-pair task counts of the semi-matching phase descent,
+    /// row-major `p × p`: `pair_counts[u·p + x]` counts the tasks now on
+    /// processor `u` that are adjacent to processor `x`. Grown only for
+    /// graphs with `p² ≤ m`; a row holds meaning only once it is filled
+    /// (see [`Self::pair_row_scans`]).
+    pub(crate) pair_counts: Vec<u32>,
+    /// BFS scans of each processor's task list in the current descent,
+    /// indexed by right vertex. The scan that brings it to the descent's
+    /// `FILLED_ROW_SCANS` (the second) fills the processor's row of
+    /// [`Self::pair_counts`], which is kept exact from then on; it stays
+    /// 0 when the graph has `p² > m`.
+    pub(crate) pair_row_scans: Vec<u32>,
 }
 
 impl SearchWorkspace {
@@ -115,6 +127,12 @@ impl SearchWorkspace {
         grow(&mut self.list_head, n2);
         grow(&mut self.list_next, n1);
         grow(&mut self.list_prev, n1);
+        grow(&mut self.pair_row_scans, n2);
+    }
+
+    /// Grows [`Self::pair_counts`] to a `p × p` table.
+    pub(crate) fn reserve_pair_counts(&mut self, p: usize) {
+        grow(&mut self.pair_counts, p * p);
     }
 
     /// Pre-sizes the residual-network arena (vertices, directed arcs
