@@ -23,8 +23,13 @@ pub fn binomial_half(rng: &mut Xoshiro256, n: u32) -> u32 {
 }
 
 /// Degree sample with mean `mean`: `max(1, B(2·mean, 1/2))`.
+///
+/// # Panics
+///
+/// If `2·mean` exceeds `u32::MAX`.
 pub fn degree_with_mean(rng: &mut Xoshiro256, mean: u32) -> u32 {
-    binomial_half(rng, 2 * mean).max(1)
+    let trials = mean.checked_mul(2).expect("2·mean binomial trials fit in u32");
+    binomial_half(rng, trials).max(1)
 }
 
 #[cfg(test)]

@@ -43,11 +43,16 @@ pub struct HyperParams {
 }
 
 /// Generates a unit-weight `MULTIPROC` hypergraph.
+///
+/// # Panics
+///
+/// If the drawn configurations number more than `u32::MAX` (possible only
+/// when `n·2·dv` exceeds it).
 pub fn hyper_instance(params: HyperParams, rng: &mut Xoshiro256) -> Hypergraph {
     let HyperParams { kind, n, p, g, dv, dh } = params;
     // Step 1: configuration counts per task.
     let degrees: Vec<u32> = (0..n).map(|_| degree_with_mean(rng, dv)).collect();
-    let n_hedges: u32 = degrees.iter().sum();
+    let n_hedges = hyperedge_count(&degrees);
     // Step 2: processor sets via a bipartite generator over the hyperedges.
     let wiring = match kind {
         HyperKind::FewgManyg => fewg_manyg(n_hedges, p, g, dh, rng),
@@ -67,9 +72,16 @@ pub fn hyper_instance_deterministic_hilo(params: HyperParams, rng: &mut Xoshiro2
     let HyperParams { kind, n, p, g, dv, dh } = params;
     assert_eq!(kind, HyperKind::HiLo, "only meaningful for HiLo wiring");
     let degrees: Vec<u32> = (0..n).map(|_| degree_with_mean(rng, dv)).collect();
-    let n_hedges: u32 = degrees.iter().sum();
-    let wiring = crate::hilo::hilo(n_hedges, p, g, dh);
+    let wiring = crate::hilo::hilo(hyperedge_count(&degrees), p, g, dh);
     assemble(n, p, &degrees, &wiring)
+}
+
+/// The number of hyperedges step 1 creates: the sum of the degrees.
+fn hyperedge_count(degrees: &[u32]) -> u32 {
+    degrees
+        .iter()
+        .try_fold(0u32, |sum, &d| sum.checked_add(d))
+        .expect("configuration count fits in u32")
 }
 
 fn assemble(n: u32, p: u32, degrees: &[u32], wiring: &semimatch_graph::Bipartite) -> Hypergraph {

@@ -390,6 +390,17 @@ fn generate(flags: &HashMap<&str, &str>) -> Result<(), String> {
     if cfg.p == 0 || cfg.dh == 0 {
         return Err("--p and --dh must be at least 1".into());
     }
+    // Each task draws at most 2·dv configurations; their total must fit
+    // the generator's u32 hyperedge count.
+    if u64::from(cfg.n) * 2 * u64::from(cfg.dv) > u64::from(u32::MAX) {
+        return Err(format!(
+            "--dv {} lets {} tasks draw up to n·2·dv = {} configurations, more than {}",
+            cfg.dv,
+            cfg.n,
+            u64::from(cfg.n) * 2 * u64::from(cfg.dv),
+            u32::MAX
+        ));
+    }
     if !cfg.p.is_multiple_of(cfg.family.groups()) {
         return Err(format!(
             "--p must be divisible by the family's group count ({})",

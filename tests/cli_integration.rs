@@ -306,6 +306,21 @@ fn huge_shard_count_exits_0_or_2() {
     assert!(matches!(out.status.code(), Some(0 | 2)), "exit {:?}: {err}", out.status.code());
 }
 
+/// `generate` rejects a `--dv` whose worst case, n·2·dv configurations,
+/// overflows the u32 hyperedge count, before it draws anything. At
+/// 2147483648 the trial count 2·dv wrapped to 0, and at 1073741824 the
+/// degree sum wrapped after drawing for seconds.
+#[test]
+fn huge_dv_exits_2_before_drawing() {
+    for dv in ["2147483648", "1073741824"] {
+        let cmd = format!("generate --family FG --n 64 --p 32 --dv {dv} --dh 3");
+        let out = semimatch(&cmd.split_whitespace().collect::<Vec<_>>());
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cmd}: {err}");
+        assert!(err.contains("--dv"), "{cmd}: {err}");
+    }
+}
+
 /// HiLo gives a task at most min(d + 1, p/g) processors in each of two
 /// groups, so a huge `--d` must neither size the edge reservation nor
 /// change the instance: with p/g = 4, `--d u32::MAX` writes `--d 3`'s file.
