@@ -88,17 +88,31 @@ pub fn optimal_semi_assignment(g: &Bipartite) -> SemiAssignment {
 /// unit weights before dispatching here). The returned assignment
 /// minimizes the maximum load over all complete assignments.
 pub fn optimal_semi_assignment_in(g: &Bipartite, ws: &mut SearchWorkspace) -> SemiAssignment {
+    // The pair-count table is kept when it is no larger than the edge
+    // list. Each choice compiles its own descent, so the one without the
+    // table carries none of its branches.
+    let p = g.n_right() as usize;
+    if p.saturating_mul(p) <= g.num_edges() {
+        descend::<true>(g, ws)
+    } else {
+        descend::<false>(g, ws)
+    }
+}
+
+/// The phase descent, keeping processor-pair task counts when
+/// `PAIR_TABLE`. Never inlined: with both instances in one function, the
+/// descent without the table measured slower than on its own.
+#[inline(never)]
+fn descend<const PAIR_TABLE: bool>(g: &Bipartite, ws: &mut SearchWorkspace) -> SemiAssignment {
     let _span = obs::span!("hk_semi.solve");
     let n1 = g.n_left() as usize;
     let n2 = g.n_right() as usize;
     ws.reserve(g.n_left(), g.n_right());
     ws.labels[..n2].fill(0); // per-processor loads
     ws.list_head[..n2].fill(NONE);
-    ws.pair_row_scans[..n2].fill(0);
-    // The pair-count table is kept when it is no larger than the edge list.
-    let pair_table = n2.saturating_mul(n2) <= g.num_edges();
-    if pair_table {
+    if PAIR_TABLE {
         ws.reserve_pair_counts(n2);
+        ws.pair_row_scans[..n2].fill(0);
     }
 
     // Greedy seed: each task takes its currently least-loaded eligible
@@ -150,29 +164,21 @@ pub fn optimal_semi_assignment_in(g: &Bipartite, ws: &mut SearchWorkspace) -> Se
             if du >= found_level {
                 break;
             }
-            let row = u as usize * n2;
-            if ws.pair_row_scans[u as usize] == FILLED_ROW_SCANS {
-                for x in 0..n2 {
-                    if ws.pair_counts[row + x] != 0 {
-                        reach(ws, x as u32, du, l_max, &mut found_level);
-                    }
-                }
+            if PAIR_TABLE && bfs_from_row(g, ws, u, du, l_max, &mut found_level) {
                 continue;
-            }
-            if pair_table {
-                ws.pair_row_scans[u as usize] += 1;
-            }
-            let fill = ws.pair_row_scans[u as usize] == FILLED_ROW_SCANS;
-            if fill {
-                ws.pair_counts[row..row + n2].fill(0);
             }
             let mut t = ws.list_head[u as usize];
             while t != NONE {
                 for &w in g.neighbors(t) {
-                    if fill {
-                        ws.pair_counts[row + w as usize] += 1;
+                    if ws.rdist[w as usize] != u32::MAX {
+                        continue;
                     }
-                    reach(ws, w, du, l_max, &mut found_level);
+                    ws.rdist[w as usize] = du + 1;
+                    if ws.labels[w as usize] + 2 <= l_max {
+                        found_level = du + 1; // shortest paths end here
+                    } else {
+                        ws.queue.push(w);
+                    }
                 }
                 t = ws.list_next[t as usize];
             }
@@ -192,11 +198,13 @@ pub fn optimal_semi_assignment_in(g: &Bipartite, ws: &mut SearchWorkspace) -> Se
             if ws.labels[src as usize] != l_max || ws.rdist[src as usize] != 0 {
                 continue;
             }
-            if phase_dfs(g, ws, &mut task_to_proc, src, l_max, dead) {
+            if phase_dfs::<PAIR_TABLE>(g, ws, &mut task_to_proc, src, l_max, dead) {
                 flips += 1;
             }
         }
-        debug_assert_eq!(check_pair_rows(g, ws), Ok(()), "after phase {phases}");
+        if PAIR_TABLE {
+            debug_assert_eq!(check_pair_rows(g, ws), Ok(()), "after phase {phases}");
+        }
     }
 
     if obs::enabled() {
@@ -211,20 +219,57 @@ pub fn optimal_semi_assignment_in(g: &Bipartite, ws: &mut SearchWorkspace) -> Se
     SemiAssignment { task_to_proc, loads, phases, flips }
 }
 
-/// BFS step from a processor at level `du` onto processor `w`: a first
-/// visit puts `w` at level `du + 1`, then either records that level as
-/// the one where shortest paths end (`w` has load `≤ l_max − 2`) or
-/// enqueues `w`.
-fn reach(ws: &mut SearchWorkspace, w: u32, du: u32, l_max: u32, found_level: &mut u32) {
-    if ws.rdist[w as usize] != u32::MAX {
-        return;
+/// BFS step from processor `u` at level `du` through its row of pair
+/// counts. Counts this scan of `u`; the first scan returns `false`, and
+/// the caller scans `u`'s tasks. The second scan fills the row, and from
+/// then on the row stands in for the task scan: every processor it names
+/// is reached in column order, which yields the same levels.
+fn bfs_from_row(
+    g: &Bipartite,
+    ws: &mut SearchWorkspace,
+    u: u32,
+    du: u32,
+    l_max: u32,
+    found_level: &mut u32,
+) -> bool {
+    let scans = ws.pair_row_scans[u as usize] + 1;
+    if scans < FILLED_ROW_SCANS {
+        ws.pair_row_scans[u as usize] = scans;
+        return false;
     }
-    ws.rdist[w as usize] = du + 1;
-    if ws.labels[w as usize] + 2 <= l_max {
-        *found_level = du + 1; // shortest paths end here
-    } else {
-        ws.queue.push(w);
+    if scans == FILLED_ROW_SCANS {
+        fill_row(g, ws, u);
     }
+    let p = g.n_right() as usize;
+    let row = u as usize * p;
+    for x in 0..p {
+        if ws.pair_counts[row + x] == 0 || ws.rdist[x] != u32::MAX {
+            continue;
+        }
+        ws.rdist[x] = du + 1;
+        if ws.labels[x] + 2 <= l_max {
+            *found_level = du + 1;
+        } else {
+            ws.queue.push(x as u32);
+        }
+    }
+    true
+}
+
+/// Fills processor `u`'s row of pair counts from its task list and marks
+/// it kept.
+fn fill_row(g: &Bipartite, ws: &mut SearchWorkspace, u: u32) {
+    let p = g.n_right() as usize;
+    let row = u as usize * p;
+    ws.pair_counts[row..row + p].fill(0);
+    let mut t = ws.list_head[u as usize];
+    while t != NONE {
+        for &x in g.neighbors(t) {
+            ws.pair_counts[row + x as usize] += 1;
+        }
+        t = ws.list_next[t as usize];
+    }
+    ws.pair_row_scans[u as usize] = FILLED_ROW_SCANS;
 }
 
 /// Whether processor `u` has a filled row of pair counts that names no
@@ -242,7 +287,7 @@ fn row_is_dead_end(ws: &SearchWorkspace, p: usize, u: u32, dead: u32) -> bool {
 /// One source's DFS through the level graph. Flips and returns `true` on
 /// reaching a processor of load `≤ l_max − 2`; dead-marks every processor
 /// it exhausts. Cycle-free because levels strictly increase along edges.
-fn phase_dfs(
+fn phase_dfs<const PAIR_TABLE: bool>(
     g: &Bipartite,
     ws: &mut SearchWorkspace,
     task_to_proc: &mut [u32],
@@ -252,7 +297,7 @@ fn phase_dfs(
 ) -> bool {
     let p = g.n_right() as usize;
     ws.stack.clear();
-    if row_is_dead_end(ws, p, src, dead) {
+    if PAIR_TABLE && row_is_dead_end(ws, p, src, dead) {
         ws.visited[src as usize] = dead;
         return false;
     }
@@ -295,10 +340,11 @@ fn phase_dfs(
         let w = next_proc;
         ws.pred[w as usize] = tcur;
         if ws.labels[w as usize] + 2 <= l_max {
-            flip_path(g, ws, task_to_proc, w);
+            flip_path::<PAIR_TABLE>(g, ws, task_to_proc, w);
             return true;
         }
-        if row_is_dead_end(ws, p, w, dead) {
+        if PAIR_TABLE && row_is_dead_end(ws, p, w, dead) {
+            // Exhausted without a walk: pushing `w` would pop it dead.
             ws.visited[w as usize] = dead;
             continue;
         }
@@ -314,7 +360,12 @@ fn phase_dfs(
 /// Flips the discovered path: every task on it moves one processor
 /// forward, shifting one unit of load from the level-0 source onto the
 /// target `w`. Filled rows of pair counts follow their tasks.
-fn flip_path(g: &Bipartite, ws: &mut SearchWorkspace, task_to_proc: &mut [u32], mut w: u32) {
+fn flip_path<const PAIR_TABLE: bool>(
+    g: &Bipartite,
+    ws: &mut SearchWorkspace,
+    task_to_proc: &mut [u32],
+    mut w: u32,
+) {
     let p = g.n_right() as usize;
     loop {
         let t = ws.pred[w as usize];
@@ -324,14 +375,16 @@ fn flip_path(g: &Bipartite, ws: &mut SearchWorkspace, task_to_proc: &mut [u32], 
         task_to_proc[t as usize] = w;
         ws.labels[u as usize] -= 1;
         ws.labels[w as usize] += 1;
-        let from_filled = ws.pair_row_scans[u as usize] == FILLED_ROW_SCANS;
-        let to_filled = ws.pair_row_scans[w as usize] == FILLED_ROW_SCANS;
-        for &x in g.neighbors(t) {
-            if from_filled {
-                ws.pair_counts[u as usize * p + x as usize] -= 1;
-            }
-            if to_filled {
-                ws.pair_counts[w as usize * p + x as usize] += 1;
+        if PAIR_TABLE {
+            let from_filled = ws.pair_row_scans[u as usize] == FILLED_ROW_SCANS;
+            let to_filled = ws.pair_row_scans[w as usize] == FILLED_ROW_SCANS;
+            for &x in g.neighbors(t) {
+                if from_filled {
+                    ws.pair_counts[u as usize * p + x as usize] -= 1;
+                }
+                if to_filled {
+                    ws.pair_counts[w as usize * p + x as usize] += 1;
+                }
             }
         }
         if ws.rdist[u as usize] == 0 {
@@ -478,9 +531,8 @@ mod tests {
             }
             assert_eq!(loads, a.loads, "case {case}: stale loads");
             assert_eq!(a.max_load(), reference_opt(&g), "case {case}: suboptimal bottleneck");
-            if ws.pair_row_scans[..p as usize].contains(&FILLED_ROW_SCANS) {
-                assert!((p * p) as usize <= g.num_edges(), "case {case}: a row filled with p² > m");
-                filled_cases += u32::from(tall);
+            if tall && ws.pair_row_scans[..p as usize].contains(&FILLED_ROW_SCANS) {
+                filled_cases += 1;
             }
         }
         assert!(filled_cases >= 30, "only {filled_cases} tall cases filled a row");

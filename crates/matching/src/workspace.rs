@@ -88,8 +88,8 @@ pub struct SearchWorkspace {
     /// BFS scans of each processor's task list in the current descent,
     /// indexed by right vertex. The scan that brings it to the descent's
     /// `FILLED_ROW_SCANS` (the second) fills the processor's row of
-    /// [`Self::pair_counts`], which is kept exact from then on; it stays
-    /// 0 when the graph has `p² > m`.
+    /// [`Self::pair_counts`], which is kept exact from then on. A descent
+    /// on a graph with `p² > m` neither reads nor resets it.
     pub(crate) pair_row_scans: Vec<u32>,
 }
 
@@ -127,12 +127,13 @@ impl SearchWorkspace {
         grow(&mut self.list_head, n2);
         grow(&mut self.list_next, n1);
         grow(&mut self.list_prev, n1);
-        grow(&mut self.pair_row_scans, n2);
     }
 
-    /// Grows [`Self::pair_counts`] to a `p × p` table.
+    /// Grows [`Self::pair_counts`] to a `p × p` table and
+    /// [`Self::pair_row_scans`] to `p` slots.
     pub(crate) fn reserve_pair_counts(&mut self, p: usize) {
         grow(&mut self.pair_counts, p * p);
+        grow(&mut self.pair_row_scans, p);
     }
 
     /// Pre-sizes the residual-network arena (vertices, directed arcs
