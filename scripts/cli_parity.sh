@@ -12,6 +12,9 @@
 #   * the generated families of tests/registry_outputs.rs at 1x and 4x
 #     task counts: FG, MG, HLF and HLM under unit, related and random
 #     weights (`generate`), HiLo and FewgManyg (`generate-bipartite`);
+#   * tall HiLo and FewgManyg files (n = 4096, p = 32, g = 16, d = 6),
+#     where processors squared do not exceed edges (p² ≤ m), the shape on
+#     which hk-semi keeps processor-pair task counts;
 #   * inline .bg/.hg text: fig. 2, an uncovered task, a processor load
 #     ending at exactly u64::MAX, and an empty instance.
 # Runs, per file: `solve FILE --algo K --objective O` for every kind of
@@ -46,6 +49,11 @@ for scale in 1 4; do
             --seed "$seed" --out "$gen-x$scale.bg" 2>/dev/null ||
             { echo "generate-bipartite $gen x$scale failed" >&2; exit 2; }
     done
+done
+for gen in hilo fewgmanyg; do
+    "$old" generate-bipartite --gen "$gen" --n 4096 --p 32 --g 16 --d 6 --seed 13 \
+        --out "$gen-tall.bg" 2>/dev/null ||
+        { echo "generate-bipartite $gen tall failed" >&2; exit 2; }
 done
 # Fig. 2 of the paper.
 printf '4 3 6\n0 1 1 0\n0 1 2 1 2\n1 1 2 0 1\n1 1 1 1\n2 1 1 2\n3 1 1 2\n' >fig2.hg
