@@ -25,17 +25,19 @@
 //! only a few processors, so rescanning task lists dominates. When the
 //! `p × p` table is no larger than the edge list (`p² ≤ m`), the descent
 //! keeps **processor-pair task counts**: row `u`, column `x` counts the
-//! tasks now on `u` that are adjacent to `x`. A row is filled by the
-//! BFS's own task scan the second time the BFS dequeues its processor
-//! (filling on the first scan costs more than it saves on dense tall
-//! instances), and from then on every flip keeps it exact at `O(deg)` per
-//! moved task. A filled row stands in for the task scan in the BFS, whose
-//! levels depend only on the processor graph. In the DFS it dead-marks a
-//! processor whose row names no live processor one level down, without
-//! walking its tasks: dead marks only grow within a phase, so that walk
-//! would have found nothing. Every other DFS step walks the task list in
-//! the same order as without the table, so the table changes no phase,
-//! flip or assignment. With `p² > m` no row is ever filled.
+//! tasks now on `u` that are adjacent to `x`. The second time the BFS
+//! dequeues a processor it fills the processor's row from its task list
+//! (filling on the first visit costs more than it saves on dense tall
+//! instances), and from then on every flip keeps the row exact at
+//! `O(deg)` per moved task. A filled row stands in for the task scan in
+//! the BFS, whose levels depend only on the processor graph. In the DFS
+//! it dead-marks a processor whose row names no live processor one level
+//! down, without walking its tasks: dead marks only grow within a phase,
+//! so that walk would have found nothing. Every other DFS step walks the
+//! task list in the same order as without the table, so the table
+//! changes no phase, flip or assignment. The descent is compiled once
+//! with the table and once without; instances with `p² > m` run the
+//! latter.
 //!
 //! All scratch (level arrays, intrusive per-processor task lists, BFS
 //! queue, DFS stack, per-task edge cursors, pair counts) lives in the
@@ -454,9 +456,11 @@ mod tests {
     use crate::capacitated::max_assignment;
 
     /// Reference optimum: smallest capacity whose capacitated assignment
-    /// covers every task.
+    /// covers every task (coverage is monotone in the capacity).
     fn reference_opt(g: &Bipartite) -> u32 {
-        (1..=g.n_left().max(1)).find(|&d| max_assignment(g, d).is_complete()).unwrap_or(0)
+        let caps: Vec<u32> = (1..=g.n_left().max(1)).collect();
+        let i = caps.partition_point(|&d| !max_assignment(g, d).is_complete());
+        caps.get(i).copied().unwrap_or(0)
     }
 
     #[test]
