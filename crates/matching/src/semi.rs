@@ -225,7 +225,9 @@ fn descend<const PAIR_TABLE: bool>(g: &Bipartite, ws: &mut SearchWorkspace) -> S
 /// counts. Counts this scan of `u`; the first scan returns `false`, and
 /// the caller scans `u`'s tasks. The second scan fills the row, and from
 /// then on the row stands in for the task scan: every processor it names
-/// is reached in column order, which yields the same levels.
+/// is reached in column order, which yields the same levels. The visit
+/// repeats the task scan's: shared as a helper, it made the descent
+/// without the table measure slower.
 fn bfs_from_row(
     g: &Bipartite,
     ws: &mut SearchWorkspace,
