@@ -107,7 +107,8 @@ impl SearchWorkspace {
         ws
     }
 
-    /// Grows every per-vertex array to cover a `n_left` × `n_right` graph.
+    /// Grows every per-vertex array to cover a `n_left` × `n_right` graph
+    /// (the semi-matching descent grows its pair-count scratch itself).
     ///
     /// Idempotent and monotone: called on every `*_in` entry point, a no-op
     /// (no allocation, no writes) once the workspace has seen the sizes.

@@ -6,8 +6,9 @@
 //! mismatch. A refactor of the solvers must leave the digest unchanged.
 //!
 //! A second digest pins the `hk-semi` engine's assignment, phase count
-//! and flip count on tall instances with `p² ≤ m` processors squared
-//! against edges, a shape none of the registry instances has.
+//! and flip count on tall instances whose processors squared do not
+//! exceed their edges (`p² ≤ m`), a shape none of the registry instances
+//! has.
 
 mod common;
 
