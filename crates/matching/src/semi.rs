@@ -52,6 +52,11 @@ use crate::workspace::SearchWorkspace;
 
 /// BFS scans of a processor's task list after which its row of pair
 /// counts is filled and kept: the second scan fills it.
+///
+/// The descent keeps the `p × p` pair counts, row-major, in the
+/// workspace's `aux` array and each processor's scan count in `cursor`;
+/// the matching engines that also use those arrays rewrite them before
+/// reading.
 const FILLED_ROW_SCANS: u32 = 2;
 
 /// A complete task→processor assignment produced by the phase descent.
@@ -114,7 +119,7 @@ fn descend<const PAIR_TABLE: bool>(g: &Bipartite, ws: &mut SearchWorkspace) -> S
     ws.list_head[..n2].fill(NONE);
     if PAIR_TABLE {
         ws.reserve_pair_counts(n2);
-        ws.pair_row_scans[..n2].fill(0);
+        ws.cursor[..n2].fill(0);
     }
 
     // Greedy seed: each task takes its currently least-loaded eligible
@@ -236,9 +241,9 @@ fn bfs_from_row(
     l_max: u32,
     found_level: &mut u32,
 ) -> bool {
-    let scans = ws.pair_row_scans[u as usize] + 1;
+    let scans = ws.cursor[u as usize] + 1;
     if scans < FILLED_ROW_SCANS {
-        ws.pair_row_scans[u as usize] = scans;
+        ws.cursor[u as usize] = scans;
         return false;
     }
     if scans == FILLED_ROW_SCANS {
@@ -247,7 +252,7 @@ fn bfs_from_row(
     let p = g.n_right() as usize;
     let row = u as usize * p;
     for x in 0..p {
-        if ws.pair_counts[row + x] == 0 || ws.rdist[x] != u32::MAX {
+        if ws.aux[row + x] == 0 || ws.rdist[x] != u32::MAX {
             continue;
         }
         ws.rdist[x] = du + 1;
@@ -265,26 +270,26 @@ fn bfs_from_row(
 fn fill_row(g: &Bipartite, ws: &mut SearchWorkspace, u: u32) {
     let p = g.n_right() as usize;
     let row = u as usize * p;
-    ws.pair_counts[row..row + p].fill(0);
+    ws.aux[row..row + p].fill(0);
     let mut t = ws.list_head[u as usize];
     while t != NONE {
         for &x in g.neighbors(t) {
-            ws.pair_counts[row + x as usize] += 1;
+            ws.aux[row + x as usize] += 1;
         }
         t = ws.list_next[t as usize];
     }
-    ws.pair_row_scans[u as usize] = FILLED_ROW_SCANS;
+    ws.cursor[u as usize] = FILLED_ROW_SCANS;
 }
 
 /// Whether processor `u` has a filled row of pair counts that names no
 /// live (not dead-marked) processor one level below `u`. Its task walk
 /// would then find no next step.
 fn row_is_dead_end(ws: &SearchWorkspace, p: usize, u: u32, dead: u32) -> bool {
-    if ws.pair_row_scans[u as usize] != FILLED_ROW_SCANS {
+    if ws.cursor[u as usize] != FILLED_ROW_SCANS {
         return false;
     }
     let next = ws.rdist[u as usize] + 1;
-    let row = &ws.pair_counts[u as usize * p..][..p];
+    let row = &ws.aux[u as usize * p..][..p];
     !row.iter().enumerate().any(|(x, &c)| c != 0 && ws.rdist[x] == next && ws.visited[x] != dead)
 }
 
@@ -380,14 +385,14 @@ fn flip_path<const PAIR_TABLE: bool>(
         ws.labels[u as usize] -= 1;
         ws.labels[w as usize] += 1;
         if PAIR_TABLE {
-            let from_filled = ws.pair_row_scans[u as usize] == FILLED_ROW_SCANS;
-            let to_filled = ws.pair_row_scans[w as usize] == FILLED_ROW_SCANS;
+            let from_filled = ws.cursor[u as usize] == FILLED_ROW_SCANS;
+            let to_filled = ws.cursor[w as usize] == FILLED_ROW_SCANS;
             for &x in g.neighbors(t) {
                 if from_filled {
-                    ws.pair_counts[u as usize * p + x as usize] -= 1;
+                    ws.aux[u as usize * p + x as usize] -= 1;
                 }
                 if to_filled {
-                    ws.pair_counts[w as usize * p + x as usize] += 1;
+                    ws.aux[w as usize * p + x as usize] += 1;
                 }
             }
         }
@@ -405,7 +410,7 @@ fn check_pair_rows(g: &Bipartite, ws: &SearchWorkspace) -> Result<(), String> {
     let p = g.n_right() as usize;
     let mut recount = vec![0u32; p];
     for u in 0..p {
-        if ws.pair_row_scans[u] != FILLED_ROW_SCANS {
+        if ws.cursor[u] != FILLED_ROW_SCANS {
             continue;
         }
         recount.fill(0);
@@ -416,7 +421,7 @@ fn check_pair_rows(g: &Bipartite, ws: &SearchWorkspace) -> Result<(), String> {
             }
             t = ws.list_next[t as usize];
         }
-        let row = &ws.pair_counts[u * p..][..p];
+        let row = &ws.aux[u * p..][..p];
         if let Some(x) = (0..p).find(|&x| row[x] != recount[x]) {
             return Err(format!(
                 "row {u} counts {} tasks adjacent to processor {x}, its task list {}",
@@ -537,7 +542,7 @@ mod tests {
             }
             assert_eq!(loads, a.loads, "case {case}: stale loads");
             assert_eq!(a.max_load(), reference_opt(&g), "case {case}: suboptimal bottleneck");
-            if tall && ws.pair_row_scans[..p as usize].contains(&FILLED_ROW_SCANS) {
+            if tall && ws.cursor[..p as usize].contains(&FILLED_ROW_SCANS) {
                 filled_cases += 1;
             }
         }

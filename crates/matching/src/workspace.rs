@@ -47,7 +47,10 @@ pub struct SearchWorkspace {
     pub(crate) dist: Vec<u32>,
     /// Predecessor pointer, indexed by right vertex.
     pub(crate) pred: Vec<u32>,
-    /// Per-left-vertex neighbor cursor (Hopcroft–Karp phase DFS).
+    /// Per-left-vertex neighbor cursor (Hopcroft–Karp phase DFS). The
+    /// semi-matching descent on a graph with `p² ≤ m` keeps each
+    /// processor's BFS scan count here: the second scan fills the
+    /// processor's row of pair counts in [`Self::aux`].
     pub(crate) cursor: Vec<u32>,
     /// Persistent lookahead cursor per left vertex (MC21).
     pub(crate) lookahead: Vec<u32>,
@@ -56,6 +59,10 @@ pub struct SearchWorkspace {
     /// Primary traversal queue (BFS frontier, FIFO of active vertices).
     pub(crate) queue: Vec<u32>,
     /// Secondary queue (global-relabel BFS, Hopcroft–Karp phase stack).
+    /// The semi-matching descent on a graph with `p² ≤ m` keeps its
+    /// processor-pair task counts here, row-major `p × p`: `aux[u·p + x]`
+    /// counts the tasks now on processor `u` adjacent to processor `x`,
+    /// meaningful once the row is filled (see [`Self::cursor`]).
     pub(crate) aux: Vec<u32>,
     /// Explicit DFS stack of `(left vertex, neighbor cursor)`.
     pub(crate) stack: Vec<(u32, u32)>,
@@ -79,18 +86,6 @@ pub struct SearchWorkspace {
     pub(crate) list_next: Vec<u32>,
     /// Reverse links of [`Self::list_next`], for `O(1)` removal.
     pub(crate) list_prev: Vec<u32>,
-    /// Processor-pair task counts of the semi-matching phase descent,
-    /// row-major `p × p`: `pair_counts[u·p + x]` counts the tasks now on
-    /// processor `u` that are adjacent to processor `x`. Grown only for
-    /// graphs with `p² ≤ m`; a row holds meaning only once it is filled
-    /// (see [`Self::pair_row_scans`]).
-    pub(crate) pair_counts: Vec<u32>,
-    /// BFS scans of each processor's task list in the current descent,
-    /// indexed by right vertex. The scan that brings it to the descent's
-    /// `FILLED_ROW_SCANS` (the second) fills the processor's row of
-    /// [`Self::pair_counts`], which is kept exact from then on. A descent
-    /// on a graph with `p² > m` neither reads nor resets it.
-    pub(crate) pair_row_scans: Vec<u32>,
 }
 
 impl SearchWorkspace {
@@ -107,8 +102,7 @@ impl SearchWorkspace {
         ws
     }
 
-    /// Grows every per-vertex array to cover a `n_left` × `n_right` graph
-    /// (the semi-matching descent grows its pair-count scratch itself).
+    /// Grows every per-vertex array to cover a `n_left` × `n_right` graph.
     ///
     /// Idempotent and monotone: called on every `*_in` entry point, a no-op
     /// (no allocation, no writes) once the workspace has seen the sizes.
@@ -130,11 +124,11 @@ impl SearchWorkspace {
         grow(&mut self.list_prev, n1);
     }
 
-    /// Grows [`Self::pair_counts`] to a `p × p` table and
-    /// [`Self::pair_row_scans`] to `p` slots.
+    /// Grows [`Self::aux`] to the semi-matching descent's `p × p` pair
+    /// counts and [`Self::cursor`] to its `p` scan counts.
     pub(crate) fn reserve_pair_counts(&mut self, p: usize) {
-        grow(&mut self.pair_counts, p * p);
-        grow(&mut self.pair_row_scans, p);
+        grow(&mut self.aux, p * p);
+        grow(&mut self.cursor, p);
     }
 
     /// Pre-sizes the residual-network arena (vertices, directed arcs
