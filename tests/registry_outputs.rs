@@ -9,10 +9,16 @@
 //! and flip count on tall instances whose processors squared do not
 //! exceed their edges (`p² ≤ m`), a shape none of the registry instances
 //! has.
+//!
+//! A third pins the capacity-probe searches (`cost-scaling` and the
+//! bisection deadline search) on tall instances where `cost-scaling`
+//! partitions the instance and probes the surviving sub-view, which the
+//! registry instances are too small to do.
 
 mod common;
 
 use common::tall_bipartite;
+use semimatch::core::exact::{cost_scaling_in, exact_unit_in, SearchStrategy};
 use semimatch::core::refine::{iterated_refine_with, refine_with};
 use semimatch::core::HyperMatching;
 use semimatch::gen::adversarial::{fig2, fig3, fig4};
@@ -32,6 +38,10 @@ const PINNED: u64 = 0x8656_2602_4832_8c1c;
 /// The digest of the `hk-semi` engine's outputs on the tall instances of
 /// [`tall_hk_semi_outputs_match_the_pinned_digest`].
 const PINNED_TALL_HK_SEMI: u64 = 0xc911_647d_2f6e_82fc;
+
+/// The digest of the capacity-probe searches' outputs on the instances of
+/// [`probe_search_outputs_match_the_pinned_digest`].
+const PINNED_PROBE_SEARCH: u64 = 0xeb6e_8948_13b0_e63a;
 
 /// Instances with at most this many tasks also run the exhaustive search.
 const BRUTE_FORCE_MAX_TASKS: u32 = 12;
@@ -198,6 +208,39 @@ fn tall_hk_semi_outputs_match_the_pinned_digest() {
     }
     assert_eq!(
         fnv.0, PINNED_TALL_HK_SEMI,
+        "digest {:#018x} differs from the pinned outputs",
+        fnv.0
+    );
+}
+
+/// `cost-scaling` and the bisection deadline search through one shared
+/// workspace: HiLo n = 1024, p = 16, g = 4, d = 2 (two probes, one
+/// partition), the `exact_agreement`-style tall shape at n = 2048,
+/// p = 256 (one or two partitions) and the HiLo and FewgManyg graphs of
+/// [`tall_hk_semi_outputs_match_the_pinned_digest`] (one feasible probe),
+/// three seeds each. Folds each solve's assignment and probe count.
+#[test]
+fn probe_search_outputs_match_the_pinned_digest() {
+    let mut graphs = Vec::new();
+    for seed in 1..=3 {
+        graphs.push(hilo_permuted(1024, 16, 4, 2, &mut Xoshiro256::seed_from_u64(seed)));
+        graphs.push(tall_bipartite(2048, 256, seed));
+        graphs.push(hilo_permuted(4096, 32, 16, 6, &mut Xoshiro256::seed_from_u64(seed)));
+        graphs.push(fewg_manyg(4096, 32, 16, 6, &mut Xoshiro256::seed_from_u64(seed)));
+    }
+    let mut ws = SearchWorkspace::new();
+    let mut fnv = Fnv(0xcbf2_9ce4_8422_2325);
+    for g in &graphs {
+        for r in [
+            cost_scaling_in(g, &mut ws).unwrap(),
+            exact_unit_in(g, SearchStrategy::Bisection, &mut ws).unwrap(),
+        ] {
+            fnv.ids(&r.solution.edge_of);
+            fnv.bytes(&r.oracle_calls.to_le_bytes());
+        }
+    }
+    assert_eq!(
+        fnv.0, PINNED_PROBE_SEARCH,
         "digest {:#018x} differs from the pinned outputs",
         fnv.0
     );
