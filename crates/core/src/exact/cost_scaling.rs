@@ -4,23 +4,11 @@
 //! Semi-Matching Problems*) attack semi-matchings by divide-and-conquer
 //! over the **load range**: capacitated feasibility probes split the range
 //! of possible bottleneck values until the optimal load profile is pinned.
-//! This backend implements both halves of that design over the
-//! repository's resident flow substrate:
+//! This backend implements both halves of that design:
 //!
 //! * the range starts at `[⌈n/p⌉, greedy]` — the counting lower bound
 //!   against a sorted-greedy witness, computed **once**: recursion levels
 //!   inherit the bracket instead of re-sorting the subinstance;
-//! * every probe is **warm-started**: one resident flow network per
-//!   monotone probe direction survives across probes ([`warm_probe_in`]),
-//!   anchored at the highest *infeasible* capacity. A probe raises the
-//!   sink arcs in place
-//!   ([`FlowNetwork::raise_capacity`](semimatch_matching::FlowNetwork::raise_capacity))
-//!   and augments only the delta — short residual paths, since the fresh
-//!   headroom sits one hop from the sink — then rolls back to the anchor
-//!   via an `O(arcs)` flow checkpoint when the answer is feasible
-//!   ([`probe_checkpoint`]/[`probe_rollback`]): the session never cancels
-//!   a near-maximum flow, the direction whose re-augmentation is slower
-//!   than a rebuild;
 //! * an **infeasible** probe at capacity `D` covering `c < n` tasks
 //!   tightens the lower half by the FLN deficiency bound: feasibility at
 //!   `D' ≥ D` can cover at most `c + p·(D' − D)` tasks, so
@@ -33,20 +21,29 @@
 //!   deficiency bound sharpens to `⌈u/|S_P|⌉` over the surviving
 //!   processors.
 //!
+//! Every probe sits at `lo = ⌈n_A/p_A⌉` for the active view `A` (`n_A`
+//! tasks on `p_A` processors). This holds for the first probe, and an
+//! infeasible probe at `cap` with `u` uncovered tasks keeps it: the
+//! processors `S_P` it reaches are saturated, so the view keeps
+//! `n_A' = u + cap·|S_P|` tasks on `p_A' = |S_P|` processors and the next
+//! `lo` is `cap + ⌈u/|S_P|⌉ = ⌈n_A'/p_A'⌉`. So a probe is feasible exactly
+//! when it closes the bracket, and an infeasible one cannot reach every
+//! active processor (`cap·p_A ≥ n_A` saturated slots would cover every
+//! task): every partition shrinks the view, and every probe runs Dinic
+//! from the zero flow on the view it is given
+//! ([`max_assignment_view_in`]).
+//!
 //! All recursion bookkeeping (active views, committed assignments, BFS
 //! marks) is allocated once per call and the flow scratch lives in the
-//! [`SearchWorkspace`] arena, so no per-level allocation appears. Like
-//! FLN's own load-range search, the probes run one after another.
+//! [`SearchWorkspace`], so no per-level allocation appears. Like FLN's
+//! own load-range search, the probes run one after another.
 //!
 //! Under sum objectives the registry appends the Harvey cost-reducing
 //! descent to the profile-search witness, the composition FLN's total-cost
 //! objective (`Objective::FlowTime`) shares with the other exact kinds.
 
 use semimatch_graph::Bipartite;
-use semimatch_matching::capacitated::{
-    extract_probe_in, max_assignment_in, probe_checkpoint, probe_rollback, warm_probe_in,
-    ProbeState,
-};
+use semimatch_matching::capacitated::{max_assignment_in, max_assignment_view_in};
 use semimatch_matching::{SearchWorkspace, NONE};
 use semimatch_obs::{self as obs, catalog as metric};
 
@@ -64,8 +61,8 @@ pub fn cost_scaling(g: &Bipartite) -> Result<ExactResult> {
     cost_scaling_in(g, &mut SearchWorkspace::new())
 }
 
-/// [`cost_scaling`] running every feasibility probe through `ws`'s
-/// resident flow arena. `oracle_calls` counts the capacitated probes.
+/// [`cost_scaling`] running every feasibility probe on `ws`'s scratch.
+/// `oracle_calls` counts the capacitated probes.
 pub fn cost_scaling_in(g: &Bipartite, ws: &mut SearchWorkspace) -> Result<ExactResult> {
     cost_scaling_seeded_in(g, None, ws)
 }
@@ -111,76 +108,32 @@ pub fn cost_scaling_seeded_in(
     let mut calls = 0u32;
     // Telemetry accumulators, flushed once at return (plain locals: the
     // probe loop itself never touches the registry).
-    let mut warm_sessions = 0u64;
-    let mut cold_sessions = 0u64;
-    let mut rollbacks = 0u64;
     let mut partitions = 0u64;
     let mut deficiency_skips = 0u64;
 
     // ---- FLN active-subinstance state, allocated once per call ----
     let mut active_tasks: Vec<u32> = (0..n).collect();
     let mut active_procs: Vec<u32> = (0..p).collect();
-    let mut proc_pos: Vec<u32> = (0..p).collect();
+    let mut proc_active = vec![true; p as usize];
     // Low-side assignments fixed by partitioning; `NONE` ⇔ still active.
     let mut committed: Vec<u32> = vec![NONE; n as usize];
     let mut task_mark = vec![false; n as usize];
     let mut proc_mark = vec![false; p as usize];
     let mut bfs_queue: Vec<u32> = Vec::new();
-    // Subinstance build id: bumping it invalidates every resident probe
-    // network (they rebuild over the shrunk view on next use).
-    let mut epoch = 0u64;
-    let mut seq_state = ProbeState::default();
-    let mut seq_used = false;
-    let mut seq_out: Vec<u32> = vec![NONE; n as usize];
 
     while lo < hi {
-        let range = hi - lo;
-        // Anchored probe. A fresh session (first probe, or a
-        // partition just shrunk the view) builds the resident network at
-        // `lo` — the cheap end: an infeasible build routes short paths
-        // and immediately sharpens `lo`, a feasible one closes the
-        // bracket outright. A warm session answers the bisection
-        // midpoint by a checkpointed *raise* from its anchor (the
-        // highest infeasible capacity seen) and rolls back on a
-        // feasible answer, so the resident flow only ever moves in the
-        // monotone raising direction — the direction whose augmenting
-        // paths stay short.
-        let fresh = !seq_state.is_warm(epoch);
-        let cap = if fresh { lo } else { lo + range / 2 };
+        // `lo` is `⌈n_A/p_A⌉` of the active view (module docs): a
+        // feasible probe closes the bracket.
+        let cap = lo;
         calls += 1;
-        // Temperature tally: the first probe of the solve builds the
-        // resident arena from nothing (cold); every later probe reuses
-        // it (warm) — even an epoch-invalidated rebuild retargets arcs
-        // inside the already-sized arena.
-        if seq_used {
-            warm_sessions += 1;
-        } else {
-            cold_sessions += 1;
-            seq_used = true;
-        }
-        if !fresh {
-            probe_checkpoint(&mut seq_state, ws);
-        }
-        let card = warm_probe_in(
-            g,
-            &active_tasks,
-            &active_procs,
-            &proc_pos,
-            epoch,
-            cap,
-            &mut seq_state,
-            ws,
-        );
-        extract_probe_in(g, &active_tasks, &proc_pos, &mut seq_out, ws);
+        let capacity_of = |u: u32| if proc_active[u as usize] { cap } else { 0 };
+        let card = max_assignment_view_in(g, &active_tasks, capacity_of, ws);
+        let out = ws.task_procs();
         let active_n = active_tasks.len() as u64;
         if card == active_n {
             hi = cap;
-            snapshot_witness(&mut witness, &committed, &active_tasks, &seq_out);
+            snapshot_witness(&mut witness, &committed, &active_tasks, out);
             have_witness = true;
-            if !fresh {
-                probe_rollback(&mut seq_state, ws);
-                rollbacks += 1;
-            }
         } else {
             // FLN deficiency bound: the shortfall dictates how much
             // extra capacity the whole surviving pool needs before the
@@ -193,28 +146,26 @@ pub fn cost_scaling_seeded_in(
             lo = cap + bound;
             let shrunk = partition_active(
                 g,
-                &seq_out,
+                out,
                 &mut committed,
                 &mut active_tasks,
                 &mut active_procs,
-                &mut proc_pos,
+                &mut proc_active,
                 &mut task_mark,
                 &mut proc_mark,
                 &mut bfs_queue,
             );
+            debug_assert!(
+                shrunk,
+                "an infeasible probe at ⌈n_A/p_A⌉ leaves a processor unsaturated"
+            );
             lo = lo.max(cap + (uncovered.div_ceil(active_procs.len() as u64) as u32).max(1));
-            if shrunk {
-                epoch += 1;
-                partitions += 1;
-            }
+            partitions += 1;
         }
     }
     if obs::enabled() {
         obs::counter_add(&metric::COST_SCALING_SOLVES, 1);
         obs::counter_add(&metric::COST_SCALING_PROBES, calls as u64);
-        obs::counter_add(&metric::COST_SCALING_WARM_SESSIONS, warm_sessions);
-        obs::counter_add(&metric::COST_SCALING_COLD_SESSIONS, cold_sessions);
-        obs::counter_add(&metric::COST_SCALING_ROLLBACKS, rollbacks);
         obs::counter_add(&metric::COST_SCALING_PARTITIONS, partitions);
         obs::counter_add(&metric::COST_SCALING_DEFICIENCY_SKIPS, deficiency_skips);
     }
@@ -227,11 +178,11 @@ pub fn cost_scaling_seeded_in(
     Ok(ExactResult { makespan: hi as u64, solution, oracle_calls: calls })
 }
 
-/// The cold ablation baseline behind the warm-vs-cold bench contrast: the
-/// same bracket and deficiency-bound search as [`cost_scaling_in`], but
-/// every probe clears and refills the flow arena from scratch
-/// ([`max_assignment_in`]) and the instance is never partitioned. Probes
-/// run sequentially so the comparison isolates warm-starting alone.
+/// The plain-bisection ablation behind the fast-exact bench contrast: the
+/// same bracket as [`cost_scaling_in`] and the same probe engine
+/// ([`max_assignment_in`]), but it bisects the bracket, bounds the
+/// deficiency over all `p` processors and never partitions the instance,
+/// so every probe solves the whole graph.
 pub fn cost_scaling_cold_in(g: &Bipartite, ws: &mut SearchWorkspace) -> Result<ExactResult> {
     check_instance(g)?;
     let n = g.n_left();
@@ -306,8 +257,8 @@ fn snapshot_witness(witness: &mut [u32], committed: &[u32], active: &[u32], out:
 /// in `S_P` is saturated. Tasks outside `S_T` therefore sit on processors
 /// outside `S_P` at load `≤ D < opt` and can be committed for good; the
 /// search continues on the strictly smaller `(S_T, S_P)` whose optimum
-/// equals the global optimum. Returns whether anything shrank (the caller
-/// bumps the probe epoch). `O(active edges)`, allocation-free.
+/// equals the global optimum. Returns whether anything shrank.
+/// `O(active edges)`, allocation-free.
 #[allow(clippy::too_many_arguments)]
 fn partition_active(
     g: &Bipartite,
@@ -315,7 +266,7 @@ fn partition_active(
     committed: &mut [u32],
     active_tasks: &mut Vec<u32>,
     active_procs: &mut Vec<u32>,
-    proc_pos: &mut [u32],
+    proc_active: &mut [bool],
     task_mark: &mut [bool],
     proc_mark: &mut [bool],
     queue: &mut Vec<u32>,
@@ -335,7 +286,7 @@ fn partition_active(
         head += 1;
         if x < n {
             for &u in g.neighbors(x) {
-                if proc_pos[u as usize] != NONE && !proc_mark[u as usize] {
+                if proc_active[u as usize] && !proc_mark[u as usize] {
                     proc_mark[u as usize] = true;
                     queue.push(n + u);
                 }
@@ -343,9 +294,8 @@ fn partition_active(
         } else {
             let u = x - n;
             for &t in g.rneighbors(u) {
-                // `out` entries of long-committed tasks are stale; the
-                // `committed` guard keeps the walk inside the active view.
-                if !task_mark[t as usize] && committed[t as usize] == NONE && out[t as usize] == u {
+                // `out` is `NONE` outside the active view.
+                if !task_mark[t as usize] && out[t as usize] == u {
                     task_mark[t as usize] = true;
                     queue.push(t);
                 }
@@ -363,14 +313,9 @@ fn partition_active(
         }
         active_tasks.retain(|&v| task_mark[v as usize]);
         for &u in active_procs.iter() {
-            if !proc_mark[u as usize] {
-                proc_pos[u as usize] = NONE;
-            }
+            proc_active[u as usize] = proc_mark[u as usize];
         }
         active_procs.retain(|&u| proc_mark[u as usize]);
-        for (j, &u) in active_procs.iter().enumerate() {
-            proc_pos[u as usize] = j as u32;
-        }
     }
     for &x in queue.iter() {
         if x < n {
@@ -492,7 +437,7 @@ mod tests {
         assert_eq!(cost_scaling(&e).unwrap().makespan, 0);
     }
 
-    /// Randomized cross-check: warm partitioned search == incremental
+    /// Randomized cross-check: partitioned search == incremental
     /// matching exact == cold baseline on a mix of shapes.
     #[test]
     fn randomized_agreement_with_cold_and_incremental() {

@@ -878,14 +878,18 @@ impl Solver for KindSolver {
 
     fn warm_start(&mut self, problem: &Problem<'_>) {
         // SINGLEPROC kinds draw on the workspace: pre-size the traversal
-        // arrays and the capacitated flow arena (source + tasks + procs +
-        // sink; task, task→proc and proc arcs, each with a residual twin).
-        // MULTIPROC (hypergraph) kinds keep their scratch inside their own
-        // algorithms, so there is nothing to pre-size for them.
+        // arrays, and for `mcf`, the one kind that builds a flow network,
+        // its balanced min-cost network (source + tasks + procs + sink; a
+        // source arc per task and an edge arc and a sink arc per edge, each
+        // with a residual twin). MULTIPROC (hypergraph) kinds keep their
+        // scratch inside their own algorithms, so there is nothing to
+        // pre-size for them.
         if let Problem::SingleProc(g) = problem {
             self.ws.reserve(g.n_left(), g.n_right());
-            let (n1, n2) = (g.n_left() as usize, g.n_right() as usize);
-            self.ws.reserve_flow(n1 + n2 + 2, 2 * (n1 + g.num_edges() + n2), g.num_edges());
+            if self.kind == SolverKind::MinCostFlow {
+                let (n1, n2, m) = (g.n_left() as usize, g.n_right() as usize, g.num_edges());
+                self.ws.reserve_flow(n1 + n2 + 2, 2 * (n1 + 2 * m), m);
+            }
         }
     }
 

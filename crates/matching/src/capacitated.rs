@@ -5,10 +5,25 @@
 //! A matching in `G_D` covering all tasks is exactly an assignment of each
 //! task to an eligible processor in which no processor receives more than
 //! `D` tasks. We solve this directly as a max-flow problem with processor
-//! capacities (see [`crate::flow`]), avoiding the `D`-fold blowup;
-//! [`crate::replicate`] keeps the explicit construction as a cross-check.
+//! capacities, avoiding the `D`-fold blowup; [`crate::replicate`] keeps
+//! the explicit construction as a cross-check.
+//!
+//! The flow network source → tasks → processors → sink is never built.
+//! Its unit flows are an assignment, so Dinic's algorithm runs on the
+//! graph itself: a processor per task and a load per processor in the
+//! [`SearchWorkspace`], whose residual arcs are read off `g.neighbors`
+//! (a task to its other processors) and `g.rneighbors` (a processor back
+//! to the tasks it serves, then to the sink while below capacity). The
+//! arcs are visited in the order of the materialized network's CSR —
+//! the source's in ascending task order, a task's in neighbour order, a
+//! processor's in ascending task order and then its sink arc — so every
+//! phase, augmenting path and assignment is the one
+//! [`FlowNetwork::max_flow`](crate::FlowNetwork::max_flow) finds on that
+//! network; the tests compare the two. The min-cost formulations at the
+//! end of this module still build a [`crate::FlowNetwork`].
 
 use semimatch_graph::Bipartite;
+use semimatch_obs::{self as obs, catalog as metric};
 
 use crate::matching::NONE;
 use crate::workspace::SearchWorkspace;
@@ -69,18 +84,18 @@ impl Assignment {
 /// Maximum-cardinality assignment with uniform processor capacity.
 ///
 /// Returns the largest set of tasks that can be placed so that every
-/// processor serves at most `capacity` tasks. Runs Dinic's algorithm on the
-/// unit-task flow network, `O(|E|·√|V|)`-ish in practice. No per-processor
-/// capacity array is materialized for the uniform case.
+/// processor serves at most `capacity` tasks, by Dinic's algorithm on the
+/// implicit unit-task flow network (see the module docs). No
+/// per-processor capacity array is materialized for the uniform case.
 pub fn max_assignment(g: &Bipartite, capacity: u32) -> Assignment {
     max_assignment_in(g, capacity, &mut SearchWorkspace::new())
 }
 
-/// [`max_assignment`] building the flow network inside a reusable
-/// workspace arena. Warm repeated solves (the deadline-search inner loop)
-/// allocate only the returned [`Assignment`].
+/// [`max_assignment`] on a reusable workspace. Warm repeated solves (the
+/// deadline-search inner loop) allocate only the returned [`Assignment`].
 pub fn max_assignment_in(g: &Bipartite, capacity: u32, ws: &mut SearchWorkspace) -> Assignment {
-    solve_flow(g, |_| capacity as u64, ws)
+    dinic_in(g, Tasks::All(g.n_left()), |_| capacity, ws);
+    ws.assignment(g)
 }
 
 /// Maximum-cardinality assignment with per-processor capacities.
@@ -88,225 +103,257 @@ pub fn max_assignment_with_capacities(g: &Bipartite, capacities: &[u32]) -> Assi
     max_assignment_with_capacities_in(g, capacities, &mut SearchWorkspace::new())
 }
 
-/// [`max_assignment_with_capacities`] on a reusable workspace arena.
+/// [`max_assignment_with_capacities`] on a reusable workspace.
 pub fn max_assignment_with_capacities_in(
     g: &Bipartite,
     capacities: &[u32],
     ws: &mut SearchWorkspace,
 ) -> Assignment {
     assert_eq!(capacities.len(), g.n_right() as usize, "one capacity per processor");
-    solve_flow(g, |u| capacities[u as usize] as u64, ws)
+    dinic_in(g, Tasks::All(g.n_left()), |u| capacities[u as usize], ws);
+    ws.assignment(g)
 }
 
-/// Shared flow formulation over any capacity provider (uniform capacities
-/// need no backing slice). Nodes: source 0, tasks `1..=n1`, processors
-/// `n1+1..=n1+n2`, sink `n1+n2+1`.
-fn solve_flow(
-    g: &Bipartite,
-    capacity_of: impl Fn(u32) -> u64,
-    ws: &mut SearchWorkspace,
-) -> Assignment {
-    let n1 = g.n_left();
-    let n2 = g.n_right();
-    let source = 0u32;
-    let task_base = 1u32;
-    let proc_base = 1 + n1;
-    let sink = 1 + n1 + n2;
-    let (net, edge_arcs) = ws.flow_arena(sink as usize + 1);
-
-    for v in 0..n1 {
-        net.add_arc(source, task_base + v, 1);
-    }
-    // Record the arc id of every task→processor arc for extraction.
-    for v in 0..n1 {
-        for &u in g.neighbors(v) {
-            edge_arcs.push(net.add_arc(task_base + v, proc_base + u, 1));
-        }
-    }
-    for u in 0..n2 {
-        let c = capacity_of(u);
-        if c > 0 {
-            net.add_arc(proc_base + u, sink, c);
-        }
-    }
-    net.max_flow(source, sink);
-
-    let mut task_to_proc = vec![NONE; n1 as usize];
-    let mut loads = vec![0u32; n2 as usize];
-    let mut k = 0usize;
-    for v in 0..n1 {
-        for &u in g.neighbors(v) {
-            if net.flow(edge_arcs[k]) > 0 {
-                task_to_proc[v as usize] = u;
-                loads[u as usize] += 1;
-            }
-            k += 1;
-        }
-    }
-    Assignment { task_to_proc, loads }
-}
-
-/// Warm capacity-probe session state: which subinstance build the resident
-/// flow network reflects, the capacity its sink arcs currently carry, the
-/// flow value it holds, and an optional checkpoint to roll back to.
+/// Maximum assignment of a sub-view: only the tasks in `tasks` (original
+/// ids, ascending) take part, and processor `u` serves at most
+/// `capacity_of(u)` of them; a processor of capacity 0 is left out.
+/// Returns the number of assigned tasks. [`SearchWorkspace::task_procs`]
+/// then holds the processor of every task of the view ([`NONE`] when
+/// unassigned) and [`NONE`] for every task outside it.
 ///
-/// The FLN-style exact search probes a sequence of uniform capacities
-/// against the same (sub)instance. A cold probe rebuilds and re-solves the
-/// whole network (`O(m·√n)` each); a warm session keeps one resident
-/// network **per monotone probe direction** — the *raising* direction. A
-/// probe above the session's capacity widens the sink arcs in place and
-/// augments only the delta along short residual paths; a probe below it
-/// would have to cancel a near-maximum flow and re-augment through long
-/// residual paths (many full-graph BFS phases — measurably worse than the
-/// rebuild), so the session never lowers: callers
-/// [checkpoint](probe_checkpoint) before a speculative raise and
-/// [roll back](probe_rollback) to keep the session anchored at the highest
-/// *infeasible* capacity, and a probe that still lands below the anchor
-/// rebuilds.
-#[derive(Clone, Debug, Default)]
-pub struct ProbeState {
-    /// Subinstance epoch the resident network was built for; `None` until
-    /// the first build.
-    epoch: Option<u64>,
-    /// Flow value (assigned active tasks) currently routed.
-    value: u64,
-    /// Uniform capacity the resident network's sink arcs currently carry.
-    cap: u32,
-    /// Checkpointed residual state ([`probe_checkpoint`]).
-    saved: Vec<u64>,
-    /// Flow value at the checkpoint.
-    saved_value: u64,
-    /// Sink capacity at the checkpoint.
-    saved_cap: u32,
-}
-
-impl ProbeState {
-    /// Whether the resident network reflects subinstance build `epoch`
-    /// (the next [`warm_probe_in`] at a capacity at or above the session's
-    /// will edit it in place rather than rebuild).
-    pub fn is_warm(&self, epoch: u64) -> bool {
-        self.epoch == Some(epoch)
-    }
-}
-
-/// One uniform-capacity feasibility probe over the active subinstance
-/// `(tasks, procs)`, warm-started from whatever the resident network in
-/// `ws` holds. Returns the maximum number of active tasks assignable with
-/// every active processor serving at most `capacity` tasks.
-///
-/// * `tasks` / `procs` — original vertex ids of the active subinstance.
-/// * `proc_pos[u]` — position of original processor `u` in `procs`, or
-///   [`NONE`] when `u` is inactive (edges to inactive processors are
-///   excluded from the network).
-/// * `epoch` — identity of the subinstance build. When it matches the one
-///   recorded in `st` **and** `capacity` is at or above the session's, the
-///   network is kept: the sink arcs are raised in place and only the delta
-///   is augmented. Otherwise (new build, or a probe below the session —
-///   the expensive direction, see [`ProbeState`]) the arena is rebuilt
-///   from scratch.
-///
-/// Processor→sink arcs are materialized for *every* active processor (the
-/// cold path elides zero-capacity arcs; a warm session cannot, since a
-/// later probe may raise them). Call [`extract_probe_in`] afterwards to
-/// read the assignment out of the resident network.
-#[allow(clippy::too_many_arguments)]
-pub fn warm_probe_in(
+/// This is the capacity probe of the load-range search, which keeps
+/// probing a shrinking set of tasks and processors.
+pub fn max_assignment_view_in(
     g: &Bipartite,
     tasks: &[u32],
-    procs: &[u32],
-    proc_pos: &[u32],
-    epoch: u64,
-    capacity: u32,
-    st: &mut ProbeState,
+    capacity_of: impl Fn(u32) -> u32,
     ws: &mut SearchWorkspace,
 ) -> u64 {
-    let nt = tasks.len() as u32;
-    let np = procs.len() as u32;
-    let source = 0u32;
-    let task_base = 1u32;
-    let proc_base = 1 + nt;
-    let sink = 1 + nt + np;
-    if st.epoch != Some(epoch) || capacity < st.cap {
-        // Cold build of the subinstance view (also the escape hatch for a
-        // probe below the session capacity: cancelling a routed flow
-        // re-augments through long residual paths and costs more than the
-        // rebuild).
-        let (net, edge_arcs, proc_arcs) = ws.probe_arena(sink as usize + 1);
-        for i in 0..nt {
-            net.add_arc(source, task_base + i, 1);
+    debug_assert!(tasks.windows(2).all(|w| w[0] < w[1]), "view tasks must ascend");
+    dinic_in(g, Tasks::Subset(tasks), capacity_of, ws)
+}
+
+/// The tasks that take part in a solve, in the order of the source's arcs.
+#[derive(Clone, Copy)]
+enum Tasks<'a> {
+    /// Every task `0..n`.
+    All(u32),
+    /// An ascending subset.
+    Subset(&'a [u32]),
+}
+
+impl Tasks<'_> {
+    fn len(self) -> usize {
+        match self {
+            Tasks::All(n) => n as usize,
+            Tasks::Subset(tasks) => tasks.len(),
         }
-        for (i, &v) in tasks.iter().enumerate() {
-            for &u in g.neighbors(v) {
-                if proc_pos[u as usize] == NONE {
-                    continue;
-                }
-                edge_arcs.push(net.add_arc(
-                    task_base + i as u32,
-                    proc_base + proc_pos[u as usize],
-                    1,
-                ));
-            }
-        }
-        for j in 0..np {
-            proc_arcs.push(net.add_arc(proc_base + j, sink, capacity as u64));
-        }
-        st.epoch = Some(epoch);
-        st.cap = capacity;
-        st.value = net.max_flow(source, sink);
-        return st.value;
     }
-    // Warm path: raise the sink capacities in place and augment the delta.
-    // From an anchor that was *infeasible* the new headroom sits one hop
-    // from the sink, so the augmenting paths are short.
-    for j in 0..np as usize {
-        ws.flow.raise_capacity(ws.proc_arcs[j], capacity as u64);
+
+    fn get(self, i: usize) -> u32 {
+        match self {
+            Tasks::All(_) => i as u32,
+            Tasks::Subset(tasks) => tasks[i],
+        }
     }
-    st.cap = capacity;
-    st.value += ws.flow.max_flow(source, sink);
-    st.value
 }
 
-/// Checkpoints the resident probe session (`O(arcs)` copy of the residual
-/// state): call before a speculative [`warm_probe_in`] raise, and
-/// [`probe_rollback`] to return to the anchor if the probe came back
-/// feasible. See [`ProbeState`] for why the session only moves up.
-pub fn probe_checkpoint(st: &mut ProbeState, ws: &SearchWorkspace) {
-    ws.flow.save_flow(&mut st.saved);
-    st.saved_value = st.value;
-    st.saved_cap = st.cap;
-}
+/// Level of a task or processor the BFS has not reached.
+const UNREACHED: u32 = u32::MAX;
 
-/// Rolls the resident probe session back to the last
-/// [`probe_checkpoint`]. The subinstance build must be unchanged since the
-/// checkpoint (same epoch — the arc set is identical).
-pub fn probe_rollback(st: &mut ProbeState, ws: &mut SearchWorkspace) {
-    ws.flow.restore_flow(&st.saved);
-    st.value = st.saved_value;
-    st.cap = st.saved_cap;
-}
-
-/// Reads the assignment of the last [`warm_probe_in`] out of the resident
-/// network, writing original processor ids (or [`NONE`]) into
-/// `out[original task id]` for every active task. Inactive tasks are left
-/// untouched.
-pub fn extract_probe_in(
+/// Dinic's algorithm on the implicit network source → `tasks` →
+/// processors → sink, from the zero flow. Returns the flow value (the
+/// number of assigned tasks); the flow itself is `ws.proc_of` and
+/// `ws.load`. Every augmenting path carries one unit, so the value is
+/// also the number of augmentations.
+fn dinic_in(
     g: &Bipartite,
-    tasks: &[u32],
-    proc_pos: &[u32],
-    out: &mut [u32],
-    ws: &SearchWorkspace,
+    tasks: Tasks<'_>,
+    capacity_of: impl Fn(u32) -> u32,
+    ws: &mut SearchWorkspace,
+) -> u64 {
+    let (n, p) = (g.n_left(), g.n_right());
+    ws.reserve(n, p);
+    // Tasks outside the view are cleared too, so no stale entry reads as
+    // flow on a processor's arc.
+    ws.proc_of[..n as usize].fill(NONE);
+    ws.load[..p as usize].fill(0);
+    let before = ws.augmentations;
+    let mut phases = 0u64;
+    while let Some(sink_level) = level_graph(g, tasks, &capacity_of, ws) {
+        phases += 1;
+        blocking_flow(g, tasks, &capacity_of, sink_level, ws);
+    }
+    let routed = ws.augmentations - before;
+    if obs::enabled() {
+        obs::counter_add(&metric::FLOW_AUGMENTATIONS, routed);
+        obs::counter_add(&metric::FLOW_DINIC_PHASES, phases);
+    }
+    routed
+}
+
+/// The BFS of a Dinic phase: labels tasks in `ws.dist` and processors in
+/// `ws.rdist` with their distance from the source and returns the sink's,
+/// or `None` when no augmenting path is left. A task's residual arcs lead
+/// to its other processors; a processor's lead back to the tasks it
+/// serves and, below capacity, to the sink.
+///
+/// The search stops once the processor level that reaches the sink is
+/// complete: every vertex closer to the source than the sink is labeled,
+/// and any other vertex at or past the sink's level is a dead end for the
+/// DFS. The phase's cursors are reset here too.
+fn level_graph(
+    g: &Bipartite,
+    tasks: Tasks<'_>,
+    capacity_of: &impl Fn(u32) -> u32,
+    ws: &mut SearchWorkspace,
+) -> Option<u32> {
+    let SearchWorkspace { dist, rdist, cursor, pred: proc_cursor, queue, proc_of, load, .. } = ws;
+    let p = g.n_right() as usize;
+    rdist[..p].fill(UNREACHED);
+    proc_cursor[..p].fill(0);
+    queue.clear();
+    for i in 0..tasks.len() {
+        let v = tasks.get(i) as usize;
+        cursor[v] = 0;
+        dist[v] = if proc_of[v] == NONE { 1 } else { UNREACHED };
+        if dist[v] == 1 {
+            queue.push(v as u32);
+        }
+    }
+    let (mut head, mut level) = (0, 1);
+    while head < queue.len() {
+        // Tasks at `level` reach processors at `level + 1`. A task's own
+        // processor is already labeled (the task was reached from it).
+        let procs_start = queue.len();
+        let mut spare = false;
+        for k in head..procs_start {
+            for &u in g.neighbors(queue[k]) {
+                if rdist[u as usize] == UNREACHED {
+                    let capacity = capacity_of(u);
+                    if capacity > 0 {
+                        rdist[u as usize] = level + 1;
+                        queue.push(u);
+                        spare |= load[u as usize] < capacity;
+                    }
+                }
+            }
+        }
+        if spare {
+            return Some(level + 2);
+        }
+        // Processors at `level + 1` reach the tasks they serve.
+        let tasks_start = queue.len();
+        for k in procs_start..tasks_start {
+            let u = queue[k];
+            for &v in g.rneighbors(u) {
+                if proc_of[v as usize] == u && dist[v as usize] == UNREACHED {
+                    dist[v as usize] = level + 2;
+                    queue.push(v);
+                }
+            }
+        }
+        head = tasks_start;
+        level += 2;
+    }
+    None
+}
+
+/// The DFS of a Dinic phase: a blocking flow on the level graph, one unit
+/// per augmenting path. Arcs are tried in the materialized network's
+/// order — the source's by view position, a task's by neighbour order, a
+/// processor's by ascending task and then its sink arc — from per-vertex
+/// current-arc cursors that advance only past an arc that is saturated or
+/// leads to a dead end, so the paths are exactly those of Dinic on that
+/// network. A processor one level below the sink goes straight to its
+/// sink arc: its tasks sit at the sink's level, all dead ends.
+fn blocking_flow(
+    g: &Bipartite,
+    tasks: Tasks<'_>,
+    capacity_of: &impl Fn(u32) -> u32,
+    sink_level: u32,
+    ws: &mut SearchWorkspace,
 ) {
-    let mut k = 0usize;
-    for &v in tasks {
-        out[v as usize] = NONE;
-        for &u in g.neighbors(v) {
-            if proc_pos[u as usize] == NONE {
-                continue;
+    /// Where the DFS goes from the task on top of its path.
+    enum Step {
+        /// Through the task's cursor processor to the sink.
+        Augment,
+        /// Through the task's cursor processor to this task it serves.
+        Descend(u32),
+        /// Back: the task is a dead end.
+        Retreat,
+    }
+    let SearchWorkspace {
+        dist,
+        rdist,
+        cursor,
+        pred: proc_cursor,
+        queue: path,
+        proc_of,
+        load,
+        augmentations,
+        ..
+    } = ws;
+    for i in 0..tasks.len() {
+        let root = tasks.get(i);
+        if proc_of[root as usize] != NONE {
+            continue; // its source arc is saturated
+        }
+        path.clear();
+        path.push(root);
+        while let Some(&v) = path.last() {
+            let level = dist[v as usize];
+            let neighbors = g.neighbors(v);
+            let mut c = cursor[v as usize] as usize;
+            let mut step = Step::Retreat;
+            while c < neighbors.len() {
+                let u = neighbors[c];
+                if rdist[u as usize] == level + 1 {
+                    if level + 2 == sink_level {
+                        if load[u as usize] < capacity_of(u) {
+                            step = Step::Augment;
+                            break;
+                        }
+                    } else {
+                        let served = g.rneighbors(u);
+                        let mut r = proc_cursor[u as usize] as usize;
+                        while let Some(&w) = served.get(r) {
+                            if proc_of[w as usize] == u && dist[w as usize] == level + 2 {
+                                step = Step::Descend(w);
+                                break;
+                            }
+                            r += 1;
+                        }
+                        proc_cursor[u as usize] = r as u32;
+                        if matches!(step, Step::Descend(_)) {
+                            break;
+                        }
+                    }
+                }
+                c += 1;
             }
-            if ws.flow.flow(ws.edge_arcs[k]) > 0 {
-                out[v as usize] = u;
+            cursor[v as usize] = c as u32;
+            match step {
+                Step::Augment => {
+                    // Every task on the path moves to its cursor processor;
+                    // the last processor gains a task.
+                    for &w in path.iter() {
+                        proc_of[w as usize] = g.neighbors(w)[cursor[w as usize] as usize];
+                    }
+                    load[neighbors[c] as usize] += 1;
+                    *augmentations += 1;
+                    break;
+                }
+                Step::Descend(w) => path.push(w),
+                Step::Retreat => {
+                    path.pop();
+                    if let Some(&parent) = path.last() {
+                        // Past the arc into `v` on the parent's processor.
+                        let u = g.neighbors(parent)[cursor[parent as usize] as usize];
+                        proc_cursor[u as usize] += 1;
+                    }
+                }
             }
-            k += 1;
         }
     }
 }
@@ -473,10 +520,10 @@ mod tests {
         assert_eq!(a.cardinality(), 2);
     }
 
+    /// Capacities swept up and down through one workspace on the view
+    /// entry point agree with fresh-workspace solves.
     #[test]
     fn warm_probes_agree_with_cold_solves() {
-        // 6 tasks over 3 procs, mixed degrees; sweep capacities up and down
-        // through one warm session and cross-check every answer cold.
         let g = Bipartite::from_edges(
             6,
             3,
@@ -484,57 +531,146 @@ mod tests {
         )
         .unwrap();
         let tasks: Vec<u32> = (0..6).collect();
-        let procs: Vec<u32> = (0..3).collect();
-        let proc_pos: Vec<u32> = (0..3).collect();
-        let mut st = ProbeState::default();
         let mut ws = SearchWorkspace::new();
-        let mut cold_ws = SearchWorkspace::new();
         for cap in [1u32, 3, 2, 1, 4, 2] {
-            let warm = warm_probe_in(&g, &tasks, &procs, &proc_pos, 7, cap, &mut st, &mut ws);
-            let cold = max_assignment_in(&g, cap, &mut cold_ws).cardinality() as u64;
-            assert_eq!(warm, cold, "capacity {cap}");
-            // The extracted assignment is consistent with the probe value.
-            let mut out = vec![NONE; 6];
-            extract_probe_in(&g, &tasks, &proc_pos, &mut out, &ws);
-            assert_eq!(out.iter().filter(|&&p| p != NONE).count() as u64, warm);
-            let mut loads = [0u32; 3];
-            for (v, &p) in out.iter().enumerate() {
-                if p != NONE {
-                    assert!(g.neighbors(v as u32).contains(&p));
-                    loads[p as usize] += 1;
-                }
-            }
-            assert!(loads.iter().all(|&l| l <= cap));
+            let warm = max_assignment_view_in(&g, &tasks, |_| cap, &mut ws);
+            let cold = max_assignment_in(&g, cap, &mut SearchWorkspace::new());
+            assert_eq!(warm, cold.cardinality() as u64, "capacity {cap}");
+            assert_eq!(ws.task_procs()[..6], cold.task_to_proc[..], "capacity {cap}");
+            cold.validate(&g, cap).unwrap();
         }
     }
 
+    /// A probe on a smaller view after a full one assigns only the view's
+    /// tasks, to the view's processors.
     #[test]
     fn warm_probe_rebuilds_on_epoch_change() {
         let g = Bipartite::from_edges(4, 2, &[(0, 0), (1, 0), (2, 1), (3, 1), (3, 0)]).unwrap();
-        let mut st = ProbeState::default();
         let mut ws = SearchWorkspace::new();
-        let all: Vec<u32> = (0..4).collect();
-        let full = warm_probe_in(&g, &all, &[0, 1], &[0, 1], 0, 2, &mut st, &mut ws);
+        let full = max_assignment_view_in(&g, &[0, 1, 2, 3], |_| 2, &mut ws);
         assert_eq!(full, 4);
-        // Shrink to the subinstance {tasks 2,3} × {proc 1}: epoch bump
-        // forces a rebuild over the active view only.
-        let sub = warm_probe_in(&g, &[2, 3], &[1], &[NONE, 0], 1, 1, &mut st, &mut ws);
+        // The view {tasks 2, 3} × {proc 1}.
+        let sub = max_assignment_view_in(&g, &[2, 3], |u| u32::from(u == 1), &mut ws);
         assert_eq!(sub, 1, "proc 1 alone serves one of the two tasks at cap 1");
-        let mut out = vec![NONE; 4];
-        extract_probe_in(&g, &[2, 3], &[NONE, 0], &mut out, &ws);
-        assert_eq!(out[..2], [NONE, NONE], "inactive tasks untouched");
-        assert_eq!(out[2..].iter().filter(|&&p| p == 1).count(), 1);
+        let out = ws.task_procs();
+        assert_eq!(out[..2], [NONE, NONE], "tasks outside the view stay unassigned");
+        assert_eq!(out[2..4].iter().filter(|&&p| p == 1).count(), 1);
     }
 
+    /// A processor full at one probe serves more at a higher capacity
+    /// through the same workspace.
     #[test]
     fn warm_probe_materializes_every_sink_arc() {
-        // A processor with no capacity headroom at the first probe must
-        // still be raisable later — the regression the warm session guards.
         let g = Bipartite::from_edges(2, 1, &[(0, 0), (1, 0)]).unwrap();
-        let mut st = ProbeState::default();
         let mut ws = SearchWorkspace::new();
-        assert_eq!(warm_probe_in(&g, &[0, 1], &[0], &[0], 0, 1, &mut st, &mut ws), 1);
-        assert_eq!(warm_probe_in(&g, &[0, 1], &[0], &[0], 0, 2, &mut st, &mut ws), 2);
+        assert_eq!(max_assignment_view_in(&g, &[0, 1], |_| 1, &mut ws), 1);
+        assert_eq!(max_assignment_view_in(&g, &[0, 1], |_| 2, &mut ws), 2);
+    }
+
+    /// The reference: [`FlowNetwork::max_flow`] on the materialized
+    /// network of the view, arcs added in the order the engine visits
+    /// them — source arcs by view position, each task's arcs to the
+    /// processors of positive `take` in neighbour order (`take` is 0 for a
+    /// processor outside the view), then a sink arc per processor of
+    /// positive capacity. Returns the flow value and each task's
+    /// processor.
+    fn reference(
+        g: &Bipartite,
+        tasks: &[u32],
+        take: &[bool],
+        capacity_of: impl Fn(u32) -> u32,
+    ) -> (u64, Vec<u32>) {
+        let (nt, p) = (tasks.len() as u32, g.n_right());
+        let (source, sink) = (0, 1 + nt + p);
+        let mut net = crate::FlowNetwork::new(sink as usize + 1);
+        for i in 0..nt {
+            net.add_arc(source, 1 + i, 1);
+        }
+        let mut arcs = Vec::new();
+        for (i, &v) in tasks.iter().enumerate() {
+            for &u in g.neighbors(v).iter().filter(|&&u| take[u as usize]) {
+                arcs.push((v, u, net.add_arc(1 + i as u32, 1 + nt + u, 1)));
+            }
+        }
+        for u in (0..p).filter(|&u| take[u as usize] && capacity_of(u) > 0) {
+            net.add_arc(1 + nt + u, sink, capacity_of(u) as u64);
+        }
+        let value = net.max_flow(source, sink);
+        let mut procs = vec![NONE; g.n_left() as usize];
+        for (v, u, arc) in arcs {
+            if net.flow(arc) > 0 {
+                procs[v as usize] = u;
+            }
+        }
+        (value, procs)
+    }
+
+    /// The engine routes what Dinic routes on the materialized network:
+    /// random small instances, whole graphs and random sub-views, uniform
+    /// and per-processor capacities (zeros included), all through one
+    /// workspace so stale state from larger instances is exercised.
+    #[test]
+    fn engine_matches_materialized_dinic() {
+        let mut state = 0x0d1c_5eed_u64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let mut ws = SearchWorkspace::new();
+        for case in 0..3000 {
+            let n = 1 + next(40) as u32;
+            let p = 1 + next(8) as u32;
+            let lists: Vec<Vec<u32>> = (0..n)
+                .map(|_| {
+                    let deg = 1 + next(4.min(p as u64)) as usize;
+                    let mut procs: Vec<u32> = Vec::new();
+                    while procs.len() < deg {
+                        let u = next(p as u64) as u32;
+                        if !procs.contains(&u) {
+                            procs.push(u);
+                        }
+                    }
+                    procs.sort_unstable();
+                    procs
+                })
+                .collect();
+            let g = Bipartite::from_adjacency(n, p, &lists).unwrap();
+            let all: Vec<u32> = (0..n).collect();
+            let view: Vec<u32> = (0..n).filter(|_| next(4) != 0).collect();
+            let every = vec![true; p as usize];
+            let some: Vec<bool> = (0..p).map(|_| next(4) != 0).collect();
+            let cap = 1 + next(4) as u32;
+            let caps: Vec<u32> = (0..p).map(|_| next(4) as u32).collect();
+
+            let a = max_assignment_in(&g, cap, &mut ws);
+            assert_eq!(
+                (a.cardinality() as u64, a.task_to_proc.clone()),
+                reference(&g, &all, &every, |_| cap),
+                "case {case}: uniform capacity {cap}"
+            );
+            a.validate(&g, cap).unwrap();
+            let a = max_assignment_with_capacities_in(&g, &caps, &mut ws);
+            assert_eq!(
+                (a.cardinality() as u64, a.task_to_proc),
+                reference(&g, &all, &every, |u| caps[u as usize]),
+                "case {case}: capacities {caps:?}"
+            );
+            for capacity_of in [&(|_| cap) as &dyn Fn(u32) -> u32, &|u| caps[u as usize]] {
+                let value = max_assignment_view_in(
+                    &g,
+                    &view,
+                    |u| if some[u as usize] { capacity_of(u) } else { 0 },
+                    &mut ws,
+                );
+                assert_eq!(
+                    (value, ws.task_procs()[..n as usize].to_vec()),
+                    reference(&g, &view, &some, capacity_of),
+                    "case {case}: view {view:?} on {some:?}"
+                );
+            }
+        }
     }
 
     #[test]

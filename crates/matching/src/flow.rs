@@ -2,9 +2,10 @@
 //!
 //! The exact algorithm for `SINGLEPROC-UNIT` needs maximum matchings in the
 //! deadline-expanded graph `G_D`; rather than materializing `D` copies of
-//! every processor we solve the equivalent flow problem with processor
-//! capacities (see [`crate::capacitated`]). The solver is deliberately
-//! general: unit tests exercise it on classical flow networks as well.
+//! every processor one solves the equivalent flow problem with processor
+//! capacities. [`crate::capacitated`] runs that Dinic on the bipartite
+//! graph itself; this network is the general solver it is tested against,
+//! and unit tests exercise it on classical flow networks as well.
 //!
 //! The residual graph is stored in CSR form (matching
 //! `semimatch_graph::Bipartite`): arcs append to flat `head`/`cap` arrays
@@ -15,18 +16,11 @@
 //! [`crate::SearchWorkspace`] arena pattern — performs repeated max-flows
 //! with no per-call allocation once warm.
 //!
-//! Two extensions serve the fast-exact frontier:
-//!
-//! * **Capacity surgery** ([`set_capacity`](FlowNetwork::set_capacity),
-//!   [`raise_capacity`](FlowNetwork::raise_capacity),
-//!   [`lower_capacity`](FlowNetwork::lower_capacity)) edits an arc's total
-//!   capacity *in place*, repairing the residual state when flow must be
-//!   cancelled — the warm-started capacity probes of the FLN bisection keep
-//!   one resident network and only augment the delta between probes.
-//! * **A min-cost layer** ([`add_arc_with_cost`](FlowNetwork::add_arc_with_cost),
-//!   [`min_cost_max_flow`](FlowNetwork::min_cost_max_flow)) runs successive
-//!   shortest augmenting paths with Johnson potentials over the same arc
-//!   arrays — all-integer reduced costs, no floats.
+//! A min-cost layer ([`add_arc_with_cost`](FlowNetwork::add_arc_with_cost),
+//! [`min_cost_max_flow`](FlowNetwork::min_cost_max_flow)) runs successive
+//! shortest augmenting paths with Johnson potentials over the same arc
+//! arrays — all-integer reduced costs, no floats. It backs the `mcf`
+//! exact kind.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -54,10 +48,6 @@ pub struct FlowNetwork {
     arc_order: Vec<u32>,
     /// Whether `arc_start`/`arc_order` reflect the current arc set.
     csr_valid: bool,
-    /// `(source, sink)` of the last solve. Cancellation walks stop at these
-    /// outright: by conservation the source holds no incoming and the sink
-    /// no outgoing flow, so scanning their (often huge) arc lists is waste.
-    terminals: Option<(u32, u32)>,
     /// Augmenting paths pushed since construction (Dinic DFS augments and
     /// min-cost shortest-path augments alike). Monotone — never reset by
     /// [`clear`](Self::clear) — so callers meter a region by
@@ -99,7 +89,6 @@ impl FlowNetwork {
         self.cap.clear();
         self.cost.clear();
         self.csr_valid = false;
-        self.terminals = None;
     }
 
     /// Pre-sizes the arc arrays, the CSR index and the Dinic scratch for a
@@ -186,133 +175,6 @@ impl FlowNetwork {
         self.cost.get(id as usize).copied().unwrap_or(0)
     }
 
-    /// Rewrites the **total** capacity of arc `id` in place, repairing the
-    /// residual state so the network stays consistent for the next solve —
-    /// the warm-probe primitive. Raising capacity only widens the residual;
-    /// lowering below the routed flow cancels the excess in one batched
-    /// walk per endpoint, following incoming flow back to the source and
-    /// outgoing flow forward to the sink. Returns the number of flow units
-    /// cancelled.
-    ///
-    /// The repair walks terminate at the (unique) net-excess endpoints, so
-    /// they require the routed flow to be cycle-free — true for any flow
-    /// found by augmenting-path solvers on a DAG, such as the
-    /// source → task → processor → sink networks of
-    /// [`crate::capacitated`].
-    pub fn set_capacity(&mut self, id: u32, new_cap: u64) -> u64 {
-        debug_assert_eq!(id % 2, 0, "capacity surgery targets forward arcs");
-        let a = id as usize;
-        let routed = self.cap[a ^ 1];
-        if new_cap >= routed {
-            // No flow touched: just widen or narrow the slack.
-            self.cap[a] = new_cap - routed;
-            return 0;
-        }
-        if !self.csr_valid {
-            self.build_csr();
-        }
-        // Undo the excess on the arc itself, then repair conservation at
-        // both endpoints.
-        let excess = routed - new_cap;
-        if obs::enabled() {
-            obs::counter_add(&metric::FLOW_CANCELLATION_BATCHES, 1);
-            obs::observe(&metric::FLOW_CANCEL_BATCH_UNITS, excess);
-        }
-        self.cap[a ^ 1] -= excess;
-        self.cancel_units_upstream(self.head[a ^ 1], excess);
-        self.cancel_units_downstream(self.head[a], excess);
-        // Routed flow is now exactly `new_cap`: no residual slack remains.
-        self.cap[a] = 0;
-        excess
-    }
-
-    /// [`set_capacity`](Self::set_capacity) restricted to widening: keeps
-    /// the existing flow intact and only exposes more residual headroom.
-    pub fn raise_capacity(&mut self, id: u32, new_cap: u64) {
-        debug_assert!(new_cap >= self.capacity(id), "raise_capacity must not shrink");
-        let cancelled = self.set_capacity(id, new_cap);
-        debug_assert_eq!(cancelled, 0);
-    }
-
-    /// [`set_capacity`](Self::set_capacity) restricted to narrowing: repairs
-    /// the residual state and returns the flow units cancelled.
-    pub fn lower_capacity(&mut self, id: u32, new_cap: u64) -> u64 {
-        debug_assert!(new_cap <= self.capacity(id), "lower_capacity must not widen");
-        self.set_capacity(id, new_cap)
-    }
-
-    /// Copies the entire residual state (per-arc capacities, i.e. the
-    /// routed flow **and** every arc's slack) into `out`. Together with
-    /// [`restore_flow`](Self::restore_flow) this checkpoints a solve: a
-    /// warm probe session snapshots before a speculative capacity raise and
-    /// rolls back when it wants to keep its anchor instead — one `O(arcs)`
-    /// memcpy, against the many long-path re-augmentation phases that
-    /// cancelling a near-maximum flow would cost.
-    pub fn save_flow(&self, out: &mut Vec<u64>) {
-        out.clear();
-        out.extend_from_slice(&self.cap);
-    }
-
-    /// Restores residual state saved by [`save_flow`](Self::save_flow).
-    /// The arc set must be unchanged since the save (same arcs in the same
-    /// order); the CSR index and scratch are untouched.
-    pub fn restore_flow(&mut self, saved: &[u64]) {
-        assert_eq!(saved.len(), self.cap.len(), "snapshot is from a different arc set");
-        self.cap.copy_from_slice(saved);
-    }
-
-    /// Cancels `count` units of flow *entering* `v`, recursing upstream
-    /// along incoming flow until the walk reaches a vertex with none (the
-    /// source, by conservation). Odd arcs leaving `v` with residual
-    /// capacity are exactly the twins of flow-carrying arcs into `v`. The
-    /// whole batch shares one scan of each visited arc list, and the walk
-    /// stops at the recorded source outright — a hot proc→sink lowering in
-    /// a warm probe session would otherwise rescan the source's `n`-arc
-    /// list once per cancelled unit. Recursion depth is bounded by the
-    /// longest flow-carrying path (the flow is cycle-free, see
-    /// [`set_capacity`](Self::set_capacity)).
-    fn cancel_units_upstream(&mut self, v: u32, mut count: u64) {
-        if self.terminals.is_some_and(|(s, _)| s == v) {
-            return;
-        }
-        for k in self.arcs_of(v) {
-            if count == 0 {
-                return;
-            }
-            let t = self.arc_order[k] as usize;
-            if t % 2 == 1 && self.cap[t] > 0 {
-                let take = self.cap[t].min(count);
-                self.cap[t] -= take;
-                self.cap[t ^ 1] += take;
-                count -= take;
-                self.cancel_units_upstream(self.head[t], take);
-            }
-        }
-    }
-
-    /// Cancels `count` units of flow *leaving* `v`, recursing downstream
-    /// along outgoing flow until the walk reaches a vertex with none (the
-    /// sink). Mirror of
-    /// [`cancel_units_upstream`](Self::cancel_units_upstream).
-    fn cancel_units_downstream(&mut self, v: u32, mut count: u64) {
-        if self.terminals.is_some_and(|(_, t)| t == v) {
-            return;
-        }
-        for k in self.arcs_of(v) {
-            if count == 0 {
-                return;
-            }
-            let t = self.arc_order[k] as usize;
-            if t.is_multiple_of(2) && self.cap[t ^ 1] > 0 {
-                let take = self.cap[t ^ 1].min(count);
-                self.cap[t ^ 1] -= take;
-                self.cap[t] += take;
-                count -= take;
-                self.cancel_units_downstream(self.head[t], take);
-            }
-        }
-    }
-
     /// Rebuilds the CSR arc index by counting sort over arc tails.
     /// `O(V + E)`, allocation-free once the index arrays have grown.
     fn build_csr(&mut self) {
@@ -356,7 +218,6 @@ impl FlowNetwork {
     /// network of the same shape this performs no allocation.
     pub fn max_flow(&mut self, source: u32, sink: u32) -> u64 {
         assert_ne!(source, sink, "source and sink must differ");
-        self.terminals = Some((source, sink));
         if !self.csr_valid {
             self.build_csr();
         }
@@ -468,7 +329,6 @@ impl FlowNetwork {
     /// break on vertex id, so the routed flow is deterministic.
     pub fn min_cost_max_flow(&mut self, source: u32, sink: u32) -> (u64, i128) {
         assert_ne!(source, sink, "source and sink must differ");
-        self.terminals = Some((source, sink));
         if !self.csr_valid {
             self.build_csr();
         }
@@ -660,61 +520,6 @@ mod tests {
         net.add_arc(0, 2, 5);
         net.add_arc(2, 3, 4);
         assert_eq!(net.max_flow(0, 3), 4);
-    }
-
-    /// A tiny capacitated-assignment network: s=0, tasks 1..=3, procs 4..=5,
-    /// t=6, every task compatible with every proc. Returns the sink arcs.
-    fn probe_net(cap_a: u64, cap_b: u64) -> (FlowNetwork, u32, u32) {
-        let mut net = FlowNetwork::new(7);
-        for v in 1..=3 {
-            net.add_arc(0, v, 1);
-            net.add_arc(v, 4, 1);
-            net.add_arc(v, 5, 1);
-        }
-        let sa = net.add_arc(4, 6, cap_a);
-        let sb = net.add_arc(5, 6, cap_b);
-        (net, sa, sb)
-    }
-
-    #[test]
-    fn raise_capacity_warm_starts_the_next_solve() {
-        let (mut net, sa, sb) = probe_net(1, 1);
-        assert_eq!(net.max_flow(0, 6), 2);
-        let before = net.augmentations();
-        net.raise_capacity(sa, 2);
-        net.raise_capacity(sb, 2);
-        // Only the one missing unit is augmented; the old flow persists.
-        assert_eq!(net.max_flow(0, 6), 1);
-        assert_eq!(net.augmentations() - before, 1);
-        assert_eq!(net.flow(sa) + net.flow(sb), 3);
-    }
-
-    #[test]
-    fn lower_capacity_cancels_excess_flow() {
-        let (mut net, sa, sb) = probe_net(3, 3);
-        assert_eq!(net.max_flow(0, 6), 3);
-        let excess = net.flow(sa).saturating_sub(1);
-        assert_eq!(net.lower_capacity(sa, 1), excess);
-        assert_eq!(net.flow(sa), 1);
-        // The repaired network is consistent: re-solving routes the
-        // cancelled units through the other processor.
-        assert_eq!(net.max_flow(0, 6), excess);
-        assert_eq!(net.flow(sa), 1);
-        assert_eq!(net.flow(sb), 2);
-        // Source arcs all saturated again.
-        assert_eq!((0..3).map(|k| net.flow(6 * k)).sum::<u64>(), 3);
-    }
-
-    #[test]
-    fn set_capacity_round_trips() {
-        let (mut net, sa, _sb) = probe_net(2, 0);
-        assert_eq!(net.max_flow(0, 6), 2);
-        assert_eq!(net.set_capacity(sa, 0), 2, "all routed flow cancelled");
-        assert_eq!(net.flow(sa), 0);
-        assert_eq!(net.capacity(sa), 0);
-        net.set_capacity(sa, 2);
-        assert_eq!(net.capacity(sa), 2);
-        assert_eq!(net.max_flow(0, 6), 2, "repair leaves the network solvable");
     }
 
     #[test]

@@ -27,6 +27,9 @@
 //! }
 //! ```
 
+use semimatch_graph::Bipartite;
+
+use crate::capacitated::Assignment;
 use crate::flow::FlowNetwork;
 
 /// Reusable scratch arrays for the augmenting-path engines.
@@ -45,9 +48,11 @@ pub struct SearchWorkspace {
     stamp: u32,
     /// BFS level / alternating distance, indexed by left vertex.
     pub(crate) dist: Vec<u32>,
-    /// Predecessor pointer, indexed by right vertex.
+    /// Predecessor pointer, indexed by right vertex. The capacitated
+    /// Dinic keeps each processor's current-arc cursor here.
     pub(crate) pred: Vec<u32>,
-    /// Per-left-vertex neighbor cursor (Hopcroft–Karp phase DFS). The
+    /// Per-left-vertex neighbor cursor (Hopcroft–Karp phase DFS, the
+    /// capacitated Dinic's current arc per task). The
     /// semi-matching descent on a graph with `p² ≤ m` keeps each
     /// processor's BFS scan count here: the second scan fills the
     /// processor's row of pair counts in [`Self::aux`].
@@ -66,16 +71,21 @@ pub struct SearchWorkspace {
     pub(crate) aux: Vec<u32>,
     /// Explicit DFS stack of `(left vertex, neighbor cursor)`.
     pub(crate) stack: Vec<(u32, u32)>,
-    /// Residual-network arena for the capacitated / flow formulations.
-    /// The network owns its own Dinic scratch, so rebuilding it here is
+    /// Residual-network arena for the min-cost flow formulations. The
+    /// network owns its own scratch, so rebuilding it here is
     /// allocation-free once warm.
     pub(crate) flow: FlowNetwork,
-    /// Arc ids of the task→processor arcs of the capacitated network.
+    /// Arc ids of the task→processor arcs of the min-cost network.
     pub(crate) edge_arcs: Vec<u32>,
-    /// Arc ids of the processor→sink arcs of the capacitated network, in
-    /// active-processor order — the handles the warm capacity probes
-    /// retarget between solves.
-    pub(crate) proc_arcs: Vec<u32>,
+    /// Processor of each task in the capacitated Dinic's flow, or
+    /// [`crate::NONE`]; indexed by left vertex. Read it with
+    /// [`Self::task_procs`].
+    pub(crate) proc_of: Vec<u32>,
+    /// Tasks on each processor in the capacitated Dinic's flow, indexed
+    /// by right vertex.
+    pub(crate) load: Vec<u32>,
+    /// Augmenting paths the capacitated Dinic has pushed (monotone).
+    pub(crate) augmentations: u64,
     /// Edge-list buffer for graph constructions (`G_D` replication).
     pub(crate) edges: Vec<(u32, u32)>,
     /// Per-right-vertex BFS level (semi-matching phase descent).
@@ -122,6 +132,8 @@ impl SearchWorkspace {
         grow(&mut self.list_head, n2);
         grow(&mut self.list_next, n1);
         grow(&mut self.list_prev, n1);
+        grow(&mut self.proc_of, n1);
+        grow(&mut self.load, n2);
     }
 
     /// Grows [`Self::aux`] to the semi-matching descent's `p × p` pair
@@ -133,10 +145,11 @@ impl SearchWorkspace {
 
     /// Pre-sizes the residual-network arena (vertices, directed arcs
     /// including residual twins) and the buffer recording the
-    /// `n_edge_arcs` task→processor arc ids, so the first capacitated
-    /// solve performs no growth reallocation. The capacitated formulation
-    /// of a `n1 × n2` graph with `m` edges uses `n1 + n2 + 2` vertices,
-    /// `2·(n1 + m + n2)` arcs and records `m` edge arcs.
+    /// `n_edge_arcs` task→processor arc ids, so the first min-cost solve
+    /// performs no growth reallocation. The balanced formulation of a
+    /// `n1 × n2` unit graph with `m` edges uses `n1 + n2 + 2` vertices,
+    /// `2·(n1 + 2m)` arcs (a source arc per task, an arc per edge and a
+    /// sink arc per edge) and records `m` edge arcs.
     pub fn reserve_flow(&mut self, n_vertices: usize, n_arcs: usize, n_edge_arcs: usize) {
         self.flow.reserve(n_vertices, n_arcs);
         self.edge_arcs.reserve(n_edge_arcs.saturating_sub(self.edge_arcs.len()));
@@ -166,24 +179,27 @@ impl SearchWorkspace {
         (&mut self.flow, &mut self.edge_arcs)
     }
 
-    /// [`Self::flow_arena`] for the warm capacity probes: additionally
-    /// clears and returns the processor→sink arc-id buffer.
-    pub(crate) fn probe_arena(
-        &mut self,
-        n: usize,
-    ) -> (&mut FlowNetwork, &mut Vec<u32>, &mut Vec<u32>) {
-        self.flow.clear(n);
-        self.edge_arcs.clear();
-        self.proc_arcs.clear();
-        (&mut self.flow, &mut self.edge_arcs, &mut self.proc_arcs)
+    /// Processor of each task after the last capacitated assignment
+    /// ([`crate::NONE`] when unassigned or outside the view), indexed by
+    /// task id. Entries past that graph's task count are stale.
+    pub fn task_procs(&self) -> &[u32] {
+        &self.proc_of
     }
 
-    /// Augmenting paths pushed by this workspace's resident flow network
-    /// since construction (monotone; meter a region by
-    /// snapshot-and-subtract). The probe/augmentation counter behind the
-    /// fast-exact bench reports.
+    /// The last capacitated assignment on `g` as an [`Assignment`].
+    pub(crate) fn assignment(&self, g: &Bipartite) -> Assignment {
+        Assignment {
+            task_to_proc: self.proc_of[..g.n_left() as usize].to_vec(),
+            loads: self.load[..g.n_right() as usize].to_vec(),
+        }
+    }
+
+    /// Augmenting paths pushed through this workspace since construction,
+    /// by the capacitated Dinic and the min-cost network alike (monotone;
+    /// meter a region by snapshot-and-subtract). The probe/augmentation
+    /// counter behind the fast-exact bench reports.
     pub fn flow_augmentations(&self) -> u64 {
-        self.flow.augmentations()
+        self.augmentations + self.flow.augmentations()
     }
 }
 

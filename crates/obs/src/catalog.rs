@@ -85,20 +85,14 @@ catalog! {
         "exact cost-scaling solves completed";
     COST_SCALING_PROBES: Decl<counter> = "cost_scaling.probes",
         "capacity probes issued across all solves";
-    COST_SCALING_WARM_SESSIONS: Decl<counter> = "cost_scaling.warm_sessions",
-        "probe sessions that reused a resident network";
-    COST_SCALING_COLD_SESSIONS: Decl<counter> = "cost_scaling.cold_sessions",
-        "probe sessions that built the network from scratch";
-    COST_SCALING_ROLLBACKS: Decl<counter> = "cost_scaling.rollbacks",
-        "warm-start rollbacks after a failed probe";
     COST_SCALING_PARTITIONS: Decl<counter> = "cost_scaling.partitions",
         "FLN instance partitions solved independently";
     COST_SCALING_DEFICIENCY_SKIPS: Decl<counter> = "cost_scaling.deficiency_skips",
         "probes skipped via the deficiency bound";
     COST_SCALING_COLD_ABLATION_SOLVES: Decl<counter> = "cost_scaling.cold_ablation.solves",
-        "solves taken by the cold-probe ablation path";
+        "solves taken by the plain-bisection ablation (no partitioning)";
     COST_SCALING_COLD_ABLATION_PROBES: Decl<counter> = "cost_scaling.cold_ablation.probes",
-        "probes issued by the cold-probe ablation path";
+        "probes issued by the plain-bisection ablation";
     HK_SEMI_SOLVES: Decl<counter> = "hk_semi.solves",
         "Hopcroft–Karp-style semi-matching solves";
     HK_SEMI_PHASES: Decl<counter> = "hk_semi.phases",
@@ -113,10 +107,6 @@ catalog! {
         "Dinic level-graph phases";
     FLOW_CSR_REBUILDS: Decl<counter> = "flow.csr_rebuilds",
         "CSR residual-graph rebuilds";
-    FLOW_CANCELLATION_BATCHES: Decl<counter> = "flow.cancellation_batches",
-        "negative-cycle cancellation batches";
-    FLOW_CANCEL_BATCH_UNITS: Decl<histogram> = "flow.cancel_batch_units",
-        "flow units moved per cancellation batch";
     MCF_DIJKSTRA_ROUNDS: Decl<counter> = "mcf.dijkstra_rounds",
         "successive-shortest-path Dijkstra rounds";
     MCF_POTENTIALS_RESETS: Decl<counter> = "mcf.potentials_resets",
