@@ -197,8 +197,10 @@ pub struct Engine {
     /// Objective score right after the last repair/resolve (lazy
     /// threshold, in the configured objective's units).
     baseline: Score,
-    /// Resident warm-workspace solver for from-scratch resolves.
-    resolver: KindSolver,
+    /// Resident warm-workspace solver for from-scratch resolves, boxed:
+    /// its workspace is large and rarely touched, so the engine's hot
+    /// fields keep their offsets whatever the workspace holds.
+    resolver: Box<KindSolver>,
     /// Task→processor seed handed to the resolver before each bipartite
     /// resolve (the live assignment, compacted ids); persists so seeding
     /// allocates nothing once warm.
@@ -225,7 +227,7 @@ impl Engine {
             max_weight_sum: 0,
             events_since_resolve: 0,
             baseline: Score(0),
-            resolver: cfg.resolve_kind.solver(),
+            resolver: Box::new(cfg.resolve_kind.solver()),
             seed_buf: Vec::new(),
             scratch: RepairScratch::default(),
         })
