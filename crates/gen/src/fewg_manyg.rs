@@ -33,9 +33,12 @@ pub fn fewg_manyg(n: u32, p: u32, g: u32, d: u32, rng: &mut Xoshiro256) -> Bipar
     let window = g.min(3) * pg;
     let base = n / g;
     let extra = n % g;
-    let mut builder = BipartiteBuilder::with_capacity(n, p, n as usize * d as usize);
+    // A task gets at most `window` distinct neighbours, whatever `d` is.
+    let edges = (n as usize).saturating_mul(d.min(window) as usize);
+    let mut builder = BipartiteBuilder::with_capacity(n, p, edges);
     let mut pool: Vec<u64> = Vec::with_capacity(window as usize);
     let mut dedup: Vec<u32> = Vec::with_capacity(window as usize);
+    let mut drawn: Vec<bool> = Vec::with_capacity(window as usize);
 
     let mut v = 0u32;
     for j in 0..g {
@@ -51,13 +54,17 @@ pub fn fewg_manyg(n: u32, p: u32, g: u32, d: u32, rng: &mut Xoshiro256) -> Bipar
                     dedup.push(offset_to_proc(window_start, t as u32, p));
                 }
             } else {
-                // With replacement: duplicates collapse.
+                // With replacement: duplicates collapse, so only whether
+                // each window position was drawn is kept.
+                drawn.clear();
+                drawn.resize(window as usize, false);
                 for _ in 0..di {
-                    let t = rng.below(window as u64) as u32;
+                    drawn[rng.below(window as u64) as usize] = true;
+                }
+                for t in (0..window).filter(|&t| drawn[t as usize]) {
                     dedup.push(offset_to_proc(window_start, t, p));
                 }
                 dedup.sort_unstable();
-                dedup.dedup();
             }
             for &u in &dedup {
                 builder.edge(v, u);

@@ -401,6 +401,17 @@ fn generate(flags: &HashMap<&str, &str>) -> Result<(), String> {
             u32::MAX
         ));
     }
+    // FewgManyg wires each configuration by drawing up to 2·dh
+    // processors, with replacement once that exceeds its window.
+    let draws = u128::from(cfg.n) * 2 * u128::from(cfg.dv) * 2 * u128::from(cfg.dh);
+    if matches!(cfg.family, Family::Fg | Family::Mg) && draws > u128::from(u32::MAX) {
+        return Err(format!(
+            "--dh {} lets {} tasks draw up to n·2·dv·2·dh = {draws} processors, more than {}",
+            cfg.dh,
+            cfg.n,
+            u32::MAX
+        ));
+    }
     if !cfg.p.is_multiple_of(cfg.family.groups()) {
         return Err(format!(
             "--p must be divisible by the family's group count ({})",
@@ -436,9 +447,18 @@ fn generate_bipartite(flags: &HashMap<&str, &str>) -> Result<(), String> {
     if g == 0 || !p.is_multiple_of(g) {
         return Err("--p must be divisible by --g".into());
     }
+    let generator = req(flags, "gen")?;
+    // FewgManyg draws up to 2·d processors per task.
+    if generator == "fewgmanyg" && u64::from(n) * 2 * u64::from(d) > u64::from(u32::MAX) {
+        return Err(format!(
+            "--d {d} lets {n} tasks draw up to n·2·d = {} processors, more than {}",
+            u64::from(n) * 2 * u64::from(d),
+            u32::MAX
+        ));
+    }
     let seed = num(flags.get("seed").copied().unwrap_or("42"), "--seed")?;
     let mut rng = Xoshiro256::seed_from_u64(seed);
-    let graph = match req(flags, "gen")? {
+    let graph = match generator {
         "hilo" => hilo_permuted(n, p, g, d, &mut rng),
         "fewgmanyg" => fewg_manyg(n, p, g, d, &mut rng),
         other => return Err(format!("unknown generator '{other}'")),

@@ -321,6 +321,40 @@ fn huge_dv_exits_2_before_drawing() {
     }
 }
 
+/// FewgManyg draws up to 2·d processors per task (2·dh per configuration
+/// for the hypergraph families), so a total past `u32::MAX` exits 2 naming
+/// the flag before anything is drawn or reserved.
+#[test]
+fn huge_fewgmanyg_degree_exits_2_before_drawing() {
+    for (cmd, flag) in [
+        ("generate-bipartite --gen fewgmanyg --n 10 --p 8 --g 2 --d 4294967295", "--d"),
+        ("generate-bipartite --gen fewgmanyg --n 2 --p 8 --g 2 --d 1073741824", "--d"),
+        ("generate --family FG --n 64 --p 32 --dv 2 --dh 4294967295", "--dh"),
+        ("generate --family MG --n 64 --p 128 --dv 1 --dh 16777216", "--dh"),
+    ] {
+        let out = semimatch(&cmd.split_whitespace().collect::<Vec<_>>());
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cmd}: {err}");
+        assert!(err.contains(flag), "{cmd}: {err}");
+    }
+    // Below the limit a degree far past the window of 3·p/g processors
+    // builds at once.
+    let out = semimatch(&[
+        "generate-bipartite",
+        "--gen",
+        "fewgmanyg",
+        "--n",
+        "2",
+        "--p",
+        "8",
+        "--g",
+        "2",
+        "--d",
+        "1000000",
+    ]);
+    assert!(out.status.success(), "{out:?}");
+}
+
 /// HiLo gives a task at most min(d + 1, p/g) processors in each of two
 /// groups, so a huge `--d` must neither size the edge reservation nor
 /// change the instance: with p/g = 4, `--d u32::MAX` writes `--d 3`'s file.
