@@ -15,6 +15,9 @@
 #   * tall HiLo and FewgManyg files (n = 4096, p = 32, g = 16, d = 6),
 #     where processors squared do not exceed edges (p² ≤ m), the shape on
 #     which hk-semi keeps processor-pair task counts;
+#   * HiLo files at n = 1024, p = 16, g = 4, d = 2 (seeds 1 and 5), on
+#     which cost-scaling partitions the instance and probes the surviving
+#     sub-view;
 #   * inline .bg/.hg text: fig. 2, an uncovered task, a processor load
 #     ending at exactly u64::MAX, and an empty instance.
 # Runs, per file: `solve FILE --algo K --objective O` for every kind of
@@ -54,6 +57,11 @@ for gen in hilo fewgmanyg; do
     "$old" generate-bipartite --gen "$gen" --n 4096 --p 32 --g 16 --d 6 --seed 13 \
         --out "$gen-tall.bg" 2>/dev/null ||
         { echo "generate-bipartite $gen tall failed" >&2; exit 2; }
+done
+for seed in 1 5; do
+    "$old" generate-bipartite --gen hilo --n 1024 --p 16 --g 4 --d 2 --seed "$seed" \
+        --out "hilo-probe-$seed.bg" 2>/dev/null ||
+        { echo "generate-bipartite hilo probe $seed failed" >&2; exit 2; }
 done
 # Fig. 2 of the paper.
 printf '4 3 6\n0 1 1 0\n0 1 2 1 2\n1 1 2 0 1\n1 1 1 1\n2 1 1 2\n3 1 1 2\n' >fig2.hg
