@@ -108,17 +108,16 @@ fn bench_repeat_solve(c: &mut Criterion) {
             })
         });
     }
-    // The warm-started capacity probes against the cold ablation: same
-    // divide-and-conquer, but "cold-probes" rebuilds the capacitated
-    // network from scratch per probe where "warm-probes" retargets the
-    // resident network's processor arcs and repairs the flow. Probe and
+    // The partitioned load-range search against plain bisection: the same
+    // bracket and probe engine, but "bisection" never partitions the
+    // instance and bounds the deficiency over all processors. Probe and
     // augmentation counters for the same contrast live in
     // results/BENCH_fast_exact.json (the fast_exact bin).
-    group.bench_with_input(BenchmarkId::new("warm-probes", "cost-scaling"), &tall, |b, gs| {
+    group.bench_with_input(BenchmarkId::new("partitioned", "cost-scaling"), &tall, |b, gs| {
         let mut ws = SearchWorkspace::new();
         b.iter(|| gs.iter().map(|g| cost_scaling_in(g, &mut ws).unwrap().makespan).sum::<u64>())
     });
-    group.bench_with_input(BenchmarkId::new("cold-probes", "cost-scaling"), &tall, |b, gs| {
+    group.bench_with_input(BenchmarkId::new("bisection", "cost-scaling"), &tall, |b, gs| {
         let mut ws = SearchWorkspace::new();
         b.iter(|| {
             gs.iter().map(|g| cost_scaling_cold_in(g, &mut ws).unwrap().makespan).sum::<u64>()
@@ -139,8 +138,8 @@ fn bench_repeat_solve(c: &mut Criterion) {
             assert_eq!(solve(p, kind).unwrap().makespan(&p).unwrap(), opt, "{kind} missed opt");
         }
         let mut ws = SearchWorkspace::new();
-        assert_eq!(cost_scaling_in(g, &mut ws).unwrap().makespan, opt, "warm probes missed opt");
-        assert_eq!(cost_scaling_cold_in(g, &mut ws).unwrap().makespan, opt, "cold missed opt");
+        assert_eq!(cost_scaling_in(g, &mut ws).unwrap().makespan, opt, "partitioned missed opt");
+        assert_eq!(cost_scaling_cold_in(g, &mut ws).unwrap().makespan, opt, "bisection missed opt");
     }
 }
 

@@ -1,33 +1,32 @@
-//! Fast-exact frontier: warm-started capacity probes vs the cold
-//! rebuild-per-probe ablation, plus the one-shot min-cost-flow backend.
+//! Fast-exact frontier: the partitioned load-range search against plain
+//! bisection, plus the one-shot min-cost-flow backend.
 //!
 //! The workload is the tall (n ≫ p) unit sweep of the `fast-exact-tall`
 //! bench group — loose counting bounds, so the load-range search really
 //! probes. Three backends over the same instances:
 //!
-//! * `cost-scaling-cold` — the pre-warm-start bisection: every capacity
-//!   probe rebuilds the capacitated network and recomputes the flow from
-//!   zero (`cost_scaling_cold_in`).
-//! * `cost-scaling-warm` — the shipped solver: one resident network per
-//!   probe session, processor arcs retargeted in place and the flow
-//!   repaired incrementally, plus instance partitioning
-//!   (`cost_scaling_in`).
+//! * `bisection` — plain bisection of the `[⌈n/p⌉, greedy]` bracket with
+//!   the deficiency bound over all `p` processors; every probe solves the
+//!   whole graph (`cost_scaling_cold_in`).
+//! * `partitioned` — the shipped solver: every infeasible probe partitions
+//!   the instance, the search continues on the saturated high side and
+//!   the deficiency bound sharpens to its processors (`cost_scaling_in`).
 //! * `mcf` — one min-cost max-flow with convex unit-arc bundles; no
 //!   probe loop at all (`mcf_in`).
 //!
-//! Everything runs under a **1-worker local pool**, so no backend can
-//! run in parallel: the cold/warm contrast isolates the effect of
-//! warm-starting alone. Per backend the run records best-of-3
-//! wall-clock seconds, the probe count (`oracle_calls`: capacity probes
-//! for the search kinds, shortest-path augmentations for `mcf`) and the
-//! flow-augmentation count metered off the resident workspace. The run
-//! asserts all three land on identical makespans, then writes
+//! Both searches probe with the same engine (Dinic on the bipartite graph
+//! itself), so their contrast is partitioning and the sharpened bound.
+//! Everything runs under a **1-worker local pool**. Per backend the run
+//! records best-of-3 wall-clock seconds, the probe count (`oracle_calls`:
+//! capacity probes for the search kinds, shortest-path augmentations for
+//! `mcf`) and the flow-augmentation count metered off the workspace. The
+//! run asserts all three land on identical makespans, then writes
 //! `results/BENCH_fast_exact.md` and `results/BENCH_fast_exact.json`
 //! (with `host_cores`, `threads` and the git revision, so numbers are
 //! read in context, plus a `metrics` object holding the run's whole
-//! telemetry registry — probe counts, session temperatures, span
-//! histograms, pool stats). An existing JSON recorded on a host with a
-//! different core count is only overwritten under `--force`.
+//! telemetry registry — probe and partition counts, span histograms,
+//! pool stats). An existing JSON recorded on a host with a different
+//! core count is only overwritten under `--force`.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -122,16 +121,15 @@ fn main() {
     let (n, p) = ((8192 / scale).max(64), 32);
     let count = opts.instances.max(2);
     let tall = tall_sweep(count, n, p);
-    // One worker: nothing runs in parallel, so the cold/warm contrast
-    // measures warm-starting alone.
+    // One worker: nothing runs in parallel.
     let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().expect("local pool");
 
     let rows = [
-        run_backend("cost-scaling-cold", &tall, &pool, |g, ws| {
+        run_backend("bisection", &tall, &pool, |g, ws| {
             let r = cost_scaling_cold_in(g, ws).expect("generated instances are unit + covered");
             (r.makespan, r.oracle_calls)
         }),
-        run_backend("cost-scaling-warm", &tall, &pool, |g, ws| {
+        run_backend("partitioned", &tall, &pool, |g, ws| {
             let r = cost_scaling_in(g, ws).expect("generated instances are unit + covered");
             (r.makespan, r.oracle_calls)
         }),
@@ -146,9 +144,9 @@ fn main() {
     record_pool_stats(&pool.stats());
     semimatch_obs::uninstall();
     let metrics = collecting.registry().render_json();
-    let cold = &rows[0];
-    let warm = &rows[1];
-    let warm_speedup = cold.seconds / warm.seconds.max(f64::EPSILON);
+    let bisection = &rows[0];
+    let partitioned = &rows[1];
+    let speedup = bisection.seconds / partitioned.seconds.max(f64::EPSILON);
 
     let table: Vec<Vec<String>> = rows
         .iter()
@@ -158,28 +156,28 @@ fn main() {
                 format!("{:.4}", r.seconds),
                 r.probes.to_string(),
                 r.augmentations.to_string(),
-                format!("{:.2}×", cold.seconds / r.seconds.max(f64::EPSILON)),
+                format!("{:.2}×", bisection.seconds / r.seconds.max(f64::EPSILON)),
             ]
         })
         .collect();
     let report = format!(
-        "# Fast exact: warm-started probes and the min-cost-flow backend\n\n\
+        "# Fast exact: the partitioned load-range search and the min-cost-flow backend\n\n\
          Tall unit sweep (the `fast-exact-tall` instances): {count} instances, \
          n = {n}, p = {p}, seed = {}, best of {REPEATS} runs under a 1-worker \
-         pool (nothing runs in parallel — the contrast isolates \
-         warm-starting), host cores = {host_cores}.\n\n\
+         pool (nothing runs in parallel), host cores = {host_cores}.\n\n\
          \"probes\" counts capacity probes for the load-range kinds and \
-         shortest-path augmentations for `mcf`; \"augmentations\" meters the \
-         resident flow network. All backends returned identical makespans \
-         (Σ = {}).\n\n{}\n\
-         Warm-started probing is {warm_speedup:.2}× over the cold \
-         rebuild-per-probe ablation on the same search.\n\n\
+         shortest-path augmentations for `mcf`; \"augmentations\" counts the \
+         augmenting paths of every flow solve. All backends returned identical \
+         makespans (Σ = {}).\n\n{}\n\
+         Partitioning and the sharpened deficiency bound make the search \
+         {speedup:.2}× faster than plain bisection; both probe with the same \
+         engine.\n\n\
          Score-identity of every exact kind — including `mcf` on weighted \
          total-load instances — is enforced by `tests/exact_agreement.rs`.\n",
         opts.seed,
-        cold.checksum,
+        bisection.checksum,
         markdown_table(
-            &["backend", "seconds", "probes", "augmentations", "speedup vs cold"],
+            &["backend", "seconds", "probes", "augmentations", "speedup vs bisection"],
             &table
         ),
     );
@@ -189,7 +187,7 @@ fn main() {
     json.push_str(&format!(
         "  \"meta\": {{\"scale\": {scale}, \"instances\": {count}, \"n\": {n}, \"p\": {p}, \
          \"seed\": {}, {}, \"repeats\": {REPEATS}, \
-         \"pool_threads\": 1, \"warm_speedup_vs_cold\": {warm_speedup:.4}}},\n  \"rows\": [\n",
+         \"pool_threads\": 1, \"partitioned_speedup_vs_bisection\": {speedup:.4}}},\n  \"rows\": [\n",
         opts.seed,
         stamp.json_fields()
     ));
@@ -207,7 +205,7 @@ fn main() {
     }
     json.push_str("  ],\n");
     // Whole-run telemetry (all backends × repeats): solver counters,
-    // probe-session temperatures, span histograms and pool stats.
+    // span histograms and pool stats.
     json.push_str(&format!("  \"metrics\": {}\n", indent_json(&metrics, "  ")));
     json.push_str("}\n");
     emit_report("BENCH_fast_exact.json", &json);

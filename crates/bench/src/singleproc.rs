@@ -96,7 +96,7 @@ pub struct SingleProcRow {
 
 /// Runs exact + heuristics over the instances of `cfg`, dispatching through
 /// the [`Solver`] trait. Each rayon worker holds one exact solver (whose
-/// flow arena stays warm across its instances — the dominant win) plus one
+/// workspace stays warm across its instances — the dominant win) plus one
 /// solver per heuristic.
 pub fn singleproc_row(cfg: &BiConfig, opts: &Options) -> SingleProcRow {
     let cfg = scale_bi(*cfg, opts.scale);

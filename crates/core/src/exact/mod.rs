@@ -12,8 +12,8 @@
 //!   load-reducing paths at once (`O(√n · m)`-flavored).
 //! * [`mod@cost_scaling`] — Fakcharoenphol–Laekhanukit–Nanongkai-style
 //!   divide-and-conquer on the load range, pinning the optimal profile
-//!   with capacitated feasibility probes through the resident Dinic
-//!   scratch.
+//!   with capacitated feasibility probes, each a Dinic run on the
+//!   bipartite graph itself.
 //! * [`mod@mcf`] — a single min-cost max-flow over convex unit-arc
 //!   bundles: balanced (hence simultaneously optimal) assignments on unit
 //!   instances, and the first fast exact kind for weighted total load.

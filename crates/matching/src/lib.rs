@@ -10,7 +10,9 @@
 //! * [`push_relabel::push_relabel`] — the paper's matching engine, FIFO with
 //!   global relabeling
 //! * [`capacitated::max_assignment`] — matchings in the deadline graph `G_D`
-//!   via a generic Dinic max-flow ([`flow::FlowNetwork`])
+//!   via Dinic's max-flow run on the bipartite graph itself; the generic
+//!   [`flow::FlowNetwork`] is its test reference and `mcf`'s min-cost
+//!   network
 //! * [`cover::certify_maximum`] — König vertex-cover certificates used by
 //!   the test suite to *prove* matchings maximum
 //!
