@@ -138,11 +138,6 @@ impl FlowNetwork {
         self.cap[id as usize]
     }
 
-    /// Total capacity of arc `id` (residual plus routed flow).
-    pub fn capacity(&self, id: u32) -> u64 {
-        self.cap[id as usize] + self.cap[id as usize ^ 1]
-    }
-
     /// Augmenting paths pushed since construction, across
     /// [`max_flow`](Self::max_flow) and
     /// [`min_cost_max_flow`](Self::min_cost_max_flow) calls alike. Monotone
