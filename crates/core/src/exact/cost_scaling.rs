@@ -139,11 +139,9 @@ pub fn cost_scaling_seeded_in(
             // extra capacity the whole surviving pool needs before the
             // probe can close.
             let uncovered = active_n - card;
-            let bound = (uncovered.div_ceil(active_procs.len() as u64) as u32).max(1);
-            if bound > 1 {
+            if uncovered.div_ceil(active_procs.len() as u64) > 1 {
                 deficiency_skips += 1;
             }
-            lo = cap + bound;
             let shrunk = partition_active(
                 g,
                 out,
@@ -159,7 +157,9 @@ pub fn cost_scaling_seeded_in(
                 shrunk,
                 "an infeasible probe at ⌈n_A/p_A⌉ leaves a processor unsaturated"
             );
-            lo = lo.max(cap + (uncovered.div_ceil(active_procs.len() as u64) as u32).max(1));
+            // Sharpened over the saturated survivors, it is the new
+            // view's counting bound.
+            lo = cap + (uncovered.div_ceil(active_procs.len() as u64) as u32).max(1);
             partitions += 1;
         }
     }
