@@ -5,12 +5,18 @@
 //! selection rule, a tie-break or an error path shows up as a digest
 //! mismatch. A refactor of the solvers must leave the digest unchanged.
 //!
-//! A second digest pins the `hk-semi` engine's assignment, phase count
+//! `mcf` has two digests of its own: its assignments and errors, and its
+//! score under every reported objective (or its error). On unit
+//! instances it returns one of many flow-time-optimal assignments, all
+//! with the same scores, so a change of backend may move the first
+//! digest and must leave the second unchanged.
+//!
+//! Another digest pins the `hk-semi` engine's assignment, phase count
 //! and flip count on tall instances whose processors squared do not
 //! exceed their edges (`p² ≤ m`), a shape none of the registry instances
 //! has.
 //!
-//! A third pins the capacity-probe searches (`cost-scaling` and the
+//! A last one pins the capacity-probe searches (`cost-scaling` and the
 //! bisection deadline search) on tall instances where `cost-scaling`
 //! partitions the instance and probes the surviving sub-view, which the
 //! registry instances are too small to do.
@@ -31,9 +37,16 @@ use semimatch::graph::{Bipartite, Hypergraph};
 use semimatch::matching::{optimal_semi_assignment_in, SearchWorkspace};
 use semimatch::solver::{Objective, Problem, Solution, SolverKind};
 
-/// The digest of every output below, recorded before the solver
-/// registry's selection loops were merged.
-const PINNED: u64 = 0x8656_2602_4832_8c1c;
+/// The digest of every output below except `mcf`'s.
+const PINNED: u64 = 0x3265_3cd1_1f95_9bbf;
+
+/// The digest of `mcf`'s assignments and errors on the same instances
+/// and objectives.
+const PINNED_MCF: u64 = 0x2e66_0411_5dde_811c;
+
+/// The digest of `mcf`'s score under every reported objective, or its
+/// error, on the same instances and objectives.
+const PINNED_MCF_SCORES: u64 = 0xe573_1aa9_db51_da0f;
 
 /// The digest of the `hk-semi` engine's outputs on the tall instances of
 /// [`tall_hk_semi_outputs_match_the_pinned_digest`].
@@ -50,6 +63,10 @@ const BRUTE_FORCE_MAX_TASKS: u32 = 12;
 struct Fnv(u64);
 
 impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
     fn bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
@@ -159,12 +176,13 @@ fn fold_refine(fnv: &mut Fnv, h: &Hypergraph, objective: Objective) {
 
 #[test]
 fn every_kind_output_matches_the_pinned_digest() {
-    let mut fnv = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut fnv = Fnv::new();
     for (name, instance) in instances() {
         fnv.bytes(name.as_bytes());
         let problem = instance.problem();
         for kind in SolverKind::ALL {
             if !kind.class().accepts(&problem)
+                || kind == SolverKind::MinCostFlow
                 || (kind == SolverKind::BruteForce && instance.n_tasks() > BRUTE_FORCE_MAX_TASKS)
             {
                 continue;
@@ -185,6 +203,43 @@ fn every_kind_output_matches_the_pinned_digest() {
     assert_eq!(fnv.0, PINNED, "digest {:#018x} differs from the pinned outputs", fnv.0);
 }
 
+/// `mcf` on the instances of [`every_kind_output_matches_the_pinned_digest`]
+/// under every reported objective: the scores first, then the
+/// assignments.
+#[test]
+fn mcf_outputs_match_the_pinned_digests() {
+    let (mut outputs, mut scores) = (Fnv::new(), Fnv::new());
+    for (name, instance) in instances() {
+        let problem = instance.problem();
+        if !SolverKind::MinCostFlow.class().accepts(&problem) {
+            continue;
+        }
+        outputs.bytes(name.as_bytes());
+        scores.bytes(name.as_bytes());
+        for objective in Objective::REPORTED {
+            let result = SolverKind::MinCostFlow.solve_with(problem, objective);
+            outputs.bytes(objective.name().as_bytes());
+            fold_result(&mut outputs, &result);
+            scores.bytes(objective.name().as_bytes());
+            match &result {
+                Ok(solution) => {
+                    for scored in Objective::REPORTED {
+                        let score = solution.score(&problem, scored).unwrap();
+                        scores.bytes(&score.0.to_le_bytes());
+                    }
+                }
+                Err(e) => scores.bytes(format!("E{e:?}").as_bytes()),
+            }
+        }
+    }
+    assert_eq!(
+        scores.0, PINNED_MCF_SCORES,
+        "score digest {:#018x} differs from the pinned scores",
+        scores.0
+    );
+    assert_eq!(outputs.0, PINNED_MCF, "digest {:#018x} differs from the pinned outputs", outputs.0);
+}
+
 /// HiLo and FewgManyg at n = 4096, p = 32, g = 16, d = 6 and the
 /// `exact_agreement` tall shape (n = 4096, p = 24), three seeds each,
 /// solved through one shared workspace.
@@ -197,7 +252,7 @@ fn tall_hk_semi_outputs_match_the_pinned_digest() {
         graphs.push(tall_bipartite(4096, 24, 0x5eed_7a11 + seed - 1));
     }
     let mut ws = SearchWorkspace::new();
-    let mut fnv = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut fnv = Fnv::new();
     for g in &graphs {
         let p = g.n_right() as usize;
         assert!(p * p <= g.num_edges(), "{p} processors, {} edges", g.num_edges());
@@ -229,7 +284,7 @@ fn probe_search_outputs_match_the_pinned_digest() {
         graphs.push(fewg_manyg(4096, 32, 16, 6, &mut Xoshiro256::seed_from_u64(seed)));
     }
     let mut ws = SearchWorkspace::new();
-    let mut fnv = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut fnv = Fnv::new();
     for g in &graphs {
         for r in [
             cost_scaling_in(g, &mut ws).unwrap(),
