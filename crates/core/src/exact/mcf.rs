@@ -1,38 +1,34 @@
-//! Min-cost-flow exact backend (`SolverKind::MinCostFlow`, `mcf`).
+//! The balanced exact kind (`SolverKind::MinCostFlow`, `mcf`).
 //!
-//! One successive-shortest-augmenting-paths solve with Johnson potentials
-//! ([`FlowNetwork::min_cost_max_flow`](semimatch_matching::FlowNetwork::min_cost_max_flow))
-//! replaces the deadline/probe searches of the other exact kinds:
+//! `mcf` returns an assignment that is optimal under every reported
+//! objective at once, built from the other exact kinds' parts:
 //!
-//! * **Unit instances** route through convex unit-arc bundles — processor
-//!   `u` offers `deg(u)` sink arcs with marginals `1, 2, 3, …`, so the
-//!   optimum of the flow is the flow-time-optimal (balanced) assignment.
-//!   By Harvey–Ladner–Lovász–Tamir, that profile is majorization-minimal
-//!   and hence simultaneously optimal for the makespan and **every**
-//!   symmetric convex objective — one flow solve, no search loop.
-//! * **Weighted instances** get their first fast exact kind: under
-//!   [`Objective::WeightedLoad`] the total cost separates per task, so a
-//!   min-cost max-flow with the edge weights as (integer) arc costs and
-//!   uncapacitated sinks is exact. The remaining objectives on weighted
-//!   instances stay out of reach for *any* polynomial backend (they embed
-//!   PARTITION), so they keep reporting
-//!   [`CoreError::RequiresUnitWeights`].
-//!
-//! All costs, potentials and reduced costs are integers (`i128`) — no
-//! float fallback anywhere, matching the repository's exact-arithmetic
-//! contract.
+//! * **Unit instances:** [`hk_semi_in`] finds a makespan-optimal
+//!   assignment, and the Harvey–Ladner–Lovász–Tamir cost-reducing-path
+//!   descent ([`harvey::optimize`]) takes it to a flow-time optimum. The
+//!   flow-time optimum's sorted load profile is unique and
+//!   majorization-minimal, so the result is simultaneously optimal for
+//!   the makespan and every symmetric convex objective: the assignment a
+//!   min-cost flow over convex unit-arc bundles would route, up to ties.
+//! * **Weighted instances:** under [`Objective::WeightedLoad`] the total
+//!   cost separates per task, so the current-load loop keyed by the
+//!   marginal total load gives every task its cheapest edge, which is
+//!   exact. The remaining objectives on weighted instances are out of
+//!   reach for *any* polynomial backend (they embed PARTITION), so they
+//!   report [`CoreError::RequiresUnitWeights`].
 
 use semimatch_graph::Bipartite;
-use semimatch_matching::capacitated::{balanced_assignment_in, min_weight_assignment_in};
 use semimatch_matching::SearchWorkspace;
 
 use crate::error::{CoreError, Result};
-use crate::exact::unit::{check_instance, ExactResult};
+use crate::exact::harvey;
+use crate::exact::hk_semi::hk_semi_in;
+use crate::exact::unit::ExactResult;
+use crate::greedy::{current_load, Key};
 use crate::objective::Objective;
 use crate::problem::SemiMatching;
 
-/// Exact optimum makespan via one balanced min-cost flow, throwaway
-/// scratch.
+/// Balanced exact optimum, throwaway scratch.
 ///
 /// Errors with [`CoreError::RequiresUnitWeights`] on weighted instances
 /// (use [`mcf_objective_in`] with [`Objective::WeightedLoad`] for the
@@ -42,51 +38,35 @@ pub fn mcf(g: &Bipartite) -> Result<ExactResult> {
     mcf_in(g, &mut SearchWorkspace::new())
 }
 
-/// [`mcf`] drawing the flow arena from `ws`. `oracle_calls` reports the
-/// number of shortest-path augmentations of the single flow solve — the
-/// unit this backend's work is measured in, where the probe-search kinds
-/// report capacitated probes.
+/// [`mcf`] drawing hk-semi's phase scratch from `ws`. `oracle_calls`
+/// reports hk-semi's phases; the descent keeps the optimal makespan.
 pub fn mcf_in(g: &Bipartite, ws: &mut SearchWorkspace) -> Result<ExactResult> {
-    check_instance(g)?;
-    if g.n_left() == 0 {
-        return Ok(ExactResult {
-            makespan: 0,
-            solution: SemiMatching { edge_of: Vec::new() },
-            oracle_calls: 0,
-        });
-    }
-    let before = ws.flow_augmentations();
-    let a = balanced_assignment_in(g, ws);
-    let solution = SemiMatching::from_procs(g, &a.task_to_proc)?;
-    let makespan = a.loads.iter().copied().max().unwrap_or(0) as u64;
-    let calls = (ws.flow_augmentations() - before).min(u32::MAX as u64) as u32;
-    Ok(ExactResult { makespan, solution, oracle_calls: calls })
+    let r = hk_semi_in(g, ws)?;
+    Ok(ExactResult { solution: harvey::optimize(g, r.solution), ..r })
 }
 
 /// The objective-aware dispatch behind the registry's `mcf` entry.
 ///
-/// * unit instance → the balanced flow, simultaneously optimal for every
-///   [`Objective::REPORTED`] member;
-/// * weighted + [`Objective::WeightedLoad`] → the weighted min-cost flow,
-///   exact for the total occupied load;
+/// * unit instance, or [`Objective::Makespan`] → [`mcf_in`],
+///   simultaneously optimal for every [`Objective::REPORTED`] member;
+/// * weighted + [`Objective::WeightedLoad`] → every task on its cheapest
+///   edge, exact for the total occupied load;
 /// * weighted + anything else → [`CoreError::RequiresUnitWeights`].
 pub fn mcf_objective_in(
     g: &Bipartite,
     objective: Objective,
     ws: &mut SearchWorkspace,
 ) -> Result<SemiMatching> {
-    if g.is_unit() {
+    if g.is_unit() || objective.is_bottleneck() {
         return Ok(mcf_in(g, ws)?.solution);
     }
-    for v in 0..g.n_left() {
-        if g.deg_left(v) == 0 {
-            return Err(CoreError::UncoveredTask(v));
-        }
+    if let Some(v) = (0..g.n_left()).find(|&v| g.deg_left(v) == 0) {
+        return Err(CoreError::UncoveredTask(v));
     }
     match objective {
         Objective::WeightedLoad => {
-            let a = min_weight_assignment_in(g, ws);
-            SemiMatching::from_procs(g, &a.task_to_proc)
+            let key = Key::Marginal(Objective::WeightedLoad);
+            Ok(SemiMatching { edge_of: current_load(g, false, key, |_| 0)? })
         }
         _ => Err(CoreError::RequiresUnitWeights),
     }
@@ -128,8 +108,12 @@ mod tests {
         for obj in Objective::REPORTED {
             let sm = mcf_objective_in(&g, obj, &mut ws).unwrap();
             sm.validate(&g).unwrap();
-            let (opt, _) = brute_force_singleproc_objective(&g, BRUTE_FORCE_BUDGET, obj).unwrap();
-            assert_eq!(sm.score(&g, obj), opt, "{obj}");
+            // Whatever it was solved for, the answer is optimal for all.
+            for scored in Objective::REPORTED {
+                let (opt, _) =
+                    brute_force_singleproc_objective(&g, BRUTE_FORCE_BUDGET, scored).unwrap();
+                assert_eq!(sm.score(&g, scored), opt, "solved for {obj}, scored under {scored}");
+            }
         }
     }
 
@@ -178,6 +162,10 @@ mod tests {
         assert_eq!(
             mcf_objective_in(&uw, Objective::WeightedLoad, &mut ws).unwrap_err(),
             CoreError::UncoveredTask(1)
+        );
+        assert_eq!(
+            mcf_objective_in(&uw, Objective::Makespan, &mut ws).unwrap_err(),
+            CoreError::RequiresUnitWeights
         );
         let e = Bipartite::from_edges(0, 3, &[]).unwrap();
         assert_eq!(mcf(&e).unwrap().makespan, 0);

@@ -14,9 +14,9 @@
 //!   divide-and-conquer on the load range, pinning the optimal profile
 //!   with capacitated feasibility probes, each a Dinic run on the
 //!   bipartite graph itself.
-//! * [`mod@mcf`] — a single min-cost max-flow over convex unit-arc
-//!   bundles: balanced (hence simultaneously optimal) assignments on unit
-//!   instances, and the first fast exact kind for weighted total load.
+//! * [`mod@mcf`] — `hk-semi` followed by the Harvey descent: balanced
+//!   (hence simultaneously optimal) assignments on unit instances, and
+//!   every task on its cheapest edge for weighted total load.
 //! * [`brute_force`] — branch-and-bound exhaustive search for small
 //!   (weighted, hypergraph) instances; the ground truth for every
 //!   heuristic test and for the Theorem 1 reduction.

@@ -49,8 +49,8 @@ pub fn exact_unit(g: &Bipartite, strategy: SearchStrategy) -> Result<ExactResult
 }
 
 /// [`exact_unit`] threading one workspace through every feasibility oracle
-/// call: the deadline search's repeated capacitated matchings share a flow
-/// arena instead of rebuilding it per probe.
+/// call: the deadline search's repeated capacitated matchings share its
+/// arrays instead of allocating them per probe.
 pub fn exact_unit_in(
     g: &Bipartite,
     strategy: SearchStrategy,

@@ -56,7 +56,7 @@ use crate::error::{CoreError, Result};
 use crate::exact::brute_force::brute_force;
 use crate::exact::{
     cost_scaling_in, cost_scaling_seeded_in, exact_unit_in, exact_unit_replicated_in, harvey_exact,
-    hk_semi_in, mcf_in, mcf_objective_in, SearchStrategy,
+    hk_semi_in, mcf_objective_in, SearchStrategy,
 };
 use crate::greedy::expected::expected_greedy_with;
 use crate::greedy::{current_load, Key};
@@ -352,14 +352,16 @@ registry! {
             paper: None, class: SolverClass::SingleProc, exact: true,
             description: "exact, load-range divide-and-conquer (Fakcharoenphol et al.)",
         },
-        /// Exact via one min-cost max-flow over convex unit-arc bundles
-        /// (Johnson potentials, integer arithmetic). Balanced — hence
-        /// simultaneously optimal for every reported objective — on unit
-        /// instances; the first fast exact kind for weighted total load.
+        /// Exact and balanced: `hk-semi` followed by the Harvey
+        /// cost-reducing descent under every objective, hence
+        /// simultaneously optimal for every reported objective on unit
+        /// instances — the assignment a min-cost flow over convex unit-arc
+        /// bundles routes. The one fast exact kind for weighted total
+        /// load: every task on its cheapest edge.
         MinCostFlow => KindSpec {
             name: "mcf", aliases: &["min-cost-flow", "mincostflow"], label: "mcf", paper: None,
             class: SolverClass::SingleProc, exact: true,
-            description: "exact, one min-cost flow (weighted total load too)",
+            description: "exact, balanced: hk-semi + cost-reducing descent (weighted total load too)",
         },
         // --- MULTIPROC heuristics (§IV-D) ---
         /// sorted-greedy-hyp (Algorithm 4).
@@ -588,7 +590,8 @@ impl SolverKind {
     }
 
     /// Runs this solver on `problem` optimizing `objective`, drawing all
-    /// matching-engine scratch (flow arenas, BFS/DFS arrays) from `ws`.
+    /// matching-engine scratch (BFS/DFS arrays, per-vertex flow state)
+    /// from `ws`.
     ///
     /// Under [`Objective::Makespan`] every kind runs its paper algorithm.
     /// Under a sum-type objective:
@@ -657,15 +660,10 @@ impl SolverKind {
                 let g = self.bipartite(&problem)?;
                 SingleProc(descend(g, cost_scaling_in(g, ws)?.solution, objective))
             }
-            // The balanced flow is majorization-minimal as computed (no
-            // descent needed), and the weighted path handles total load.
+            // Descends under every objective, so it is balanced as
+            // computed; the weighted path handles total load.
             SolverKind::MinCostFlow => {
-                let g = self.bipartite(&problem)?;
-                SingleProc(if makespan {
-                    mcf_in(g, ws)?.solution
-                } else {
-                    mcf_objective_in(g, objective, ws)?
-                })
+                SingleProc(mcf_objective_in(self.bipartite(&problem)?, objective, ws)?)
             }
             SolverKind::Vgh if makespan => {
                 MultiProc(vector_greedy_hyp(self.hypergraph(&problem)?)?)
@@ -799,7 +797,7 @@ pub fn solve_with(
 ///
 /// Where [`solve`] is the stateless facade, a `Solver` is the warm path:
 /// the object owns its [`SearchWorkspace`] (visited stamps, BFS/DFS arrays,
-/// flow residual arena), so consecutive [`Solver::solve`] calls on
+/// per-vertex flow state), so consecutive [`Solver::solve`] calls on
 /// same-shaped instances perform no scratch allocation. [`KindSolver`] is
 /// its one implementation; consumers (the CLI batch mode, the bench
 /// sweeps, the scheduling policies) hold it through the trait.
@@ -878,18 +876,10 @@ impl Solver for KindSolver {
 
     fn warm_start(&mut self, problem: &Problem<'_>) {
         // SINGLEPROC kinds draw on the workspace: pre-size the traversal
-        // arrays, and for `mcf`, the one kind that builds a flow network,
-        // its balanced min-cost network (source + tasks + procs + sink; a
-        // source arc per task and an edge arc and a sink arc per edge, each
-        // with a residual twin). MULTIPROC (hypergraph) kinds keep their
-        // scratch inside their own algorithms, so there is nothing to
-        // pre-size for them.
+        // arrays. MULTIPROC (hypergraph) kinds keep their scratch inside
+        // their own algorithms, so there is nothing to pre-size for them.
         if let Problem::SingleProc(g) = problem {
             self.ws.reserve(g.n_left(), g.n_right());
-            if self.kind == SolverKind::MinCostFlow {
-                let (n1, n2, m) = (g.n_left() as usize, g.n_right() as usize, g.num_edges());
-                self.ws.reserve_flow(n1 + n2 + 2, 2 * (n1 + 2 * m), m);
-            }
         }
     }
 

@@ -19,8 +19,7 @@
 //! processor's in ascending task order and then its sink arc — so every
 //! phase, augmenting path and assignment is the one
 //! [`FlowNetwork::max_flow`](crate::FlowNetwork::max_flow) finds on that
-//! network; the tests compare the two. The min-cost formulations at the
-//! end of this module still build a [`crate::FlowNetwork`].
+//! network; the tests compare the two.
 
 use semimatch_graph::Bipartite;
 use semimatch_obs::{self as obs, catalog as metric};
@@ -358,94 +357,6 @@ fn blocking_flow(
     }
 }
 
-/// Complete assignment minimizing the *balanced* convex cost
-/// `Σ_u l(u)·(l(u)+1)/2` (the unit flow-time), via one min-cost max-flow
-/// with convex unit-arc bundles: processor `u` offers `min(deg(u), n)`
-/// sink arcs with marginals `1, 2, 3, …`, so the `k`-th task on a
-/// processor costs `k`. A balanced (majorization-minimal) assignment is
-/// simultaneously optimal for every symmetric convex objective *and* the
-/// makespan (Harvey et al.), which is what makes this the one-shot exact
-/// backend for unit instances.
-///
-/// Tasks that cannot be assigned (isolated vertices) stay [`NONE`]; the
-/// routed flow is maximum, so the assignment is complete whenever the
-/// instance is coverable.
-pub fn balanced_assignment_in(g: &Bipartite, ws: &mut SearchWorkspace) -> Assignment {
-    let n1 = g.n_left();
-    min_cost_flow_assignment(g, ws, |_| 0, |u| SinkShape::Convex(g.deg_right(u).min(n1)))
-}
-
-/// Complete assignment minimizing the total *weighted* load
-/// `Σ_t w(t, proc(t))` — the exact optimum of
-/// `Objective::WeightedLoad` on weighted instances — via one min-cost
-/// max-flow with linear edge costs and uncapacitated sinks.
-pub fn min_weight_assignment_in(g: &Bipartite, ws: &mut SearchWorkspace) -> Assignment {
-    let n1 = g.n_left();
-    min_cost_flow_assignment(g, ws, |e| g.weight(e) as i128, |_| SinkShape::Free(n1 as u64))
-}
-
-/// Sink-arc shape for [`min_cost_flow_assignment`].
-enum SinkShape {
-    /// `k` unit arcs with marginals `1, 2, …, k`.
-    Convex(u32),
-    /// One free arc of the given capacity.
-    Free(u64),
-}
-
-/// Shared min-cost formulation: unit source and edge arcs (edge cost from
-/// `edge_cost` by edge id), sink arcs shaped per processor by `sink_of`.
-fn min_cost_flow_assignment(
-    g: &Bipartite,
-    ws: &mut SearchWorkspace,
-    edge_cost: impl Fn(u32) -> i128,
-    sink_of: impl Fn(u32) -> SinkShape,
-) -> Assignment {
-    let n1 = g.n_left();
-    let n2 = g.n_right();
-    let source = 0u32;
-    let task_base = 1u32;
-    let proc_base = 1 + n1;
-    let sink = 1 + n1 + n2;
-    let (net, edge_arcs) = ws.flow_arena(sink as usize + 1);
-
-    for v in 0..n1 {
-        net.add_arc(source, task_base + v, 1);
-    }
-    for v in 0..n1 {
-        for e in g.edge_range(v) {
-            let u = g.edge_right(e);
-            edge_arcs.push(net.add_arc_with_cost(task_base + v, proc_base + u, 1, edge_cost(e)));
-        }
-    }
-    for u in 0..n2 {
-        match sink_of(u) {
-            SinkShape::Convex(units) => {
-                for k in 1..=units as i128 {
-                    net.add_arc_with_cost(proc_base + u, sink, 1, k);
-                }
-            }
-            SinkShape::Free(cap) => {
-                net.add_arc(proc_base + u, sink, cap);
-            }
-        }
-    }
-    net.min_cost_max_flow(source, sink);
-
-    let mut task_to_proc = vec![NONE; n1 as usize];
-    let mut loads = vec![0u32; n2 as usize];
-    let mut k = 0usize;
-    for v in 0..n1 {
-        for &u in g.neighbors(v) {
-            if net.flow(edge_arcs[k]) > 0 {
-                task_to_proc[v as usize] = u;
-                loads[u as usize] += 1;
-            }
-            k += 1;
-        }
-    }
-    Assignment { task_to_proc, loads }
-}
-
 /// True when all tasks fit under the uniform `capacity` (i.e. `G_D` with
 /// `D = capacity` admits a matching covering `V1`).
 pub fn feasible(g: &Bipartite, capacity: u32) -> bool {
@@ -671,37 +582,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn balanced_assignment_is_majorization_minimal() {
-        // 4 tasks, 2 procs, everything eligible: the balanced optimum is
-        // 2/2, never 3/1.
-        let g = Bipartite::from_edges(
-            4,
-            2,
-            &[(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1)],
-        )
-        .unwrap();
-        let a = balanced_assignment_in(&g, &mut SearchWorkspace::new());
-        assert!(a.is_complete());
-        assert_eq!(a.loads, vec![2, 2]);
-    }
-
-    #[test]
-    fn min_weight_assignment_takes_cheap_edges() {
-        // Both tasks prefer P0 by weight; sinks are uncapacitated so both
-        // land there.
-        let g = Bipartite::from_weighted_edges(
-            2,
-            2,
-            &[(0, 0), (0, 1), (1, 0), (1, 1)],
-            &[1, 10, 2, 10],
-        )
-        .unwrap();
-        let a = min_weight_assignment_in(&g, &mut SearchWorkspace::new());
-        assert!(a.is_complete());
-        assert_eq!(a.task_to_proc, vec![0, 0]);
     }
 
     #[test]

@@ -5,25 +5,16 @@
 //! every processor one solves the equivalent flow problem with processor
 //! capacities. [`crate::capacitated`] runs that Dinic on the bipartite
 //! graph itself; this network is the general solver it is tested against,
-//! and unit tests exercise it on classical flow networks as well.
+//! and unit tests exercise it on classical flow networks as well. No
+//! solver builds one.
 //!
 //! The residual graph is stored in CSR form (matching
 //! `semimatch_graph::Bipartite`): arcs append to flat `head`/`cap` arrays
 //! and the per-vertex arc lists are two flat index arrays rebuilt lazily
 //! before a solve. The Dinic scratch (levels, current-arc pointers, BFS
 //! queue, DFS path) lives inside the network, so a [`FlowNetwork`] that is
-//! [`clear`](FlowNetwork::clear)ed and refilled — the
-//! [`crate::SearchWorkspace`] arena pattern — performs repeated max-flows
-//! with no per-call allocation once warm.
-//!
-//! A min-cost layer ([`add_arc_with_cost`](FlowNetwork::add_arc_with_cost),
-//! [`min_cost_max_flow`](FlowNetwork::min_cost_max_flow)) runs successive
-//! shortest augmenting paths with Johnson potentials over the same arc
-//! arrays — all-integer reduced costs, no floats. It backs the `mcf`
-//! exact kind.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! [`clear`](FlowNetwork::clear)ed and refilled performs repeated
+//! max-flows with no per-call allocation once warm.
 
 use semimatch_obs::{self as obs, catalog as metric};
 
@@ -37,10 +28,6 @@ pub struct FlowNetwork {
     head: Vec<u32>,
     /// Residual capacity of each arc.
     cap: Vec<u64>,
-    /// Per-arc cost, filled lazily: empty (or short) while only
-    /// [`add_arc`](Self::add_arc) has been used, so pure max-flow networks
-    /// pay nothing. Twin arcs carry the negated cost.
-    cost: Vec<i128>,
     /// CSR offsets: the arcs leaving vertex `v` are
     /// `arc_order[arc_start[v] .. arc_start[v + 1]]`. Rebuilt lazily.
     arc_start: Vec<u32>,
@@ -48,9 +35,8 @@ pub struct FlowNetwork {
     arc_order: Vec<u32>,
     /// Whether `arc_start`/`arc_order` reflect the current arc set.
     csr_valid: bool,
-    /// Augmenting paths pushed since construction (Dinic DFS augments and
-    /// min-cost shortest-path augments alike). Monotone — never reset by
-    /// [`clear`](Self::clear) — so callers meter a region by
+    /// Augmenting paths pushed since construction. Monotone — never reset
+    /// by [`clear`](Self::clear) — so callers meter a region by
     /// snapshot-and-subtract.
     augmentations: u64,
     // ---- Dinic scratch, resident so warm solves allocate nothing ----
@@ -62,15 +48,6 @@ pub struct FlowNetwork {
     queue: Vec<u32>,
     /// Arcs on the current DFS path.
     path: Vec<u32>,
-    // ---- Min-cost scratch (successive shortest paths) ----
-    /// Johnson potentials.
-    pot: Vec<i128>,
-    /// Dijkstra distances over reduced costs.
-    dist: Vec<u128>,
-    /// Arc that reached each vertex on the current shortest-path tree.
-    parent: Vec<u32>,
-    /// Dijkstra frontier (lazy-deletion binary heap).
-    heap: BinaryHeap<Reverse<(u128, u32)>>,
 }
 
 impl FlowNetwork {
@@ -79,30 +56,14 @@ impl FlowNetwork {
         FlowNetwork { n, ..FlowNetwork::default() }
     }
 
-    /// Resets to an empty `n`-vertex network, keeping every allocation.
-    ///
-    /// This is the arena entry point: a long-lived network cleared between
-    /// builds reuses its arc arrays, CSR index and Dinic scratch.
+    /// Resets to an empty `n`-vertex network, keeping every allocation:
+    /// a long-lived network cleared between builds reuses its arc arrays,
+    /// CSR index and Dinic scratch.
     pub fn clear(&mut self, n: usize) {
         self.n = n;
         self.head.clear();
         self.cap.clear();
-        self.cost.clear();
         self.csr_valid = false;
-    }
-
-    /// Pre-sizes the arc arrays, the CSR index and the Dinic scratch for a
-    /// network of `n_vertices` vertices and `n_arcs` directed arcs
-    /// (residual twins included), so the first build-and-solve performs no
-    /// growth reallocation.
-    pub fn reserve(&mut self, n_vertices: usize, n_arcs: usize) {
-        self.head.reserve(n_arcs.saturating_sub(self.head.len()));
-        self.cap.reserve(n_arcs.saturating_sub(self.cap.len()));
-        self.arc_start.reserve((n_vertices + 1).saturating_sub(self.arc_start.len()));
-        self.arc_order.reserve(n_arcs.saturating_sub(self.arc_order.len()));
-        self.level.reserve(n_vertices.saturating_sub(self.level.len()));
-        self.iter_ptr.reserve(n_vertices.saturating_sub(self.iter_ptr.len()));
-        self.queue.reserve(n_vertices.saturating_sub(self.queue.len()));
     }
 
     /// Number of vertices.
@@ -138,44 +99,16 @@ impl FlowNetwork {
         self.cap[id as usize]
     }
 
-    /// Augmenting paths pushed since construction, across
-    /// [`max_flow`](Self::max_flow) and
-    /// [`min_cost_max_flow`](Self::min_cost_max_flow) calls alike. Monotone
-    /// (never reset by [`clear`](Self::clear)): meter a region by
-    /// snapshot-and-subtract.
+    /// Augmenting paths pushed by [`max_flow`](Self::max_flow) since
+    /// construction. Monotone (never reset by [`clear`](Self::clear)):
+    /// meter a region by snapshot-and-subtract.
     pub fn augmentations(&self) -> u64 {
         self.augmentations
-    }
-
-    /// Adds a directed arc `from → to` with the given capacity and cost,
-    /// returning its arc id. The residual twin carries the negated cost, so
-    /// cancelling flow refunds it. Costs must be non-negative:
-    /// [`min_cost_max_flow`](Self::min_cost_max_flow) starts its Johnson
-    /// potentials at zero.
-    pub fn add_arc_with_cost(&mut self, from: u32, to: u32, capacity: u64, cost: i128) -> u32 {
-        debug_assert!(cost >= 0, "initial arc costs must be non-negative");
-        let id = self.add_arc(from, to, capacity);
-        if cost != 0 {
-            // Backfill zero costs for any plain `add_arc` arcs before us.
-            self.cost.resize(id as usize, 0);
-            self.cost.push(cost);
-            self.cost.push(-cost);
-        }
-        id
-    }
-
-    /// Cost of arc `id` (zero for arcs added via [`add_arc`](Self::add_arc)).
-    #[inline]
-    fn arc_cost(&self, id: u32) -> i128 {
-        self.cost.get(id as usize).copied().unwrap_or(0)
     }
 
     /// Rebuilds the CSR arc index by counting sort over arc tails.
     /// `O(V + E)`, allocation-free once the index arrays have grown.
     fn build_csr(&mut self) {
-        if obs::enabled() {
-            obs::counter_add(&metric::FLOW_CSR_REBUILDS, 1);
-        }
         let m = self.head.len();
         self.arc_start.clear();
         self.arc_start.resize(self.n + 1, 0);
@@ -309,94 +242,6 @@ impl FlowNetwork {
             }
         }
     }
-
-    /// Computes a maximum `source → sink` flow of minimum total cost by
-    /// successive shortest augmenting paths with Johnson potentials.
-    /// Returns `(flow, cost)`.
-    ///
-    /// All arithmetic is integral: Dijkstra runs over the reduced costs
-    /// `cost(a) + pot(tail) − pot(head)`, which the potential update keeps
-    /// non-negative, so there is no float fallback anywhere. Requires every
-    /// initial arc cost to be non-negative (potentials start at zero —
-    /// enforced by [`add_arc_with_cost`](Self::add_arc_with_cost)). The
-    /// scratch (potentials, distances, parent arcs, heap) is resident:
-    /// warm repeated solves allocate nothing. Ties in the Dijkstra heap
-    /// break on vertex id, so the routed flow is deterministic.
-    pub fn min_cost_max_flow(&mut self, source: u32, sink: u32) -> (u64, i128) {
-        assert_ne!(source, sink, "source and sink must differ");
-        if !self.csr_valid {
-            self.build_csr();
-        }
-        let n = self.n;
-        self.pot.clear();
-        self.pot.resize(n, 0);
-        self.dist.resize(n, u128::MAX);
-        self.parent.resize(n, u32::MAX);
-        let mut total_flow = 0u64;
-        let mut total_cost = 0i128;
-        let augs_before = self.augmentations;
-        let mut dijkstra_rounds = 0u64;
-        loop {
-            dijkstra_rounds += 1;
-            // Dijkstra over reduced costs, lazy-deletion heap.
-            self.dist.iter_mut().for_each(|d| *d = u128::MAX);
-            self.dist[source as usize] = 0;
-            self.heap.clear();
-            self.heap.push(Reverse((0, source)));
-            while let Some(Reverse((d, v))) = self.heap.pop() {
-                if d > self.dist[v as usize] {
-                    continue; // stale entry
-                }
-                for k in self.arcs_of(v) {
-                    let a = self.arc_order[k];
-                    if self.cap[a as usize] == 0 {
-                        continue;
-                    }
-                    let to = self.head[a as usize];
-                    let rc = self.arc_cost(a) + self.pot[v as usize] - self.pot[to as usize];
-                    debug_assert!(rc >= 0, "reduced costs stay non-negative");
-                    let nd = d + rc as u128;
-                    if nd < self.dist[to as usize] {
-                        self.dist[to as usize] = nd;
-                        self.parent[to as usize] = a;
-                        self.heap.push(Reverse((nd, to)));
-                    }
-                }
-            }
-            let d_sink = self.dist[sink as usize];
-            if d_sink == u128::MAX {
-                if obs::enabled() {
-                    obs::counter_add(&metric::MCF_DIJKSTRA_ROUNDS, dijkstra_rounds);
-                    obs::counter_add(&metric::MCF_POTENTIALS_RESETS, 1);
-                    obs::counter_add(&metric::FLOW_AUGMENTATIONS, self.augmentations - augs_before);
-                }
-                return (total_flow, total_cost);
-            }
-            // Potential update keeps every residual reduced cost ≥ 0, with
-            // unreached vertices clamped to the sink distance.
-            for v in 0..n {
-                self.pot[v] += self.dist[v].min(d_sink) as i128;
-            }
-            // Bottleneck along the shortest-path tree, then augment.
-            let mut bottleneck = u64::MAX;
-            let mut v = sink;
-            while v != source {
-                let a = self.parent[v as usize];
-                bottleneck = bottleneck.min(self.cap[a as usize]);
-                v = self.head[a as usize ^ 1];
-            }
-            let mut v = sink;
-            while v != source {
-                let a = self.parent[v as usize];
-                self.cap[a as usize] -= bottleneck;
-                self.cap[a as usize ^ 1] += bottleneck;
-                total_cost += self.arc_cost(a) * bottleneck as i128;
-                v = self.head[a as usize ^ 1];
-            }
-            total_flow += bottleneck;
-            self.augmentations += 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -515,58 +360,6 @@ mod tests {
         net.add_arc(0, 2, 5);
         net.add_arc(2, 3, 4);
         assert_eq!(net.max_flow(0, 3), 4);
-    }
-
-    #[test]
-    fn min_cost_picks_the_cheap_route() {
-        // Two parallel s→t routes with costs 1 and 5; both must fill for
-        // maximality, and the total cost is exact.
-        let mut net = FlowNetwork::new(4);
-        net.add_arc_with_cost(0, 1, 2, 0);
-        net.add_arc_with_cost(0, 2, 2, 0);
-        let c1 = net.add_arc_with_cost(1, 3, 2, 1);
-        let c2 = net.add_arc_with_cost(2, 3, 2, 5);
-        let (f, c) = net.min_cost_max_flow(0, 3);
-        assert_eq!(f, 4);
-        assert_eq!(c, 12, "2 units at cost 1 + 2 units at cost 5");
-        assert_eq!(net.flow(c1), 2);
-        assert_eq!(net.flow(c2), 2);
-    }
-
-    #[test]
-    fn min_cost_needs_residual_rerouting() {
-        // The classic case where the cheapest augmenting path must undo a
-        // previous routing decision through a negative-reduced-cost twin.
-        let mut net = FlowNetwork::new(4);
-        net.add_arc_with_cost(0, 1, 1, 1);
-        net.add_arc_with_cost(0, 2, 1, 4);
-        net.add_arc_with_cost(1, 2, 1, 1);
-        net.add_arc_with_cost(1, 3, 1, 6);
-        net.add_arc_with_cost(2, 3, 2, 1);
-        let (f, c) = net.min_cost_max_flow(0, 3);
-        assert_eq!(f, 2);
-        // Optimal: 0→1→2→3 (cost 3) + 0→2→3 (cost 5) = 8, beating any
-        // routing that uses the cost-6 arc.
-        assert_eq!(c, 8);
-    }
-
-    #[test]
-    fn convex_bundle_spreads_load() {
-        // 4 units into two procs, each offering unit sink arcs with
-        // marginals 1, 3, 5 (convex): the optimum splits 2 / 2.
-        let mut net = FlowNetwork::new(5);
-        net.add_arc(0, 1, 4);
-        for proc in [2u32, 3] {
-            net.add_arc(1, proc, 4);
-            for marginal in [1i128, 3, 5] {
-                net.add_arc_with_cost(proc, 4, 1, marginal);
-            }
-        }
-        let (f, c) = net.min_cost_max_flow(0, 4);
-        assert_eq!(f, 4);
-        // 2 units per proc: (1 + 3) + (1 + 3) = 8; any 3/1 split costs
-        // 1+3+5 + 1 = 10.
-        assert_eq!(c, 8);
     }
 
     #[test]

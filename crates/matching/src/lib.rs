@@ -11,8 +11,9 @@
 //!   global relabeling
 //! * [`capacitated::max_assignment`] — matchings in the deadline graph `G_D`
 //!   via Dinic's max-flow run on the bipartite graph itself; the generic
-//!   [`flow::FlowNetwork`] is its test reference and `mcf`'s min-cost
-//!   network
+//!   [`flow::FlowNetwork`] is its test reference
+//! * [`semi::optimal_semi_assignment`] — optimal semi-matchings by
+//!   generalized Hopcroft–Karp phases (Katrenič–Semanišin)
 //! * [`cover::certify_maximum`] — König vertex-cover certificates used by
 //!   the test suite to *prove* matchings maximum
 //!

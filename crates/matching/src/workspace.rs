@@ -10,9 +10,12 @@
 //! The workspace is engine-agnostic: [`crate::bfs::pfp_from_in`],
 //! [`crate::dfs::mc21_from_in`],
 //! [`crate::hopcroft_karp::hopcroft_karp_from_in`],
-//! [`crate::push_relabel::push_relabel_from_in`] and
-//! [`crate::capacitated::max_assignment_in`] all draw from the same arrays,
-//! so one workspace serves an arbitrary interleaving of engines.
+//! [`crate::push_relabel::push_relabel_from_in`],
+//! [`crate::capacitated::max_assignment_in`] and
+//! [`crate::semi::optimal_semi_assignment_in`] all draw from the same
+//! arrays, so one workspace serves an arbitrary interleaving of engines.
+//! Every engine keeps its state in per-vertex arrays; none builds a flow
+//! network.
 //!
 //! ```
 //! use semimatch_graph::Bipartite;
@@ -30,7 +33,6 @@
 use semimatch_graph::Bipartite;
 
 use crate::capacitated::Assignment;
-use crate::flow::FlowNetwork;
 
 /// Reusable scratch arrays for the augmenting-path engines.
 ///
@@ -71,12 +73,6 @@ pub struct SearchWorkspace {
     pub(crate) aux: Vec<u32>,
     /// Explicit DFS stack of `(left vertex, neighbor cursor)`.
     pub(crate) stack: Vec<(u32, u32)>,
-    /// Residual-network arena for the min-cost flow formulations. The
-    /// network owns its own scratch, so rebuilding it here is
-    /// allocation-free once warm.
-    pub(crate) flow: FlowNetwork,
-    /// Arc ids of the task→processor arcs of the min-cost network.
-    pub(crate) edge_arcs: Vec<u32>,
     /// Processor of each task in the capacitated Dinic's flow, or
     /// [`crate::NONE`]; indexed by left vertex. Read it with
     /// [`Self::task_procs`].
@@ -143,18 +139,6 @@ impl SearchWorkspace {
         grow(&mut self.cursor, p);
     }
 
-    /// Pre-sizes the residual-network arena (vertices, directed arcs
-    /// including residual twins) and the buffer recording the
-    /// `n_edge_arcs` task→processor arc ids, so the first min-cost solve
-    /// performs no growth reallocation. The balanced formulation of a
-    /// `n1 × n2` unit graph with `m` edges uses `n1 + n2 + 2` vertices,
-    /// `2·(n1 + 2m)` arcs (a source arc per task, an arc per edge and a
-    /// sink arc per edge) and records `m` edge arcs.
-    pub fn reserve_flow(&mut self, n_vertices: usize, n_arcs: usize, n_edge_arcs: usize) {
-        self.flow.reserve(n_vertices, n_arcs);
-        self.edge_arcs.reserve(n_edge_arcs.saturating_sub(self.edge_arcs.len()));
-    }
-
     /// Starts a new search: returns a fresh stamp distinct from every mark
     /// currently in `visited`. `O(1)` except on stamp overflow (every
     /// `u32::MAX - 1` searches), where `visited` is wiped once.
@@ -167,16 +151,6 @@ impl SearchWorkspace {
             self.stamp += 1;
         }
         self.stamp
-    }
-
-    /// The residual-network arena, cleared for an `n`-vertex build.
-    ///
-    /// Returned together with the arc-id buffer so callers can record arc
-    /// ids while constructing (split borrows of one workspace).
-    pub(crate) fn flow_arena(&mut self, n: usize) -> (&mut FlowNetwork, &mut Vec<u32>) {
-        self.flow.clear(n);
-        self.edge_arcs.clear();
-        (&mut self.flow, &mut self.edge_arcs)
     }
 
     /// Processor of each task after the last capacitated assignment
@@ -194,12 +168,12 @@ impl SearchWorkspace {
         }
     }
 
-    /// Augmenting paths pushed through this workspace since construction,
-    /// by the capacitated Dinic and the min-cost network alike (monotone;
-    /// meter a region by snapshot-and-subtract). The probe/augmentation
-    /// counter behind the fast-exact bench reports.
+    /// Augmenting paths the capacitated Dinic has pushed through this
+    /// workspace since construction (monotone; meter a region by
+    /// snapshot-and-subtract). The augmentation counter behind the
+    /// fast-exact bench reports.
     pub fn flow_augmentations(&self) -> u64 {
-        self.augmentations + self.flow.augmentations()
+        self.augmentations
     }
 }
 

@@ -105,12 +105,6 @@ catalog! {
         "Dinic blocking-flow augmentations";
     FLOW_DINIC_PHASES: Decl<counter> = "flow.dinic_phases",
         "Dinic level-graph phases";
-    FLOW_CSR_REBUILDS: Decl<counter> = "flow.csr_rebuilds",
-        "CSR residual-graph rebuilds";
-    MCF_DIJKSTRA_ROUNDS: Decl<counter> = "mcf.dijkstra_rounds",
-        "successive-shortest-path Dijkstra rounds";
-    MCF_POTENTIALS_RESETS: Decl<counter> = "mcf.potentials_resets",
-        "potential re-initialisations in the min-cost-flow backend";
     SERVE_COUNTERS_NAME: Family<counter> = "serve.counters.<name>",
         "per-policy repair counters (one series per `serve::Counters` field)";
     DAEMON_TENANT_ID_GAP: Family<gauge> = "daemon.tenant.<id>.gap",
