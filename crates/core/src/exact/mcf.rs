@@ -10,8 +10,8 @@
 //!   majorization-minimal, so the result is simultaneously optimal for
 //!   the makespan and every symmetric convex objective: the assignment a
 //!   min-cost flow over convex unit-arc bundles would route, up to ties.
-//! * **Weighted instances:** under [`Objective::WeightedLoad`] the total
-//!   cost separates per task, so the current-load loop keyed by the
+//! * **Weighted instances:** under [`Objective::WeightedLoad`] (and
+//!   `L_1`, the same sum `Σ_u l(u)`) the total cost separates per task, so the current-load loop keyed by the
 //!   marginal total load gives every task its cheapest edge, which is
 //!   exact. The remaining objectives on weighted instances are out of
 //!   reach for *any* polynomial backend (they embed PARTITION), so they
@@ -49,8 +49,8 @@ pub fn mcf_in(g: &Bipartite, ws: &mut SearchWorkspace) -> Result<ExactResult> {
 ///
 /// * unit instance, or [`Objective::Makespan`] → [`mcf_in`],
 ///   simultaneously optimal for every [`Objective::REPORTED`] member;
-/// * weighted + [`Objective::WeightedLoad`] → every task on its cheapest
-///   edge, exact for the total occupied load;
+/// * weighted + [`Objective::WeightedLoad`] or `L_1` → every task on its
+///   cheapest edge, exact for the total occupied load;
 /// * weighted + anything else → [`CoreError::RequiresUnitWeights`].
 pub fn mcf_objective_in(
     g: &Bipartite,
@@ -64,7 +64,7 @@ pub fn mcf_objective_in(
         return Err(CoreError::UncoveredTask(v));
     }
     match objective {
-        Objective::WeightedLoad => {
+        Objective::WeightedLoad | Objective::LpNorm(1) => {
             let key = Key::Marginal(Objective::WeightedLoad);
             Ok(SemiMatching { edge_of: current_load(g, false, key, |_| 0)? })
         }
@@ -130,13 +130,13 @@ mod tests {
         )
         .unwrap();
         let mut ws = SearchWorkspace::new();
-        let sm = mcf_objective_in(&g, Objective::WeightedLoad, &mut ws).unwrap();
-        sm.validate(&g).unwrap();
-        let (opt, _) =
-            brute_force_singleproc_objective(&g, BRUTE_FORCE_BUDGET, Objective::WeightedLoad)
-                .unwrap();
-        assert_eq!(sm.score(&g, Objective::WeightedLoad), opt);
-        assert_eq!(sm.score(&g, Objective::WeightedLoad).as_u64(), 2 + 1 + 3);
+        for obj in [Objective::WeightedLoad, Objective::LpNorm(1)] {
+            let sm = mcf_objective_in(&g, obj, &mut ws).unwrap();
+            sm.validate(&g).unwrap();
+            let (opt, _) = brute_force_singleproc_objective(&g, BRUTE_FORCE_BUDGET, obj).unwrap();
+            assert_eq!(sm.score(&g, obj), opt, "{obj}");
+            assert_eq!(sm.score(&g, obj).as_u64(), 2 + 1 + 3, "{obj}");
+        }
     }
 
     #[test]

@@ -88,17 +88,19 @@ proptest! {
         }
     }
 
-    /// The min-cost-flow kind is the only fast exact backend accepting
-    /// weighted instances: under the total-load objective it must hit the
-    /// brute-force optimum, and under every other reported objective it
-    /// must refuse cleanly (those are NP-hard with weights) — never return
-    /// a silently suboptimal answer.
+    /// `mcf` is the one exact kind accepting weighted instances. The
+    /// total load (`weighted-load`, and `l1`, the same sum) separates per
+    /// task, so `mcf` must hit the brute-force optimum under it — as every
+    /// current-load greedy does too, since its marginal key is the edge
+    /// weight. Under every other reported objective it must refuse
+    /// cleanly (those are NP-hard with weights) — never return a silently
+    /// suboptimal answer.
     #[test]
     fn mcf_is_exact_on_weighted_total_load(g in covered_weighted_bipartite(8, 4, 9)) {
         let problem = Problem::SingleProc(&g);
-        for objective in Objective::REPORTED {
+        for objective in Objective::REPORTED.into_iter().chain([Objective::LpNorm(1)]) {
             let result = solve_with(problem, SolverKind::MinCostFlow, objective);
-            if g.is_unit() || objective == Objective::WeightedLoad {
+            if g.is_unit() || matches!(objective, Objective::WeightedLoad | Objective::LpNorm(1)) {
                 let sol = result.unwrap();
                 sol.validate(&problem).unwrap();
                 let opt = solve_with(problem, SolverKind::BruteForce, objective)
