@@ -401,12 +401,22 @@ fn generate(flags: &HashMap<&str, &str>) -> Result<(), String> {
             u32::MAX
         ));
     }
-    // FewgManyg wires each configuration by drawing up to 2·dh
-    // processors, with replacement once that exceeds its window.
-    let draws = u128::from(cfg.n) * 2 * u128::from(cfg.dv) * 2 * u128::from(cfg.dh);
-    if matches!(cfg.family, Family::Fg | Family::Mg) && draws > u128::from(u32::MAX) {
+    // Step 2 wires each configuration to at most 2·dh processors
+    // (FewgManyg, drawn with replacement once that exceeds its window) or
+    // 2·min(dh + 1, p/g) (HiLo, a range in each of two groups); the pins
+    // of all n·2·dv configurations must fit u32 too.
+    let per_config = match cfg.family {
+        Family::Fg | Family::Mg => 2 * u128::from(cfg.dh),
+        Family::Hlf | Family::Hlm => {
+            2 * (u128::from(cfg.dh) + 1).min(u128::from(cfg.p / cfg.family.groups()))
+        }
+    };
+    let pins = u128::from(cfg.n) * 2 * u128::from(cfg.dv) * per_config;
+    if pins > u128::from(u32::MAX) {
         return Err(format!(
-            "--dh {} lets {} tasks draw up to n·2·dv·2·dh = {draws} processors, more than {}",
+            "--dv {} and --dh {} let {} tasks' configurations take up to \
+             n·2·dv·{per_config} = {pins} processor pins, more than {}",
+            cfg.dv,
             cfg.dh,
             cfg.n,
             u32::MAX

@@ -321,21 +321,27 @@ fn huge_dv_exits_2_before_drawing() {
     }
 }
 
-/// FewgManyg draws up to 2·d processors per task (2·dh per configuration
-/// for the hypergraph families), so a total past `u32::MAX` exits 2 naming
-/// the flag before anything is drawn or reserved.
+/// FewgManyg draws up to 2·d processors per task, so a total past
+/// `u32::MAX` exits 2 naming `--d` before anything is drawn or reserved.
+/// The hypergraph families wire each of up to n·2·dv configurations to
+/// at most 2·dh processors (FewgManyg) or 2·min(dh + 1, p/g) (HiLo); a
+/// pin total past `u32::MAX` exits 2 naming `--dv` and `--dh`. The HLF
+/// line passed the `--dv` check alone, then aborted on a step-2
+/// allocation of tens of GB (exit 134).
 #[test]
 fn huge_fewgmanyg_degree_exits_2_before_drawing() {
-    for (cmd, flag) in [
-        ("generate-bipartite --gen fewgmanyg --n 10 --p 8 --g 2 --d 4294967295", "--d"),
-        ("generate-bipartite --gen fewgmanyg --n 2 --p 8 --g 2 --d 1073741824", "--d"),
-        ("generate --family FG --n 64 --p 32 --dv 2 --dh 4294967295", "--dh"),
-        ("generate --family MG --n 64 --p 128 --dv 1 --dh 16777216", "--dh"),
+    for (cmd, flags) in [
+        ("generate-bipartite --gen fewgmanyg --n 10 --p 8 --g 2 --d 4294967295", &["--d"][..]),
+        ("generate-bipartite --gen fewgmanyg --n 2 --p 8 --g 2 --d 1073741824", &["--d"]),
+        ("generate --family FG --n 64 --p 32 --dv 2 --dh 4294967295", &["--dv", "--dh"]),
+        ("generate --family MG --n 64 --p 128 --dv 1 --dh 16777216", &["--dv", "--dh"]),
+        ("generate --family HLF --n 64 --p 32 --dv 33554431 --dh 2", &["--dv", "--dh"]),
+        ("generate --family HLM --n 64 --p 1024 --dv 4194304 --dh 4294967295", &["--dv", "--dh"]),
     ] {
         let out = semimatch(&cmd.split_whitespace().collect::<Vec<_>>());
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{cmd}: {err}");
-        assert!(err.contains(flag), "{cmd}: {err}");
+        assert!(flags.iter().all(|flag| err.contains(flag)), "{cmd}: {err}");
     }
     // Below the limit a degree far past the window of 3·p/g processors
     // builds at once.
