@@ -1,5 +1,5 @@
 //! Fast-exact frontier: the partitioned load-range search against plain
-//! bisection, plus the one-shot min-cost-flow backend.
+//! bisection, plus the balanced `mcf` kind.
 //!
 //! The workload is the tall (n ≫ p) unit sweep of the `fast-exact-tall`
 //! bench group — loose counting bounds, so the load-range search really
@@ -11,15 +11,15 @@
 //! * `partitioned` — the shipped solver: every infeasible probe partitions
 //!   the instance, the search continues on the saturated high side and
 //!   the deficiency bound sharpens to its processors (`cost_scaling_in`).
-//! * `mcf` — one min-cost max-flow with convex unit-arc bundles; no
-//!   probe loop at all (`mcf_in`).
+//! * `mcf` — hk-semi phases, then the Harvey cost-reducing descent to
+//!   the balanced assignment; no probe loop at all (`mcf_in`).
 //!
 //! Both searches probe with the same engine (Dinic on the bipartite graph
 //! itself), so their contrast is partitioning and the sharpened bound.
 //! Everything runs under a **1-worker local pool**. Per backend the run
 //! records best-of-3 wall-clock seconds, the probe count (`oracle_calls`:
-//! capacity probes for the search kinds, shortest-path augmentations for
-//! `mcf`) and the flow-augmentation count metered off the workspace. The
+//! capacity probes for the search kinds, hk-semi phases for `mcf`) and
+//! the capacitated flow's augmentation count metered off the workspace. The
 //! run asserts all three land on identical makespans, then writes
 //! `results/BENCH_fast_exact.md` and `results/BENCH_fast_exact.json`
 //! (with `host_cores`, `threads` and the git revision, so numbers are
@@ -161,14 +161,14 @@ fn main() {
         })
         .collect();
     let report = format!(
-        "# Fast exact: the partitioned load-range search and the min-cost-flow backend\n\n\
+        "# Fast exact: the partitioned load-range search and the balanced `mcf` kind\n\n\
          Tall unit sweep (the `fast-exact-tall` instances): {count} instances, \
          n = {n}, p = {p}, seed = {}, best of {REPEATS} runs under a 1-worker \
          pool (nothing runs in parallel), host cores = {host_cores}.\n\n\
          \"probes\" counts capacity probes for the load-range kinds and \
-         shortest-path augmentations for `mcf`; \"augmentations\" counts the \
-         augmenting paths of every flow solve. All backends returned identical \
-         makespans (Σ = {}).\n\n{}\n\
+         hk-semi phases for `mcf`, which runs no flow; \"augmentations\" \
+         counts the augmenting paths of every capacity probe. All backends \
+         returned identical makespans (Σ = {}).\n\n{}\n\
          Partitioning and the sharpened deficiency bound make the search \
          {speedup:.2}× faster than plain bisection; both probe with the same \
          engine.\n\n\
