@@ -35,8 +35,8 @@ pub struct FlowNetwork {
     arc_order: Vec<u32>,
     /// Whether `arc_start`/`arc_order` reflect the current arc set.
     csr_valid: bool,
-    /// Augmenting paths pushed since construction. Monotone — never reset
-    /// by [`clear`](Self::clear) — so callers meter a region by
+    /// Augmenting paths pushed since construction; each
+    /// [`max_flow`](Self::max_flow) reports its own by
     /// snapshot-and-subtract.
     augmentations: u64,
     // ---- Dinic scratch, resident so warm solves allocate nothing ----
@@ -97,13 +97,6 @@ impl FlowNetwork {
     /// Residual capacity of arc `id`.
     pub fn residual(&self, id: u32) -> u64 {
         self.cap[id as usize]
-    }
-
-    /// Augmenting paths pushed by [`max_flow`](Self::max_flow) since
-    /// construction. Monotone (never reset by [`clear`](Self::clear)):
-    /// meter a region by snapshot-and-subtract.
-    pub fn augmentations(&self) -> u64 {
-        self.augmentations
     }
 
     /// Rebuilds the CSR arc index by counting sort over arc tails.
