@@ -88,7 +88,7 @@ proptest! {
         }
     }
 
-    /// `mcf` is the one exact kind accepting weighted instances. The
+    /// `mcf` is the one fast exact kind accepting weighted instances. The
     /// total load (`weighted-load`, and `l1`, the same sum) separates per
     /// task, so `mcf` must hit the brute-force optimum under it — as every
     /// current-load greedy does too, since its marginal key is the edge
