@@ -11,14 +11,9 @@
 //! The residual graph is stored in CSR form (matching
 //! `semimatch_graph::Bipartite`): arcs append to flat `head`/`cap` arrays
 //! and the per-vertex arc lists are two flat index arrays rebuilt lazily
-//! before a solve. The Dinic scratch (levels, current-arc pointers, BFS
-//! queue, DFS path) lives inside the network, so a [`FlowNetwork`] that is
-//! [`clear`](FlowNetwork::clear)ed and refilled performs repeated
-//! max-flows with no per-call allocation once warm.
+//! before a solve.
 
-use semimatch_obs::{self as obs, catalog as metric};
-
-/// CSR flow network with residual arcs and resident Dinic scratch.
+/// CSR flow network with residual arcs and its Dinic scratch.
 #[derive(Clone, Debug, Default)]
 pub struct FlowNetwork {
     /// Number of vertices.
@@ -35,11 +30,7 @@ pub struct FlowNetwork {
     arc_order: Vec<u32>,
     /// Whether `arc_start`/`arc_order` reflect the current arc set.
     csr_valid: bool,
-    /// Augmenting paths pushed since construction; each
-    /// [`max_flow`](Self::max_flow) reports its own by
-    /// snapshot-and-subtract.
-    augmentations: u64,
-    // ---- Dinic scratch, resident so warm solves allocate nothing ----
+    // ---- Dinic scratch ----
     /// BFS level of each vertex.
     level: Vec<u32>,
     /// Current-arc pointer per vertex (index into its CSR slice).
@@ -56,9 +47,7 @@ impl FlowNetwork {
         FlowNetwork { n, ..FlowNetwork::default() }
     }
 
-    /// Resets to an empty `n`-vertex network, keeping every allocation:
-    /// a long-lived network cleared between builds reuses its arc arrays,
-    /// CSR index and Dinic scratch.
+    /// Resets to an empty `n`-vertex network, keeping every allocation.
     pub fn clear(&mut self, n: usize) {
         self.n = n;
         self.head.clear();
@@ -134,9 +123,6 @@ impl FlowNetwork {
     }
 
     /// Computes the maximum `source → sink` flow with Dinic's algorithm.
-    ///
-    /// Reuses the resident scratch; on a warm (cleared-and-refilled)
-    /// network of the same shape this performs no allocation.
     pub fn max_flow(&mut self, source: u32, sink: u32) -> u64 {
         assert_ne!(source, sink, "source and sink must differ");
         if !self.csr_valid {
@@ -146,8 +132,6 @@ impl FlowNetwork {
         self.level.resize(n, u32::MAX);
         self.iter_ptr.resize(n, 0);
         let mut total = 0u64;
-        let augs_before = self.augmentations;
-        let mut phases = 0u64;
         loop {
             // BFS: layer the residual graph.
             self.level.iter_mut().for_each(|l| *l = u32::MAX);
@@ -168,13 +152,8 @@ impl FlowNetwork {
                 }
             }
             if self.level[sink as usize] == u32::MAX {
-                if obs::enabled() {
-                    obs::counter_add(&metric::FLOW_AUGMENTATIONS, self.augmentations - augs_before);
-                    obs::counter_add(&metric::FLOW_DINIC_PHASES, phases);
-                }
                 return total;
             }
-            phases += 1;
             // Blocking flow via iterative DFS with current-arc pointers.
             self.iter_ptr.iter_mut().for_each(|i| *i = 0);
             loop {
@@ -203,7 +182,6 @@ impl FlowNetwork {
                     self.cap[a as usize] -= bottleneck;
                     self.cap[(a ^ 1) as usize] += bottleneck;
                 }
-                self.augmentations += 1;
                 return bottleneck;
             }
             let arcs = self.arcs_of(v);
