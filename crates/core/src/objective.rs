@@ -111,7 +111,9 @@ impl Objective {
         match self {
             Objective::Makespan | Objective::WeightedLoad => l,
             Objective::FlowTime => l * (l + 1) / 2,
-            Objective::LpNorm(p) => saturating_pow(l, p),
+            // Saturates at `u128::MAX`, order-preserving: the partial
+            // products of a base ≥ 2 only grow.
+            Objective::LpNorm(p) => l.checked_pow(p).unwrap_or(u128::MAX),
         }
     }
 
@@ -205,15 +207,6 @@ impl FromStr for Objective {
         }
         Err(CoreError::UnknownObjective(s.to_string()))
     }
-}
-
-/// `base^exp` in `u128`, saturating at `u128::MAX` (order-preserving).
-fn saturating_pow(base: u128, exp: u32) -> u128 {
-    let mut acc: u128 = 1;
-    for _ in 0..exp {
-        acc = acc.saturating_mul(base);
-    }
-    acc
 }
 
 /// The smallest value `Σ_u proc_cost(l(u))` can take over `p` processors
@@ -359,6 +352,13 @@ mod tests {
         let huge = Objective::LpNorm(40).proc_cost(u64::MAX);
         assert_eq!(huge, u128::MAX);
         assert!(Objective::LpNorm(40).evaluate(&[u64::MAX, u64::MAX]) >= Score(huge));
+    }
+
+    #[test]
+    fn lp_norm_at_the_largest_exponent_is_immediate() {
+        // The cost is computed by squaring, not by `k` multiplications.
+        let lmax = Objective::LpNorm(u32::MAX);
+        assert_eq!([0, 1, 2].map(|l| lmax.proc_cost(l)), [0, 1, u128::MAX]);
     }
 
     #[test]

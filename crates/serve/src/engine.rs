@@ -5,14 +5,16 @@
 //! incrementally instead of re-solving the instance per event:
 //!
 //! * **unit / single-processor traces** (every live configuration a unit
-//!   weight singleton — the `SINGLEPROC-UNIT` shape): bounded
-//!   augmenting-path repair. A BFS from each bottleneck processor over the
-//!   "task may relocate" relation finds a load-reducing path to a
-//!   processor two units lighter; shifting along it lowers the bottleneck.
-//!   When no bottleneck processor admits such a path, the makespan is
-//!   provably optimal (the symmetric-difference argument of the
-//!   cost-reducing-path optimality condition), so eager repair keeps the
-//!   engine's bottleneck equal to a from-scratch exact solve at all times.
+//!   weight singleton — the `SINGLEPROC-UNIT` shape): augmenting-path
+//!   repair. Repair returns at once when the live loads already meet the
+//!   paper's Eq. 1 bound `⌈n/p⌉`. Otherwise each round runs one BFS over
+//!   the "task may relocate" relation, seeded with every bottleneck
+//!   processor, and shifts one unit along the first path it finds to a
+//!   processor two units lighter. A search that finds no path proves the
+//!   makespan optimal (the argument in `matching::semi`'s module doc), so
+//!   eager repair keeps the engine's bottleneck equal to a from-scratch
+//!   exact solve at all times. The processor→task index the searches
+//!   walk stays resident between repairs.
 //! * **hypergraph / weighted traces**: greedy re-placement plus a bounded
 //!   `refine`-style local search (up to [`LOCAL_PASSES`] first-improvement
 //!   sweeps over every live task, each re-placed on the configuration the
@@ -78,17 +80,81 @@ struct RepairScratch {
     /// Stamped visited marks per processor (`u32::MAX` = never).
     visited: Vec<u32>,
     stamp: u32,
-    /// BFS tree: the task moved into this processor, its source processor
-    /// and the configuration index the move uses.
+    /// BFS tree: the task moved into this processor, the processor it
+    /// moves from and the configuration index the move uses. A search's
+    /// sources are their own `pred_proc`.
     pred_task: Vec<u32>,
     pred_proc: Vec<u32>,
     pred_cfg: Vec<u32>,
     queue: Vec<u32>,
-    /// Processor → assigned live tasks, refilled by each exact repair.
+    /// Processor → live tasks whose chosen configuration starts on it,
+    /// valid while `indexed`. The first exact repair builds it; arrivals,
+    /// departures and shifts keep it current; processor drops, local-search
+    /// sweeps and resolves drop it, and the next exact repair rebuilds it
+    /// (the lists keep their capacity).
     assigned: Vec<Vec<u32>>,
+    indexed: bool,
 }
 
 impl RepairScratch {
+    /// Lists `task` on `proc`, if the index is built.
+    fn list(&mut self, proc: u32, task: u32) {
+        if self.indexed {
+            self.assigned[proc as usize].push(task);
+        }
+    }
+
+    /// Takes `task` off `proc`'s list, if the index is built.
+    fn unlist(&mut self, proc: u32, task: u32) {
+        if self.indexed {
+            let list = &mut self.assigned[proc as usize];
+            let pos = list.iter().position(|&x| x == task).expect("task listed on its processor");
+            list.swap_remove(pos);
+        }
+    }
+
+    /// One BFS over "a task on `x` may move to `v`" edges, seeded with
+    /// every processor in `sources`. Records the BFS tree and returns the
+    /// first live processor it reaches whose load is at most `target`.
+    fn search(
+        &mut self,
+        procs: &[ProcSlot],
+        tasks: &[Option<TaskState>],
+        sources: impl IntoIterator<Item = u32>,
+        target: u64,
+    ) -> Option<u32> {
+        let stamp = self.next_stamp(procs.len());
+        self.queue.clear();
+        for s in sources {
+            self.visited[s as usize] = stamp;
+            self.pred_proc[s as usize] = s;
+            self.queue.push(s);
+        }
+        let mut head = 0;
+        while head < self.queue.len() {
+            let x = self.queue[head];
+            head += 1;
+            for &t in &self.assigned[x as usize] {
+                let state = tasks[t as usize].as_ref().expect("indexed task is live");
+                for (ci, c) in state.configs.iter().enumerate() {
+                    let v = c.pins[0];
+                    if !procs[v as usize].live || self.visited[v as usize] == stamp {
+                        continue;
+                    }
+                    self.visited[v as usize] = stamp;
+                    self.pred_task[v as usize] = t;
+                    self.pred_proc[v as usize] = x;
+                    self.pred_cfg[v as usize] = ci as u32;
+                    if procs[v as usize].load <= target {
+                        return Some(v);
+                    }
+                    self.queue.push(v);
+                }
+            }
+        }
+        None
+    }
+
     fn next_stamp(&mut self, n_procs: usize) -> u32 {
         if self.visited.len() < n_procs {
             self.visited.resize(n_procs, u32::MAX);
@@ -303,8 +369,10 @@ impl Engine {
 
     /// The live optimality gap under the configured objective:
     /// `score − lower_bound_estimate` (saturating). Zero means the live
-    /// assignment provably matches the balanced lower bound; the daemon
-    /// compares this against each tenant's SLO after every pump.
+    /// assignment matches the balanced lower bound, unless both saturate:
+    /// `l<k>` scores and bounds clamp at `u128::MAX`, where a gap of 0
+    /// proves nothing. The daemon compares this against each tenant's SLO
+    /// after every pump.
     pub fn gap(&self) -> Score {
         let score = self.score(self.cfg.objective);
         Score(score.0.saturating_sub(self.lower_bound_estimate().0))
@@ -378,9 +446,10 @@ impl Engine {
     /// reports the first field that disagrees: every live processor's
     /// load is the sum of the chosen weights pinned on it, dead
     /// processors hold load 0, chosen configurations are pinned on live
-    /// processors only, and the live counts, configuration counts and
-    /// weight sums match. `apply` checks it after every event in debug
-    /// builds.
+    /// processors only, the live counts, configuration counts and weight
+    /// sums match, and a built processor→task index lists every live task
+    /// exactly once, on its chosen configuration's first processor.
+    /// `apply` checks it after every event in debug builds.
     fn check_invariants(&self) -> std::result::Result<(), String> {
         let mut loads = vec![0u128; self.procs.len()];
         let (mut wide, mut nonunit, mut min_sum, mut max_sum) = (0, 0, 0u128, 0u128);
@@ -413,6 +482,31 @@ impl Engine {
                 "live tasks, live procs, wide and non-unit configs, min and max weight sums \
                  are {kept:?}, recomputed {fresh:?}"
             ));
+        }
+        if self.scratch.indexed {
+            if self.scratch.assigned.len() != self.procs.len() {
+                return Err(format!(
+                    "the index has {} lists for {} processors",
+                    self.scratch.assigned.len(),
+                    self.procs.len()
+                ));
+            }
+            let mut listed = vec![false; self.tasks.len()];
+            for (p, list) in self.scratch.assigned.iter().enumerate() {
+                for &t in list {
+                    let on = self.tasks.get(t as usize).and_then(Option::as_ref);
+                    let on = on.map(|s| s.configs[s.chosen as usize].pins[0] as usize);
+                    if on != Some(p) || std::mem::replace(&mut listed[t as usize], true) {
+                        return Err(format!(
+                            "the index lists task {t} on processor {p}, not once on its chosen \
+                             processor {on:?}"
+                        ));
+                    }
+                }
+            }
+            if let Some((t, _)) = self.live_tasks().find(|&(t, _)| !listed[t as usize]) {
+                return Err(format!("the index misses live task {t}"));
+            }
         }
         Ok(())
     }
@@ -471,6 +565,7 @@ impl Engine {
         self.nonunit_configs += states.iter().filter(|c| c.weight != 1).count();
         let state = TaskState { configs: states, chosen };
         self.add_contribution(&state);
+        self.scratch.list(state.configs[chosen as usize].pins[0], task);
         self.min_weight_sum += min_config_weight(&state.configs);
         self.max_weight_sum = max_weight_sum;
         self.tasks[slot] = Some(state);
@@ -486,6 +581,7 @@ impl Engine {
             .and_then(Option::take)
             .ok_or(ServeError::UnknownTask(task))?;
         self.remove_contribution(&state);
+        self.scratch.unlist(state.configs[state.chosen as usize].pins[0], task);
         self.min_weight_sum = self.min_weight_sum.saturating_sub(min_config_weight(&state.configs));
         self.max_weight_sum -= max_config_weight(&state.configs);
         self.wide_configs -= state.configs.iter().filter(|c| c.pins.len() > 1).count();
@@ -544,6 +640,11 @@ impl Engine {
         }
         self.procs[slot] = ProcSlot { live: true, load: 0 };
         self.n_live_procs += 1;
+        // A dead processor's list is already empty: the drop dropped the
+        // index, and a rebuild lists no task on a dead processor.
+        if self.scratch.indexed {
+            self.scratch.assigned.resize(self.procs.len(), Vec::new());
+        }
         Ok(())
     }
 
@@ -573,6 +674,7 @@ impl Engine {
         self.procs[slot].live = false;
         self.procs[slot].load = 0;
         self.n_live_procs -= 1;
+        self.scratch.indexed = false;
         for t in displaced {
             let mut state = self.tasks[t as usize].take().expect("displaced task is live");
             // Subtract the old contribution from its still-live pins (the
@@ -669,49 +771,38 @@ impl Engine {
         );
     }
 
-    /// Augmenting-path repair for the unit/single-processor shape.
+    /// Augmenting-path repair for the unit/single-processor shape, kept out
+    /// of line: inlined into [`Engine::repair_now`], it once slowed the
+    /// weighted workload through code layout alone.
     ///
-    /// Repeatedly: while some bottleneck processor admits a load-reducing
-    /// path (BFS over "task assigned to `u` may relocate to `v`" edges)
-    /// ending at a processor with load ≤ bottleneck − 2, shift tasks along
-    /// the path. When no bottleneck processor admits one, no assignment of
-    /// the live instance has a smaller makespan.
+    /// Repair first reads the live loads against the paper's Eq. 1: every
+    /// assignment of `n` unit tasks to `p` processors has a bottleneck of
+    /// at least `⌈n/p⌉`, and under a sum objective the loads
+    /// `⌊n/p⌋`/`⌈n/p⌉` are optimal. When the loads meet that bound, repair
+    /// returns without building the index or searching. Otherwise each
+    /// round runs one BFS (one `searches` count) seeded with every live
+    /// processor at the bottleneck and shifts one unit along the first
+    /// path it finds to a processor of load ≤ bottleneck − 2. When a
+    /// search finds no path, no assignment of the live instance has a
+    /// smaller makespan: the processors it reached carry load
+    /// ≥ bottleneck − 1 and their tasks have no configuration outside
+    /// them (the argument in `matching::semi`'s module doc).
+    #[inline(never)]
     fn exact_repair(&mut self) {
-        // Processor → assigned tasks: the resident index is cleared and
-        // refilled per repair (O(live) writes, no allocation once warm;
-        // taken out of the scratch so `reduce_from(&mut self, …)` borrows).
-        let mut assigned = std::mem::take(&mut self.scratch.assigned);
-        for list in &mut assigned {
-            list.clear();
+        let Some(mut max) = self.unbalanced_bottleneck() else { return };
+        if !self.scratch.indexed {
+            self.build_index();
         }
-        if assigned.len() < self.procs.len() {
-            assigned.resize(self.procs.len(), Vec::new());
-        }
-        for (t, state) in
-            self.tasks.iter().enumerate().filter_map(|(t, s)| Some((t as u32, s.as_ref()?)))
-        {
-            assigned[state.configs[state.chosen as usize].pins[0] as usize].push(t);
-        }
-        loop {
-            let max = self.bottleneck();
-            if max <= 1 {
+        while max >= 2 {
+            self.counters.searches += 1;
+            let procs = &self.procs;
+            let sources = (0..procs.len() as u32)
+                .filter(|&u| procs[u as usize].live && procs[u as usize].load == max);
+            let Some(v) = self.scratch.search(procs, &self.tasks, sources, max - 2) else {
                 break;
-            }
-            let mut improved = false;
-            for u in 0..self.procs.len() as u32 {
-                if !self.procs[u as usize].live || self.procs[u as usize].load != max {
-                    continue;
-                }
-                self.counters.searches += 1;
-                if self.reduce_from(u, max, &mut assigned) {
-                    self.counters.shifts += 1;
-                    improved = true;
-                    break;
-                }
-            }
-            if !improved {
-                break;
-            }
+            };
+            self.apply_shift(v);
+            max = self.bottleneck();
         }
         // Under a sum objective the bottleneck loop is not enough: a
         // non-bottleneck processor two units above some reachable one
@@ -739,12 +830,12 @@ impl Engine {
                             break;
                         }
                         self.counters.searches += 1;
-                        if self.reduce_from(u, lu, &mut assigned) {
-                            self.counters.shifts += 1;
-                            improved = true;
-                        } else {
+                        let Some(v) = self.scratch.search(&self.procs, &self.tasks, [u], lu - 2)
+                        else {
                             break;
-                        }
+                        };
+                        self.apply_shift(v);
+                        improved = true;
                     }
                 }
                 if !improved {
@@ -752,77 +843,70 @@ impl Engine {
                 }
             }
         }
-        self.scratch.assigned = assigned;
     }
 
-    /// One BFS from bottleneck processor `u`; applies the shift and
-    /// returns `true` when a processor with load ≤ `max − 2` is reached.
-    fn reduce_from(&mut self, u: u32, max: u64, assigned: &mut [Vec<u32>]) -> bool {
-        let stamp = self.scratch.next_stamp(self.procs.len());
-        self.scratch.queue.clear();
-        self.scratch.queue.push(u);
-        self.scratch.visited[u as usize] = stamp;
-        let mut head = 0;
-        let mut target = None;
-        'bfs: while head < self.scratch.queue.len() {
-            let x = self.scratch.queue[head];
-            head += 1;
-            for &t in &assigned[x as usize] {
-                let state = self.tasks[t as usize].as_ref().expect("assigned task is live");
-                for (ci, c) in state.configs.iter().enumerate() {
-                    let v = c.pins[0];
-                    if !self.procs[v as usize].live || self.scratch.visited[v as usize] == stamp {
-                        continue;
-                    }
-                    self.scratch.visited[v as usize] = stamp;
-                    self.scratch.pred_task[v as usize] = t;
-                    self.scratch.pred_proc[v as usize] = x;
-                    self.scratch.pred_cfg[v as usize] = ci as u32;
-                    if self.procs[v as usize].load + 2 <= max {
-                        target = Some(v);
-                        break 'bfs;
-                    }
-                    self.scratch.queue.push(v);
-                }
-            }
+    /// The live bottleneck when the unit state's loads do not yet meet
+    /// Eq. 1, `None` when they do: under the makespan when the bottleneck
+    /// is at most `⌈n/p⌉`, under a sum objective when every live load is
+    /// `⌊n/p⌋` or `⌈n/p⌉`, over live tasks and live processors. It reads
+    /// the loads, not [`Engine::gap`]: saturated `l<k>` scores make a gap
+    /// of 0 prove nothing.
+    fn unbalanced_bottleneck(&self) -> Option<u64> {
+        let n = self.n_live_tasks as u64;
+        // With no live processor there is no live task to place.
+        let floor = n.checked_div(self.n_live_procs as u64)?;
+        let ceil = n.div_ceil(self.n_live_procs as u64);
+        let (mut low, mut max) = (u64::MAX, 0);
+        for slot in self.procs.iter().filter(|p| p.live) {
+            low = low.min(slot.load);
+            max = max.max(slot.load);
         }
-        match target {
-            Some(v) => {
-                self.apply_shift(u, v, assigned);
-                true
-            }
-            None => false,
-        }
+        let met = max <= ceil && (self.cfg.objective.is_bottleneck() || low >= floor);
+        (!met).then_some(max)
     }
 
-    /// Shifts every task on the tree path `u → … → v` one hop forward:
-    /// the endpoint gains one unit, the bottleneck start loses one.
-    fn apply_shift(&mut self, u: u32, v: u32, assigned: &mut [Vec<u32>]) {
+    /// Lists every live task on its chosen configuration's first processor.
+    fn build_index(&mut self) {
+        let assigned = &mut self.scratch.assigned;
+        assigned.iter_mut().for_each(Vec::clear);
+        assigned.resize(self.procs.len(), Vec::new());
+        for (t, state) in self.tasks.iter().enumerate() {
+            if let Some(state) = state {
+                assigned[state.configs[state.chosen as usize].pins[0] as usize].push(t as u32);
+            }
+        }
+        self.scratch.indexed = true;
+    }
+
+    /// Shifts every task on the last search's tree path from its source to
+    /// `v` one hop forward: `v` gains one unit and the source loses one.
+    fn apply_shift(&mut self, v: u32) {
         let mut end = v;
-        while end != u {
-            let t = self.scratch.pred_task[end as usize];
+        loop {
             let from = self.scratch.pred_proc[end as usize];
-            let cfg = self.scratch.pred_cfg[end as usize];
+            if from == end {
+                break;
+            }
+            let t = self.scratch.pred_task[end as usize];
             let state = self.tasks[t as usize].as_mut().expect("shifted task is live");
-            state.chosen = cfg;
-            let pos = assigned[from as usize]
-                .iter()
-                .position(|&x| x == t)
-                .expect("task listed on its processor");
-            assigned[from as usize].swap_remove(pos);
-            assigned[end as usize].push(t);
+            state.chosen = self.scratch.pred_cfg[end as usize];
+            self.scratch.unlist(from, t);
+            self.scratch.list(end, t);
             end = from;
         }
-        self.procs[u as usize].load -= 1;
+        self.procs[end as usize].load -= 1;
         self.procs[v as usize].load += 1;
+        self.counters.shifts += 1;
     }
 
     /// Hypergraph repair: up to [`LOCAL_PASSES`] first-improvement sweeps
     /// over the live tasks (ascending id), each task re-placed on its best
     /// fully-live configuration by [`Engine::choose`]. A task's current
     /// configuration is always among the candidates, so no move worsens
-    /// the configured objective.
+    /// the configured objective. Drops the processor→task index, which
+    /// the moves do not keep.
     fn local_sweeps(&mut self) {
+        self.scratch.indexed = false;
         for _ in 0..LOCAL_PASSES {
             let mut moved = false;
             for t in 0..self.tasks.len() {
@@ -868,7 +952,9 @@ impl Engine {
         } else {
             self.resolve_multiproc(&snap)?;
         }
-        // Rebuild loads wholesale; the resolve replaced the assignment.
+        // Rebuild loads wholesale and drop the index; the resolve replaced
+        // the assignment.
+        self.scratch.indexed = false;
         for p in self.procs.iter_mut() {
             p.load = 0;
         }
@@ -1169,6 +1255,83 @@ mod tests {
         e.apply(&Event::Depart { task: 0 }).unwrap();
         e.apply(&Event::Reweight { task: 1, weights: vec![u64::MAX] }).unwrap();
         assert_eq!(e.bottleneck(), u64::MAX);
+    }
+
+    /// The from-scratch optimal makespan of the engine's live instance.
+    fn exact_makespan(e: &Engine) -> u64 {
+        let g = e.snapshot().to_bipartite().expect("singleton configs");
+        let problem = Problem::SingleProc(&g);
+        solve(problem, SolverKind::ExactBisection).unwrap().makespan(&problem).unwrap()
+    }
+
+    #[test]
+    fn repair_without_a_live_processor_returns() {
+        for objective in [Objective::Makespan, Objective::FlowTime] {
+            let mut e = Engine::new(EngineConfig { objective, ..eager() }, 0).unwrap();
+            e.repair_now();
+            assert_eq!((e.bottleneck(), e.counters().searches), (0, 0), "{objective}");
+        }
+    }
+
+    #[test]
+    fn the_resident_index_follows_every_event_that_touches_it() {
+        // `apply` checks a built index against the live tasks after every
+        // event (debug builds). This walks it through each path that keeps,
+        // drops or rebuilds it, with whether it is built after each event;
+        // on unit state the makespan must be the exact optimum throughout.
+        let walk = [
+            (arrive(0, &[(&[0], 1), (&[1], 1)]), false),
+            // T1 stacks P0 past ⌈2/2⌉: the first search builds the index.
+            (arrive(1, &[(&[0], 1)]), true),
+            (arrive(2, &[(&[0], 1), (&[1], 1)]), true),
+            (Event::Depart { task: 2 }, true),
+            (Event::Reweight { task: 0, weights: vec![1, 1] }, true),
+            // Weight 3 leaves unit state, and `local_sweeps` moves T0 back
+            // to P0 and drops the index.
+            (Event::Reweight { task: 0, weights: vec![1, 3] }, false),
+            // Back on unit state, P0 at 2 > ⌈2/2⌉: the search rebuilds it.
+            (Event::Reweight { task: 0, weights: vec![1, 1] }, true),
+            (Event::Reweight { task: 0, weights: vec![2, 2] }, false),
+            // Eq. 1 met: nothing rebuilds it.
+            (Event::Reweight { task: 0, weights: vec![1, 1] }, false),
+            (arrive(3, &[(&[1], 1)]), false),
+            (arrive(4, &[(&[1], 1), (&[0], 1)]), false),
+            (arrive(5, &[(&[1], 1)]), false),
+            // P1 at 4 > ⌈6/2⌉: the search rebuilds it.
+            (arrive(6, &[(&[1], 1)]), true),
+            // A processor new to the index gets an empty list…
+            (Event::AddProc { proc: 3 }, true),
+            // …which the next arrival lands on.
+            (arrive(7, &[(&[3], 1), (&[1], 1)]), true),
+            (Event::DropProc { proc: 3 }, false),
+            // P1 at 4 > ⌈7/3⌉ once P3 is back: the search rebuilds it.
+            (Event::AddProc { proc: 3 }, true),
+            (arrive(8, &[(&[1], 1), (&[3], 1)]), true),
+            (arrive(9, &[(&[1], 1)]), true),
+            // Resolved under `periodic:1` below: the resolve drops it.
+            (arrive(10, &[(&[0], 1), (&[3], 1)]), false),
+            (arrive(11, &[(&[1], 1)]), true),
+            (Event::Depart { task: 1 }, true),
+            (Event::Depart { task: 11 }, true),
+            (Event::Depart { task: 7 }, true),
+        ];
+        for objective in [Objective::Makespan, Objective::FlowTime] {
+            let mut e = Engine::new(EngineConfig { objective, ..eager() }, 2).unwrap();
+            for (ev, indexed) in &walk {
+                let resolve = matches!(ev, Event::Arrive { task: 10, .. });
+                if resolve {
+                    e.set_policy(RepairPolicy::Periodic { every: 1 }).unwrap();
+                }
+                e.apply(ev).unwrap();
+                if resolve {
+                    e.set_policy(RepairPolicy::Eager).unwrap();
+                }
+                assert_eq!(e.scratch.indexed, *indexed, "{objective}: index after {ev:?}");
+                if e.is_unit_singleton() {
+                    assert_eq!(e.bottleneck(), exact_makespan(&e), "{objective} after {ev:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,11 +16,13 @@
 //!   (`Lazy`), by periodic from-scratch re-solves through a resident
 //!   warm-workspace solver of any registered `SolverKind` (`Periodic`),
 //!   or never (`PlacementOnly`, the greedy baseline);
-//! * repair itself is incremental — bounded augmenting-path searches on
-//!   the unit/single-processor shape (provably bottleneck-optimal at
-//!   every event under `Eager`), local-search sweeps over the live tasks
-//!   on the general hypergraph shape; `Lazy` trades that repair's cost
-//!   against quality;
+//! * repair itself is incremental — on the unit/single-processor shape,
+//!   one multi-source augmenting-path search per one-unit shift, and one
+//!   more that proves the optimum, over a resident processor→task index,
+//!   all skipped when the loads meet Eq. 1's `⌈n/p⌉` (provably
+//!   bottleneck-optimal at every event under `Eager`);
+//!   local-search sweeps over the live tasks on the general hypergraph
+//!   shape; `Lazy` trades that repair's cost against quality;
 //! * the engine optimizes a configurable cost model
 //!   ([`EngineConfig::objective`]): placement, local search, the lazy
 //!   trigger and periodic resolves all target it, the exact unit-singleton

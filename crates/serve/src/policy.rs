@@ -119,7 +119,9 @@ pub struct Counters {
     pub placements: u64,
     /// Full repair invocations (eager: one per event).
     pub repairs: u64,
-    /// Augmenting-path searches run by the exact repair.
+    /// BFS searches run by the exact repair: one per round of its
+    /// bottleneck loop, seeded with every bottleneck processor, and one per
+    /// step of the sum-objective descent, seeded with one processor.
     pub searches: u64,
     /// Augmenting paths applied (each shifts ≥ 1 task).
     pub shifts: u64,

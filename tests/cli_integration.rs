@@ -404,6 +404,21 @@ fn exact_strategies_agree_via_cli() {
 }
 
 #[test]
+fn the_largest_lp_exponent_solves_at_once() {
+    // An `l<k>` cost once took `k` multiplications per processor, so this
+    // solve was still running after 20 s.
+    let dir = tmp_dir("lmax");
+    let bg = dir.join("three.bg");
+    let g = Bipartite::from_edges(3, 2, &[(0, 0), (1, 0), (1, 1), (2, 1)]).unwrap();
+    write_bipartite(&g, File::create(&bg).unwrap()).unwrap();
+    let out = semimatch(&["solve", bg.to_str().unwrap(), "--objective", "l4294967295"]);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    // Two tasks on one processor cost 2^k, saturated.
+    assert!(stdout(&out).contains(&format!("l4294967295:    {}", u128::MAX)), "{}", stdout(&out));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn objective_flag_changes_the_optimal_choice() {
     use semimatch::graph::io::write_hypergraph;
     let dir = tmp_dir("objective");

@@ -2,11 +2,12 @@
 //! incrementally must agree with solving the *final* live instance from
 //! scratch.
 //!
-//! * Unit/single-processor traces under eager repair: the engine's
-//!   bottleneck **equals** the exact from-scratch optimum at the end of
-//!   the trace (the augmenting-path repair maintains bottleneck
-//!   optimality through arrivals, departures, reweights and processor
-//!   churn).
+//! * Unit/single-processor traces under eager repair: after every event
+//!   the engine's score **equals** the exact from-scratch optimum, under
+//!   the makespan and under flow time (the augmenting-path repair
+//!   maintains optimality through arrivals, departures, reweights and
+//!   processor churn, and the flow-time descent keeps the makespan
+//!   optimal too).
 //! * Per-event re-solves (`Periodic { every: 1 }`): the final state is by
 //!   construction the configured kind's from-scratch solution — pinning
 //!   the snapshot/compaction/install machinery.
@@ -18,12 +19,21 @@ use proptest::prelude::*;
 use semimatch::gen::rng::Xoshiro256;
 use semimatch::gen::trace::{generate_trace, TraceParams};
 use semimatch::serve::{Engine, EngineConfig, RepairPolicy};
-use semimatch::solver::{solve, Problem, SolverKind};
+use semimatch::solver::{solve, solve_with, Objective, Problem, SolverKind};
 
 /// Random unit-weight singleton traces (the `SINGLEPROC-UNIT` shape) with
 /// full churn: departures, (unit) reweights, bursts and processor churn.
 fn singleproc_trace() -> impl Strategy<Value = semimatch::serve::Trace> {
-    (1u32..6, 1u32..40, 0u32..=100, 0u32..5, 0u64..1_000_000).prop_map(
+    singleproc_trace_below(6, 40)
+}
+
+/// [`singleproc_trace`] with fewer than `procs` processors and `arrivals`
+/// arrivals.
+fn singleproc_trace_below(
+    procs: u32,
+    arrivals: u32,
+) -> impl Strategy<Value = semimatch::serve::Trace> {
+    (1..procs, 1..arrivals, 0u32..=100, 0u32..5, 0u64..1_000_000).prop_map(
         |(procs, arrivals, churn, proc_events, seed)| {
             let params = TraceParams {
                 n_procs: procs,
@@ -60,28 +70,52 @@ fn hyper_trace() -> impl Strategy<Value = semimatch::serve::Trace> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// Up to 12 processors and 80 arrivals, so that several processors
+    /// often share the bottleneck. `mcf` is exact under every objective
+    /// on unit instances.
     #[test]
-    fn eager_incremental_repair_matches_from_scratch_exact(trace in singleproc_trace()) {
-        let engine = Engine::replay(EngineConfig::default(), &trace).unwrap();
-        prop_assert!(engine.is_unit_singleton());
-        if engine.n_live_tasks() == 0 {
-            prop_assert_eq!(engine.bottleneck(), 0);
-            return Ok(());
+    fn eager_incremental_repair_matches_from_scratch_exact(
+        trace in singleproc_trace_below(13, 81)
+    ) {
+        for objective in [Objective::Makespan, Objective::FlowTime] {
+            let cfg = EngineConfig { objective, ..EngineConfig::default() };
+            let mut engine = Engine::new(cfg, trace.n_procs).unwrap();
+            for (i, ev) in trace.events.iter().enumerate() {
+                engine.apply(ev).unwrap();
+                prop_assert!(engine.is_unit_singleton());
+                if engine.n_live_tasks() == 0 {
+                    prop_assert_eq!(engine.bottleneck(), 0);
+                    continue;
+                }
+                let snap = engine.snapshot();
+                snap.matching.validate(&snap.hypergraph).unwrap();
+                let g = snap.to_bipartite().expect("singleton trace");
+                let problem = Problem::SingleProc(&g);
+                let optimum = |objective| {
+                    solve_with(problem, SolverKind::MinCostFlow, objective)
+                        .and_then(|s| s.score(&problem, objective))
+                        .unwrap()
+                };
+                for checked in [objective, Objective::Makespan] {
+                    prop_assert_eq!(
+                        engine.score(checked),
+                        optimum(checked),
+                        "{} under {} diverged from the from-scratch optimum after event {} ({:?})",
+                        checked,
+                        objective,
+                        i,
+                        ev
+                    );
+                }
+            }
         }
-        let snap = engine.snapshot();
-        snap.matching.validate(&snap.hypergraph).unwrap();
-        prop_assert_eq!(snap.matching.makespan(&snap.hypergraph), engine.bottleneck());
-        let g = snap.to_bipartite().expect("singleton trace");
-        let problem = Problem::SingleProc(&g);
-        let opt = solve(problem, SolverKind::ExactBisection).unwrap().makespan(&problem).unwrap();
-        prop_assert_eq!(
-            engine.bottleneck(),
-            opt,
-            "incremental repair diverged from the from-scratch optimum"
-        );
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
 
     #[test]
     fn per_event_resolves_equal_the_from_scratch_kind(trace in hyper_trace()) {
